@@ -20,16 +20,16 @@
 //! Results land in `<out_dir>/BENCH_PR4.json` for EXPERIMENTS.md and
 //! the CI artifact.
 //!
-//! 3. **Driver phases (PR 6)** — the serial driver fraction: the
-//!    kd-tree bulk-build and the Algorithm-4 merge are run once at one
-//!    worker, their per-shard/per-phase wall times are replayed through
-//!    the LPT fork-join model at 1/2/4/8 workers, and the parallel
-//!    implementations are checked byte-identical against the
-//!    sequential ones. (The CI host has a single core, so — exactly
-//!    like the PR4 `simulated_makespan_ms` — real multi-thread wall
-//!    clock would only measure contention; the model is fed by
-//!    measured chunk times.) Results land in `<out_dir>/BENCH_PR6.json`
-//!    and the suite exits non-zero on any identity violation.
+//! 3. **Driver phases (PR 6)** — the kd-tree bulk build: it is run
+//!    once at one worker, its per-shard wall times are replayed through
+//!    the LPT fork-join model at 1/2/4/8 workers, and an 8-worker build
+//!    is checked structurally identical to the sequential one. (The CI
+//!    host has a single core, so — exactly like the PR4
+//!    `simulated_makespan_ms` — real multi-thread wall clock would only
+//!    measure contention; the model is fed by measured shard times.)
+//!    Results land in `<out_dir>/BENCH_PR6.json` and the suite exits
+//!    non-zero on an identity violation. The merge is sequential and is
+//!    measured by `perfbench` (`merge.extract_s`, `merge.union_s`).
 //!
 //! 4. **Memory budget (PR 7)** — the n=100k partitioned run, unbounded
 //!    and then again with a per-executor budget of 25% of the unbounded
@@ -67,15 +67,11 @@
 //!   cargo run --release -p dbscan-bench --bin perf_suite -- --speculation-only [out_dir]
 
 use dbscan_bench::report;
-use dbscan_core::{
-    local_partial_clusters, merge_partial_clusters_threaded, merge_unionfind_report, Balance,
-    DbscanParams, MergeStrategy, PartitionRanges, Resources, SeedPolicy, SparkDbscan,
-    SparkDbscanResult,
-};
+use dbscan_core::{Balance, DbscanParams, Resources, SparkDbscan, SparkDbscanResult};
 use dbscan_datagen::{ClusterGenerator, GeneratorParams, SkewedGenerator, SkewedParams};
 use dbscan_spatial::{
     scan_block, scan_block_generic, scan_block_soa, BkdTree, BuildConfig, Dataset, KernelConfig,
-    Metric, SpatialIndex, DEFAULT_LANES,
+    Metric, DEFAULT_LANES,
 };
 use serde::Serialize;
 use sparklet::{
@@ -159,23 +155,12 @@ struct PhasePoint {
     speedup: f64,
 }
 
-/// One merge sub-phase's measured wall time.
-#[derive(Serialize)]
-struct MergePhaseRow {
-    name: &'static str,
-    serial: bool,
-    chunks: usize,
-    ms: f64,
-}
-
 /// Driver-phase measurements for one dataset size.
 #[derive(Serialize)]
 struct DriverPhaseCase {
     n: usize,
     dim: usize,
-    partitions: usize,
     par_cutoff: usize,
-    // kd-tree bulk build
     build_shards: usize,
     build_serial_ms: f64,
     build_internal_ms: f64,
@@ -183,14 +168,6 @@ struct DriverPhaseCase {
     build_models: Vec<PhasePoint>,
     build_speedup_at_8: f64,
     build_structure_identical: bool,
-    // Algorithm-4 merge
-    partial_clusters: usize,
-    seed_edges: usize,
-    merge_serial_ms: f64,
-    merge_phases: Vec<MergePhaseRow>,
-    merge_models: Vec<PhasePoint>,
-    merge_speedup_at_8: f64,
-    merge_labels_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -244,7 +221,7 @@ fn run_arm(balance: Balance, data: &Arc<Dataset>) -> (SparkDbscanResult, f64) {
     let result = SparkDbscan::new(params)
         .partitions(PARTITIONS)
         .exact()
-        .balance(balance)
+        .resources(Resources::from_env().with_balance(balance))
         .run(&ctx, Arc::clone(data));
     (result, t.elapsed().as_secs_f64() * 1e3)
 }
@@ -353,11 +330,11 @@ fn kernel_experiment(rows: usize, queries: usize) -> Vec<KernelRow> {
 
 const MODEL_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Driver-phase experiment for one dataset size: measure the build and
-/// the merge once at one worker, model the fork-join makespan at each
-/// worker count, and verify the parallel paths are byte-identical.
-/// Exits the process on an identity violation — a wrong answer must
-/// never ship inside a performance report.
+/// Driver-phase experiment for one dataset size: measure the build once
+/// at one worker, model the fork-join makespan at each worker count, and
+/// verify the parallel build is structurally identical. Exits the
+/// process on an identity violation — a wrong answer must never ship
+/// inside a performance report.
 fn driver_phase_case(n: usize) -> DriverPhaseCase {
     // Table-I-style clustered data (10-dim Gaussian blobs + noise), so
     // eps-neighborhoods stay bounded at 100k points — the skewed 2-d
@@ -365,7 +342,6 @@ fn driver_phase_case(n: usize) -> DriverPhaseCase {
     let params = GeneratorParams::new(n, 10, (n / 1600).max(4), SEED);
     let (data, _) = ClusterGenerator::new(params).generate();
     let data = Arc::new(data);
-    let dbscan = DbscanParams::new(EPS, MIN_PTS).expect("valid params");
 
     // ~32 shards regardless of n, so LPT has room at every modeled k
     let cutoff = (n / 32).max(1024);
@@ -388,44 +364,9 @@ fn driver_phase_case(n: usize) -> DriverPhaseCase {
         .collect();
     let build_speedup_at_8 = build_models.last().map(|p| p.speedup).unwrap_or(1.0);
 
-    // -- merge: real partial clusters from 64 executor-side runs, then
-    // the instrumented union-find pipeline at 1 worker
-    let partitions = 64;
-    let ranges = PartitionRanges::new(n, partitions);
-    let mut partials = Vec::new();
-    let mut core = vec![false; n];
-    for p in 0..partitions {
-        let local = local_partial_clusters(
-            |i, out| tree.range_into(data.row(i as usize), dbscan.eps, out),
-            dbscan,
-            &ranges,
-            p,
-            SeedPolicy::PerBoundaryEdge,
-        );
-        partials.extend(local.clusters);
-        for c in local.core_points {
-            core[c as usize] = true;
-        }
-    }
-
-    let (serial_out, mrep) = merge_unionfind_report(n, &partials, &core, 1);
-    let par_out = merge_partial_clusters_threaded(n, &partials, MergeStrategy::UnionFind, &core, 8);
-    let merge_identical = serial_out.clustering.labels == par_out.clustering.labels;
-
-    let mbase = mrep.modeled_makespan_nanos(1) as f64;
-    let merge_models: Vec<PhasePoint> = MODEL_THREADS
-        .iter()
-        .map(|&k| {
-            let m = mrep.modeled_makespan_nanos(k) as f64;
-            PhasePoint { threads: k, modeled_ms: m / 1e6, speedup: mbase / m }
-        })
-        .collect();
-    let merge_speedup_at_8 = merge_models.last().map(|p| p.speedup).unwrap_or(1.0);
-
     let case = DriverPhaseCase {
         n,
         dim: 10,
-        partitions,
         par_cutoff: cutoff,
         build_shards: build.shards.len(),
         build_serial_ms: base / 1e6,
@@ -434,41 +375,16 @@ fn driver_phase_case(n: usize) -> DriverPhaseCase {
         build_models,
         build_speedup_at_8,
         build_structure_identical: build_identical,
-        partial_clusters: partials.len(),
-        seed_edges: serial_out.merge_ops,
-        merge_serial_ms: mbase / 1e6,
-        merge_phases: mrep
-            .phases
-            .iter()
-            .map(|p| MergePhaseRow {
-                name: p.name,
-                serial: p.serial,
-                chunks: p.chunk_nanos.len(),
-                ms: p.chunk_nanos.iter().sum::<u64>() as f64 / 1e6,
-            })
-            .collect(),
-        merge_models,
-        merge_speedup_at_8,
-        merge_labels_identical: merge_identical,
     };
     println!(
-        "driver phases n={n}: build {:.1} ms serial -> {:.1} ms @8 ({:.2}x, {} shards), \
-         merge {:.2} ms serial -> {:.2} ms @8 ({:.2}x, {} partials)",
+        "driver phases n={n}: build {:.1} ms serial -> {:.1} ms @8 ({:.2}x, {} shards)",
         case.build_serial_ms,
         case.build_models.last().unwrap().modeled_ms,
         build_speedup_at_8,
         case.build_shards,
-        case.merge_serial_ms,
-        case.merge_models.last().unwrap().modeled_ms,
-        merge_speedup_at_8,
-        case.partial_clusters,
     );
     if !build_identical {
         eprintln!("FAIL: n={n}: 8-thread kd-tree build is not structurally identical");
-        std::process::exit(1);
-    }
-    if !merge_identical {
-        eprintln!("FAIL: n={n}: 8-thread merge labels differ from sequential merge");
         std::process::exit(1);
     }
     case
@@ -1088,7 +1004,7 @@ fn main() {
     }
     println!("perf suite: labels identical, work imbalance {count_work:.2} -> {cost_work:.2}");
 
-    // ---- experiment 3: driver phases (build + merge) at 20k / 100k ----
+    // ---- experiment 3: driver phase (kd-tree build) at 20k / 100k ----
     let pr6 = ReportPr6 {
         bench: "BENCH_PR6",
         seed: SEED,

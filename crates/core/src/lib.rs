@@ -67,8 +67,7 @@ pub use partitioned::executor_side::{
     ExecutorScratch, ExecutorStats, LocalClustering, NeighborSource, TreeNeighborSource,
 };
 pub use partitioned::merge::{
-    extract_seed_edges, merge_partial_clusters, merge_partial_clusters_threaded,
-    merge_unionfind_report, merge_with_edges, MergeOutcome, MergePhase, MergeReport, MergeStrategy,
+    extract_seed_edges, merge_partial_clusters, merge_with_edges, MergeOutcome, MergeStrategy,
 };
 pub use partitioned::planner::{plan_partitions, Balance, CostPlan};
 pub use partitioned::SeedPolicy;

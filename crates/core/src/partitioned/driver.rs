@@ -23,7 +23,7 @@ use crate::partitioned::SeedPolicy;
 use crate::reorder::{apply_permutation, zorder_permutation};
 use crate::resources::Resources;
 use dbscan_spatial::{
-    BkdTree, BuildConfig, BuildReport, Dataset, KernelCounters, Metric, PruneConfig, QueryScratch,
+    BkdTree, BuildReport, Dataset, KernelCounters, Metric, PruneConfig, QueryScratch,
 };
 use sparklet::{Context, JobMetrics, MemoryStats, SpillHandle, DRIVER_LANE};
 use std::cell::RefCell;
@@ -71,7 +71,7 @@ pub struct Timings {
     /// Merge sub-phase: SEED-edge extraction (owner index + edge scan);
     /// zero for the paper-literal merge strategies.
     pub merge_extract: Duration,
-    /// Merge sub-phase: union-find seal + label assembly; zero for the
+    /// Merge sub-phase: union-find + relabel; zero for the
     /// paper-literal merge strategies.
     pub merge_union: Duration,
     /// Whole run.
@@ -144,10 +144,9 @@ impl SparkDbscan {
         }
     }
 
-    /// Replace the whole execution-resource bundle (balance, build
-    /// threads, merge threads, memory budget) in one call — the typed
-    /// alternative to chaining [`SparkDbscan::balance`],
-    /// [`SparkDbscan::build_config`] and [`SparkDbscan::merge_threads`].
+    /// Replace the whole execution-resource bundle (partition balance,
+    /// kd-tree build configuration, memory budget, speculation) in one
+    /// call.
     pub fn resources(mut self, res: Resources) -> Self {
         self.res = res;
         self
@@ -198,36 +197,10 @@ impl SparkDbscan {
         self
     }
 
-    /// Choose how index ranges are balanced across partitions:
-    /// equal point counts (the paper, default) or equal estimated
-    /// eps-query cost (see [`crate::partitioned::planner`]). Ranges stay
-    /// contiguous either way, so the clustering result is identical —
-    /// only task load balance changes.
-    pub fn balance(mut self, b: Balance) -> Self {
-        self.res.balance = b;
-        self
-    }
-
     /// The hardened exact configuration (see crate docs).
     pub fn exact(mut self) -> Self {
         self.seed_policy = SeedPolicy::PerBoundaryEdge;
         self.merge_strategy = MergeStrategy::UnionFind;
-        self
-    }
-
-    /// Configure the driver-side kd-tree bulk build (worker count,
-    /// bucket size, parallel cutoff). The tree is structurally
-    /// identical for every configuration with the same bucket size.
-    pub fn build_config(mut self, cfg: BuildConfig) -> Self {
-        self.res.build = cfg;
-        self
-    }
-
-    /// Worker count for the parallel union-find merge (0 = follow the
-    /// build config). Labels are byte-identical at any count; the
-    /// paper-literal merge strategies always run serial.
-    pub fn merge_threads(mut self, threads: usize) -> Self {
-        self.res.merge_threads = threads;
         self
     }
 
@@ -458,22 +431,18 @@ impl SparkDbscan {
         let filtered = before_filter - partials.len();
         let num_partial_clusters = partials.len();
 
-        let merge_threads = match self.res.merge_threads {
-            0 => self.res.build.effective_threads(),
-            t => t,
-        };
         let t = Instant::now();
         trace.phase_start("merge");
         let (outcome, merge_extract, merge_union) = match self.merge_strategy {
             MergeStrategy::UnionFind => {
                 let tx = Instant::now();
                 trace.phase_start("merge_extract");
-                let edges = extract_seed_edges(n, &partials, &core, merge_threads);
+                let edges = extract_seed_edges(n, &partials, &core, 1);
                 trace.phase_end("merge_extract");
                 let merge_extract = tx.elapsed();
                 let tu = Instant::now();
                 trace.phase_start("merge_union");
-                let outcome = merge_with_edges(n, &partials, &edges, merge_threads);
+                let outcome = merge_with_edges(n, &partials, &edges, 1);
                 trace.phase_end("merge_union");
                 (outcome, merge_extract, tu.elapsed())
             }
@@ -727,7 +696,7 @@ mod tests {
         let cost = SparkDbscan::new(params)
             .partitions(8)
             .exact()
-            .balance(Balance::Cost)
+            .resources(Resources::from_env().with_balance(Balance::Cost))
             .run(&ctx, Arc::clone(&data));
         assert_eq!(
             count.clustering.canonicalize().labels,
@@ -754,7 +723,7 @@ mod tests {
         let count = SparkDbscan::new(params).partitions(8).run(&ctx, Arc::clone(&data));
         let cost = SparkDbscan::new(params)
             .partitions(8)
-            .balance(Balance::Cost)
+            .resources(Resources::from_env().with_balance(Balance::Cost))
             .run(&ctx, Arc::clone(&data));
         assert_eq!(count.executor_stats.len(), 8);
         assert!(

@@ -18,32 +18,21 @@
 //! one exactly when a core–core edge crosses the boundary, and that
 //! core endpoint is always recorded as a SEED. Non-core SEEDs still
 //! receive the seeding cluster's label (ordinary border assignment).
-
 //!
-//! **Parallel merge (this module's union-find path)**: the merge is
-//! decomposed into data-parallel phases — dense owner-index fill, SEED
-//! edge extraction over shards of the partial-cluster list, then (after
-//! a tiny serial seal that sorts the edge list by canonical key and
-//! feeds it to the union-find) a per-point minimum-group-rank
-//! reduction and a chunked relabel. Every phase is either a disjoint
-//! write or a commutative `fetch_min`, so the output is byte-identical
-//! for any thread count; `threads = 1` is the literal sequential
-//! schedule.
+//! **Union-find merge**: four sequential loops — owner fill, core-SEED
+//! edges in partial order, one union per edge, canonical relabel. The
+//! edge list keeps duplicates: a union-find ignores them, so neither
+//! the components nor the merge-op count (partials minus components)
+//! depend on edge order or multiplicity. Every strategy ends in the
+//! same relabel, which names each group by its smallest partial index.
 
 use crate::label::{Clustering, Label};
 use crate::model::PartialCluster;
 use crate::unionfind::DisjointSet;
-use dbscan_spatial::lpt_makespan_nanos;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::Instant;
 
-/// A point with no partial cluster holding it as a regular element.
+/// A point with no partial cluster holding it as a regular element (and
+/// a point no partial cluster holds at all, in the relabel).
 const UNOWNED: u32 = u32::MAX;
-/// Partial clusters per extraction / rank shard.
-const PARTIAL_CHUNK: usize = 8;
-/// Points per relabel shard.
-const POINT_CHUNK: usize = 8192;
 
 /// How the driver merges partial clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,404 +66,120 @@ pub struct MergeOutcome {
     pub passes: usize,
 }
 
-/// Wall-time breakdown of one instrumented merge: each phase is either
-/// serial (one chunk) or data-parallel (one chunk per shard), so the
-/// benchmark can replay the measured chunks through an LPT schedule and
-/// model the makespan at any worker count.
-#[derive(Debug, Clone, Default)]
-pub struct MergeReport {
-    /// Phases in execution order.
-    pub phases: Vec<MergePhase>,
-    /// Wall time of the whole merge call.
-    pub total_nanos: u64,
-}
-
-/// One timed merge phase.
-#[derive(Debug, Clone)]
-pub struct MergePhase {
-    /// Phase name (`owner_fill`, `edge_extract`, `seal`, `winner_rank`,
-    /// `relabel`, ...).
-    pub name: &'static str,
-    /// Serial phases contribute their full duration at any thread count.
-    pub serial: bool,
-    /// Per-shard durations (one entry for serial phases).
-    pub chunk_nanos: Vec<u64>,
-}
-
-impl MergeReport {
-    fn push(&mut self, name: &'static str, serial: bool, chunk_nanos: Vec<u64>) {
-        self.phases.push(MergePhase { name, serial, chunk_nanos });
-    }
-
-    /// Total measured nanos of all phases with this name.
-    pub fn phase_nanos(&self, name: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name == name)
-            .map(|p| p.chunk_nanos.iter().sum::<u64>())
-            .sum()
-    }
-
-    /// Sum of every phase (the serial critical path).
-    pub fn serial_nanos(&self) -> u64 {
-        self.phases.iter().map(|p| p.chunk_nanos.iter().sum::<u64>()).sum()
-    }
-
-    /// Modeled makespan on `k` workers: serial phases run whole, each
-    /// parallel phase contributes its LPT schedule length over `k`.
-    pub fn modeled_makespan_nanos(&self, k: usize) -> u64 {
-        let k = k.max(1);
-        self.phases
-            .iter()
-            .map(|p| {
-                if p.serial || k == 1 {
-                    p.chunk_nanos.iter().sum::<u64>()
-                } else {
-                    lpt_makespan_nanos(p.chunk_nanos.iter().copied(), k)
-                }
-            })
-            .sum()
-    }
-}
-
-/// Run `items` across `threads` scoped workers with a static
-/// round-robin assignment, timing each item. Every item owns the
-/// mutable state it touches (disjoint slices or commutative atomics),
-/// so the schedule cannot change any output. Returns per-item nanos in
-/// item order.
-fn run_items<T: Send, F: Fn(T) + Sync>(items: Vec<T>, threads: usize, f: F) -> Vec<u64> {
-    let count = items.len();
-    let k = threads.max(1).min(count.max(1));
-    if k <= 1 {
-        return items
-            .into_iter()
-            .map(|it| {
-                let t = Instant::now();
-                f(it);
-                t.elapsed().as_nanos() as u64
-            })
-            .collect();
-    }
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..k).map(|_| Vec::new()).collect();
-    for (i, it) in items.into_iter().enumerate() {
-        buckets[i % k].push((i, it));
-    }
-    let times: Vec<AtomicU64> = (0..count).map(|_| AtomicU64::new(0)).collect();
-    let (f, times_ref) = (&f, &times);
-    std::thread::scope(|s| {
-        for bucket in buckets {
-            s.spawn(move || {
-                for (i, it) in bucket {
-                    let t = Instant::now();
-                    f(it);
-                    times_ref[i].store(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    times.into_iter().map(|t| t.into_inner()).collect()
-}
-
-/// Per-partition windows of the owner array: `(lo, hi, first, last)`
-/// partial-cluster index range whose regulars live in `[lo, hi)`.
-/// `None` when the partial list is not grouped by disjoint ascending
-/// ranges (arbitrary test inputs) — callers fall back to a serial fill.
-fn partition_windows(partials: &[PartialCluster]) -> Option<Vec<(usize, usize, usize, usize)>> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut prev_hi = 0u32;
-    while i < partials.len() {
-        let r = partials[i].range;
-        if r.0 < prev_hi || r.1 < r.0 {
-            return None;
-        }
-        let mut j = i + 1;
-        while j < partials.len() && partials[j].range == r {
-            j += 1;
-        }
-        out.push((r.0 as usize, r.1 as usize, i, j));
-        prev_hi = r.1;
-        i = j;
-    }
-    Some(out)
-}
-
 /// Dense owner index: `owner[p]` = index of the partial cluster holding
 /// point `p` as a *regular* element (unique by construction — one
 /// assignment per point per partition, ranges disjoint), `UNOWNED`
-/// otherwise. Parallel across partition windows when the partial list
-/// is range-grouped (the driver's canonical order).
-fn fill_owner(
-    n: usize,
-    partials: &[PartialCluster],
-    threads: usize,
-    report: &mut MergeReport,
-) -> Vec<u32> {
-    let t = Instant::now();
+/// otherwise.
+fn fill_owner(n: usize, partials: &[PartialCluster]) -> Vec<u32> {
     let mut owner = vec![UNOWNED; n];
-    report.push("owner_init", true, vec![t.elapsed().as_nanos() as u64]);
-
-    match partition_windows(partials) {
-        Some(windows) if !windows.is_empty() => {
-            // hand each window its disjoint slice of the owner array
-            let mut items = Vec::with_capacity(windows.len());
-            let mut rest = &mut owner[..];
-            let mut base = 0usize;
-            for &(lo, hi, first, last) in &windows {
-                let (_, tail) = rest.split_at_mut(lo - base);
-                let (win, tail) = tail.split_at_mut(hi - lo);
-                rest = tail;
-                base = hi;
-                items.push((lo, win, first, last));
-            }
-            let nanos = run_items(
-                items,
-                threads,
-                |(lo, win, first, last): (usize, &mut [u32], usize, usize)| {
-                    for (i, c) in partials.iter().enumerate().take(last).skip(first) {
-                        for r in c.regulars() {
-                            let slot = &mut win[r as usize - lo];
-                            debug_assert!(
-                                *slot == UNOWNED,
-                                "point {r} regular in two partial clusters"
-                            );
-                            *slot = i as u32;
-                        }
-                    }
-                },
+    for (i, c) in partials.iter().enumerate() {
+        for r in c.regulars() {
+            debug_assert!(
+                owner[r as usize] == UNOWNED,
+                "point {r} regular in two partial clusters"
             );
-            report.push("owner_fill", false, nanos);
-        }
-        _ => {
-            let t = Instant::now();
-            for (i, c) in partials.iter().enumerate() {
-                for r in c.regulars() {
-                    debug_assert!(
-                        owner[r as usize] == UNOWNED,
-                        "point {r} regular in two partial clusters"
-                    );
-                    owner[r as usize] = i as u32;
-                }
-            }
-            report.push("owner_fill", true, vec![t.elapsed().as_nanos() as u64]);
+            owner[r as usize] = i as u32;
         }
     }
     owner
 }
 
 /// Extract the core SEED → master edges that drive the union-find, in
-/// parallel shards of the partial-cluster list. Each shard's buffer is
-/// sorted and deduplicated before the shards are concatenated in shard
-/// order (never arrival order), so the result is deterministic and the
-/// duplicate boundary edges of [`SeedPolicy::PerBoundaryEdge`] are
-/// squeezed out inside the parallel phase instead of burdening the
-/// serial sort of the seal.
+/// partial order: `(i, master)` for every core SEED of partial `i` that
+/// some partial holds as a regular element. Duplicates (several SEEDs
+/// of one partial landing in the same master, as under
+/// [`SeedPolicy::PerBoundaryEdge`]) are kept. `_threads` is ignored: the
+/// pass is sequential.
 ///
 /// [`SeedPolicy::PerBoundaryEdge`]: crate::SeedPolicy::PerBoundaryEdge
 pub fn extract_seed_edges(
     n: usize,
     partials: &[PartialCluster],
     core: &[bool],
-    threads: usize,
-) -> Vec<(u32, u32)> {
-    extract_seed_edges_impl(n, partials, core, threads, &mut MergeReport::default())
-}
-
-fn extract_seed_edges_impl(
-    n: usize,
-    partials: &[PartialCluster],
-    core: &[bool],
-    threads: usize,
-    report: &mut MergeReport,
+    _threads: usize,
 ) -> Vec<(u32, u32)> {
     assert_eq!(core.len(), n, "core flags must cover every point");
-    let owner = fill_owner(n, partials, threads, report);
-
-    let m = partials.len();
-    let shards = m.div_ceil(PARTIAL_CHUNK).max(1);
-    let mut bufs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards];
-    let items: Vec<(usize, &mut Vec<(u32, u32)>)> = bufs.iter_mut().enumerate().collect();
-    let owner_ref = &owner;
-    let nanos = run_items(items, threads, move |(ci, buf)| {
-        let lo = ci * PARTIAL_CHUNK;
-        let hi = (lo + PARTIAL_CHUNK).min(m);
-        for (i, c) in partials.iter().enumerate().take(hi).skip(lo) {
-            for s in c.seeds().filter(|&s| core[s as usize]) {
-                let j = owner_ref[s as usize];
-                if j != UNOWNED {
-                    buf.push((i as u32, j));
-                }
+    let owner = fill_owner(n, partials);
+    let mut edges = Vec::new();
+    for (i, c) in partials.iter().enumerate() {
+        for s in c.seeds().filter(|&s| core[s as usize]) {
+            let j = owner[s as usize];
+            if j != UNOWNED {
+                edges.push((i as u32, j));
             }
         }
-        // local dedup: the seal's global sort+dedup makes this a pure
-        // optimization — same edge set, far less serial work
-        buf.sort_unstable();
-        buf.dedup();
-    });
-    report.push("edge_extract", false, nanos);
-
-    // concatenate in shard order through disjoint output windows, so
-    // the copy parallelizes; only the (memset-speed) allocation stays
-    // serial
-    let t = Instant::now();
-    let total: usize = bufs.iter().map(|b| b.len()).sum();
-    let mut edges = vec![(0u32, 0u32); total];
-    report.push("edge_alloc", true, vec![t.elapsed().as_nanos() as u64]);
-    // one shard's concat assignment: destination window, source buffer
-    type ConcatItem<'a> = (&'a mut [(u32, u32)], &'a [(u32, u32)]);
-    let mut items: Vec<ConcatItem> = Vec::with_capacity(bufs.len());
-    let mut rest = edges.as_mut_slice();
-    for b in &bufs {
-        let (win, tail) = std::mem::take(&mut rest).split_at_mut(b.len());
-        rest = tail;
-        items.push((win, b.as_slice()));
     }
-    let nanos = run_items(items, threads, |(win, src): ConcatItem| win.copy_from_slice(src));
-    report.push("edge_concat", false, nanos);
     edges
 }
 
-/// Union the extracted SEED edges and assemble the labels. Equivalent
-/// to the sequential Algorithm-4 union-find at any thread count:
-/// components don't depend on union order, groups are rebuilt in the
-/// same canonical order (sorted by smallest member), and first-
-/// assignment-wins label assembly is replayed as a per-point
-/// minimum-group-rank reduction (commutative `fetch_min`).
+/// Union the extracted SEED edges and relabel. `merge_ops` counts the
+/// unions that join two components. `_threads` is ignored: the pass is
+/// sequential.
 pub fn merge_with_edges(
     n: usize,
     partials: &[PartialCluster],
     edges: &[(u32, u32)],
-    threads: usize,
+    _threads: usize,
 ) -> MergeOutcome {
-    merge_with_edges_impl(n, partials, edges, threads, &mut MergeReport::default())
+    let m = partials.len();
+    let mut dsu = DisjointSet::new(m);
+    let merge_ops = edges.iter().filter(|&&(a, b)| dsu.union(a as usize, b as usize)).count();
+    // a component's key is its smallest partial index: the first one
+    // met in index order
+    let mut key_of_root = vec![UNOWNED; m];
+    let keys: Vec<u32> = (0..m)
+        .map(|i| {
+            let key = &mut key_of_root[dsu.find(i)];
+            if *key == UNOWNED {
+                *key = i as u32;
+            }
+            *key
+        })
+        .collect();
+    relabel(n, partials, &keys, merge_ops, 1)
 }
 
-fn merge_with_edges_impl(
+/// Canonical relabel. `keys[i]` names partial `i`'s group by the
+/// group's smallest partial index. A point takes the smallest key among
+/// the partials holding it, and every key that wins a point gets a
+/// cluster id in ascending key order. This is first-assignment-wins
+/// (DBSCAN border semantics) over the groups ordered by smallest
+/// member: the first group to reach a point labels it, and a group that
+/// labels no point consumes no id.
+fn relabel(
     n: usize,
     partials: &[PartialCluster],
-    edges: &[(u32, u32)],
-    threads: usize,
-    report: &mut MergeReport,
+    keys: &[u32],
+    merge_ops: usize,
+    passes: usize,
 ) -> MergeOutcome {
-    // serial seal: canonical edge order + union-find + group build.
-    // Tiny — O(#edges log + m α) on a list that is orders of magnitude
-    // smaller than the point count.
-    let t = Instant::now();
-    let m = partials.len();
-    let mut sorted: Vec<(u32, u32)> = edges.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut dsu = DisjointSet::new(m);
-    let mut merge_ops = 0usize;
-    for &(a, b) in &sorted {
-        if dsu.union(a as usize, b as usize) {
-            merge_ops += 1;
+    let mut winner = vec![UNOWNED; n];
+    for (c, &key) in partials.iter().zip(keys) {
+        for &p in &c.members {
+            let w = &mut winner[p as usize];
+            *w = (*w).min(key);
         }
     }
-    let mut by_root: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..m {
-        by_root.entry(dsu.find(i)).or_default().push(i);
+    // mark the winning keys with 0, then number them in key order
+    let mut id_of_key = vec![UNOWNED; partials.len()];
+    for &w in winner.iter().filter(|&&w| w != UNOWNED) {
+        id_of_key[w as usize] = 0;
     }
-    let mut groups: Vec<Vec<usize>> = by_root.into_values().collect();
-    // deterministic order: by smallest member cluster index
-    groups.sort_by_key(|g| g.iter().min().copied());
-    report.push("seal", true, vec![t.elapsed().as_nanos() as u64]);
-
-    let (labels, merged_clusters) = assemble_labels(n, partials, &groups, threads, report);
+    let mut next = 0u32;
+    for id in id_of_key.iter_mut().filter(|id| **id == 0) {
+        *id = next;
+        next += 1;
+    }
+    let labels = winner
+        .iter()
+        .map(|&w| if w == UNOWNED { Label::Noise } else { Label::Cluster(id_of_key[w as usize]) })
+        .collect();
     MergeOutcome {
         clustering: Clustering { labels, core: vec![false; n] },
-        merged_clusters,
+        merged_clusters: next as usize,
         merge_ops,
-        passes: 1,
+        passes,
     }
-}
-
-/// Replay first-assignment-wins labeling in parallel: a point's label
-/// comes from the lowest-ranked group containing it (exactly the group
-/// that would have assigned it first in the serial scan), and a group
-/// consumes a cluster id iff it wins at least one point (exactly the
-/// serial `any` flag).
-fn assemble_labels(
-    n: usize,
-    partials: &[PartialCluster],
-    groups: &[Vec<usize>],
-    threads: usize,
-    report: &mut MergeReport,
-) -> (Vec<Label>, usize) {
-    let t = Instant::now();
-    let winner: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    let rank_items: Vec<(u32, usize)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(r, g)| g.iter().map(move |&i| (r as u32, i)))
-        .collect();
-    report.push("winner_init", true, vec![t.elapsed().as_nanos() as u64]);
-
-    let shards = rank_items.len().div_ceil(PARTIAL_CHUNK).max(1);
-    let items: Vec<&[(u32, usize)]> = rank_items.chunks(PARTIAL_CHUNK.max(1)).collect();
-    let winner_ref = &winner;
-    let nanos = run_items(items, threads, move |chunk: &[(u32, usize)]| {
-        for &(rank, i) in chunk {
-            for &p in &partials[i].members {
-                winner_ref[p as usize].fetch_min(rank, Ordering::Relaxed);
-            }
-        }
-    });
-    debug_assert!(nanos.len() <= shards.max(1));
-    report.push("winner_rank", false, nanos);
-
-    // serial prefix: which ranks won at least one point, and their
-    // final cluster ids in rank order
-    let t = Instant::now();
-    let mut productive = vec![false; groups.len()];
-    for w in &winner {
-        let r = w.load(Ordering::Relaxed);
-        if r != u32::MAX {
-            productive[r as usize] = true;
-        }
-    }
-    let mut id_of_rank = vec![0u32; groups.len()];
-    let mut next = 0u32;
-    for (r, p) in productive.iter().enumerate() {
-        id_of_rank[r] = next;
-        if *p {
-            next += 1;
-        }
-    }
-    report.push("rank_prefix", true, vec![t.elapsed().as_nanos() as u64]);
-
-    let mut labels = vec![Label::Noise; n];
-    let id_ref = &id_of_rank;
-    let items: Vec<(&mut [Label], &[AtomicU32])> =
-        labels.chunks_mut(POINT_CHUNK).zip(winner.chunks(POINT_CHUNK)).collect();
-    let nanos = run_items(items, threads, move |(lc, wc): (&mut [Label], &[AtomicU32])| {
-        for (slot, w) in lc.iter_mut().zip(wc) {
-            let r = w.load(Ordering::Relaxed);
-            if r != u32::MAX {
-                *slot = Label::Cluster(id_ref[r as usize]);
-            }
-        }
-    });
-    report.push("relabel", false, nanos);
-
-    (labels, next as usize)
-}
-
-/// Instrumented union-find merge: the full extract + union pipeline at
-/// `threads`, returning the outcome plus the per-phase wall breakdown
-/// (the benchmark's raw material for the Amdahl model).
-pub fn merge_unionfind_report(
-    n: usize,
-    partials: &[PartialCluster],
-    core: &[bool],
-    threads: usize,
-) -> (MergeOutcome, MergeReport) {
-    let mut report = MergeReport::default();
-    let total = Instant::now();
-    let edges = extract_seed_edges_impl(n, partials, core, threads, &mut report);
-    let out = merge_with_edges_impl(n, partials, &edges, threads, &mut report);
-    report.total_nanos = total.elapsed().as_nanos() as u64;
-    (out, report)
 }
 
 /// Merge `partials` into global clusters over `n` points.
@@ -487,71 +192,29 @@ pub fn merge_partial_clusters(
     strategy: MergeStrategy,
     core: &[bool],
 ) -> MergeOutcome {
-    merge_partial_clusters_threaded(n, partials, strategy, core, 1)
-}
-
-/// [`merge_partial_clusters`] with an explicit worker count for the
-/// union-find path (the paper baselines stay literal, i.e. serial).
-pub fn merge_partial_clusters_threaded(
-    n: usize,
-    partials: &[PartialCluster],
-    strategy: MergeStrategy,
-    core: &[bool],
-    threads: usize,
-) -> MergeOutcome {
     assert_eq!(core.len(), n, "core flags must cover every point");
-    if let MergeStrategy::UnionFind = strategy {
-        let edges = extract_seed_edges(n, partials, core, threads);
-        return merge_with_edges(n, partials, &edges, threads);
-    }
-
-    let mut report = MergeReport::default();
-    let owner = fill_owner(n, partials, 1, &mut report);
-    let (groups, merge_ops, passes) = match strategy {
-        MergeStrategy::PaperSinglePass => paper_groups(partials, &owner, core, false),
-        MergeStrategy::PaperFixpoint => paper_groups(partials, &owner, core, true),
-        MergeStrategy::UnionFind => unreachable!("handled above"),
+    let fixpoint = match strategy {
+        MergeStrategy::UnionFind => {
+            let edges = extract_seed_edges(n, partials, core, 1);
+            return merge_with_edges(n, partials, &edges, 1);
+        }
+        MergeStrategy::PaperSinglePass => false,
+        MergeStrategy::PaperFixpoint => true,
     };
-
-    // assemble labels: first assignment wins (DBSCAN border semantics)
-    let mut labels = vec![Label::Noise; n];
-    let mut cluster_id = 0u32;
-    let mut merged_clusters = 0usize;
-    for group in &groups {
-        if group.is_empty() {
-            continue;
-        }
-        let mut any = false;
-        for &i in group {
-            for &m in &partials[i].members {
-                let slot = &mut labels[m as usize];
-                if *slot == Label::Noise {
-                    *slot = Label::Cluster(cluster_id);
-                    any = true;
-                }
-            }
-        }
-        if any {
-            cluster_id += 1;
-            merged_clusters += 1;
-        }
-    }
-
-    MergeOutcome {
-        clustering: Clustering { labels, core: vec![false; n] },
-        merged_clusters,
-        merge_ops,
-        passes,
-    }
+    let owner = fill_owner(n, partials);
+    let (keys, merge_ops, passes) = paper_groups(partials, &owner, core, fixpoint);
+    relabel(n, partials, &keys, merge_ops, passes)
 }
 
-/// Algorithm 4 as printed (optionally repeated to a fixpoint).
+/// Algorithm 4 as printed (optionally repeated to a fixpoint). Returns
+/// each partial's group key (the group's smallest partial index), the
+/// merge count and the number of passes.
 fn paper_groups(
     partials: &[PartialCluster],
     owner: &[u32],
     core: &[bool],
     fixpoint: bool,
-) -> (Vec<Vec<usize>>, usize, usize) {
+) -> (Vec<u32>, usize, usize) {
     let m = partials.len();
     // group_of[i]: index of the active group this partial belongs to
     let mut group_of: Vec<usize> = (0..m).collect();
@@ -606,9 +269,15 @@ fn paper_groups(
         }
     }
 
-    let mut out: Vec<Vec<usize>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-    out.sort_by_key(|g| g.iter().min().copied());
-    (out, merge_ops, passes)
+    let mut keys = vec![0u32; m];
+    for g in &groups {
+        if let Some(&key) = g.iter().min() {
+            for &i in g {
+                keys[i] = key as u32;
+            }
+        }
+    }
+    (keys, merge_ops, passes)
 }
 
 /// Follow `group_of` to the group that currently holds `g`'s first
@@ -798,99 +467,5 @@ mod tests {
             let out = merge_partial_clusters(20, &[a.clone(), b.clone()], s, &core);
             assert_eq!(out.merged_clusters, 1, "{s:?}");
         }
-    }
-
-    /// Seeded random topology: k partials over disjoint ranges plus
-    /// sprinkled cross-partition seeds and random core flags.
-    fn random_topology(seed: u64) -> (usize, Vec<PartialCluster>, Vec<bool>) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let k = 2 + (next() % 12) as usize;
-        let per = 6u32;
-        let n = k as u32 * per;
-        let mut partials: Vec<PartialCluster> = (0..k)
-            .map(|i| {
-                let a = i as u32 * per;
-                pc(i as u32, (a, a + per), &[a, a + 1, a + 2])
-            })
-            .collect();
-        for _ in 0..(next() % 24) {
-            let from = (next() % k as u64) as usize;
-            let to_point = (next() % n as u64) as u32;
-            if !partials[from].is_regular(to_point) {
-                partials[from].members.push(to_point);
-            }
-        }
-        let core: Vec<bool> = (0..n).map(|_| next() % 4 != 0).collect();
-        (n as usize, partials, core)
-    }
-
-    #[test]
-    fn parallel_merge_is_byte_identical_to_sequential() {
-        for trial in 0..60u64 {
-            let (n, partials, core) = random_topology(0xABCD + trial);
-            let seq = merge_partial_clusters(n, &partials, MergeStrategy::UnionFind, &core);
-            for threads in [2, 3, 8] {
-                let par = merge_partial_clusters_threaded(
-                    n,
-                    &partials,
-                    MergeStrategy::UnionFind,
-                    &core,
-                    threads,
-                );
-                assert_eq!(
-                    seq.clustering.labels, par.clustering.labels,
-                    "trial {trial} threads {threads}: raw labels diverged"
-                );
-                assert_eq!(seq.merged_clusters, par.merged_clusters, "trial {trial}");
-                assert_eq!(seq.merge_ops, par.merge_ops, "trial {trial}");
-            }
-        }
-    }
-
-    #[test]
-    fn two_call_pipeline_equals_one_call() {
-        for trial in 0..20u64 {
-            let (n, partials, core) = random_topology(0x5EED + trial);
-            let whole = merge_partial_clusters(n, &partials, MergeStrategy::UnionFind, &core);
-            let edges = extract_seed_edges(n, &partials, &core, 4);
-            let split = merge_with_edges(n, &partials, &edges, 4);
-            assert_eq!(whole.clustering.labels, split.clustering.labels, "trial {trial}");
-            assert_eq!(whole.merge_ops, split.merge_ops, "trial {trial}");
-        }
-    }
-
-    #[test]
-    fn merge_report_phases_cover_the_pipeline() {
-        let (n, partials, core) = random_topology(42);
-        let (out, rep) = merge_unionfind_report(n, &partials, &core, 1);
-        let seq = merge_partial_clusters(n, &partials, MergeStrategy::UnionFind, &core);
-        assert_eq!(out.clustering.labels, seq.clustering.labels);
-        for phase in ["owner_fill", "edge_extract", "seal", "winner_rank", "relabel"] {
-            assert!(
-                rep.phases.iter().any(|p| p.name == phase),
-                "missing phase {phase} in {:?}",
-                rep.phases.iter().map(|p| p.name).collect::<Vec<_>>()
-            );
-        }
-        // at k=1 the model is exactly the serial critical path
-        assert_eq!(rep.modeled_makespan_nanos(1), rep.serial_nanos());
-        assert!(rep.modeled_makespan_nanos(8) <= rep.serial_nanos());
-    }
-
-    #[test]
-    fn partition_windows_detects_canonical_grouping() {
-        let a = pc(0, (0, 10), &[1, 2]);
-        let a2 = pc(0, (0, 10), &[5]);
-        let b = pc(1, (10, 20), &[11]);
-        let w = partition_windows(&[a.clone(), a2, b.clone()]).expect("grouped input");
-        assert_eq!(w, vec![(0, 10, 0, 2), (10, 20, 2, 3)]);
-        // out-of-order ranges are rejected (serial fallback)
-        assert!(partition_windows(&[b, a]).is_none());
     }
 }

@@ -1,20 +1,17 @@
 //! One typed bundle for every resource knob.
 //!
-//! The driver grew its tuning surface piecemeal: partition balance on
-//! [`SparkDbscan::balance`], kd-tree build threads on
-//! [`SparkDbscan::build_config`] (seeded from the `DBSCAN_BUILD_THREADS`
-//! environment variable), merge workers on
-//! [`SparkDbscan::merge_threads`], and — new with the memory-budgeted
-//! storage engine — a per-executor byte budget on the engine context.
-//! [`Resources`] consolidates them into one `#[non_exhaustive]` value
-//! that [`SparkDbscan::resources`] and
-//! [`crate::runner::RunEnv::with_resources`] both accept, with
-//! [`Resources::from_env`] as the single documented place environment
+//! [`Resources`] holds the partition balance, the driver-side kd-tree
+//! build configuration (seeded from the `DBSCAN_BUILD_THREADS`
+//! environment variable), the per-executor memory budget and the
+//! speculation policy in one `#[non_exhaustive]` value. It is the one
+//! way to set them: [`SparkDbscan::resources`] and
+//! [`crate::runner::RunEnv::with_resources`] both accept it, and
+//! [`Resources::from_env`] is the single documented place environment
 //! variables are read:
 //!
 //! | variable | field | meaning |
 //! |---|---|---|
-//! | `DBSCAN_BUILD_THREADS` | `build.threads` | driver-phase worker count (`0` = auto) |
+//! | `DBSCAN_BUILD_THREADS` | `build.threads` | kd-tree build worker count (`0` = auto) |
 //! | `DBSCAN_MEM_BUDGET` | `memory` | per-executor byte budget (unset = unbounded) |
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
 //! | `DBSCAN_KERNEL_LANES` | `build.kernel.lanes` | lane width (rounded to 4/8/16) |
@@ -26,9 +23,6 @@
 //! are byte-deterministic by construction), only speed and memory
 //! footprint change.
 //!
-//! [`SparkDbscan::balance`]: crate::partitioned::driver::SparkDbscan::balance
-//! [`SparkDbscan::build_config`]: crate::partitioned::driver::SparkDbscan::build_config
-//! [`SparkDbscan::merge_threads`]: crate::partitioned::driver::SparkDbscan::merge_threads
 //! [`SparkDbscan::resources`]: crate::partitioned::driver::SparkDbscan::resources
 
 use crate::partitioned::planner::Balance;
@@ -44,14 +38,13 @@ use sparklet::{MemoryBudget, SpeculationConfig};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Resources {
-    /// How index ranges are balanced across partitions.
+    /// How index ranges are balanced across partitions: equal point
+    /// counts (the paper) or equal estimated eps-query cost. Ranges
+    /// stay contiguous either way, so only task load balance changes.
     pub balance: Balance,
-    /// Driver-side kd-tree bulk-build configuration (also the default
-    /// worker count for the parallel merge).
+    /// Driver-side kd-tree bulk-build configuration (worker count,
+    /// bucket size, parallel cutoff, leaf kernel).
     pub build: BuildConfig,
-    /// Worker count for the parallel union-find merge (0 = follow
-    /// `build`).
-    pub merge_threads: usize,
     /// Per-executor engine memory budget (unbounded by default). Applied
     /// to the engine context at run start when bounded.
     pub memory: MemoryBudget,
@@ -63,13 +56,12 @@ pub struct Resources {
 }
 
 impl Resources {
-    /// Library defaults: equal-count balance, auto build threads, merge
-    /// following the build config, unbounded memory.
+    /// Library defaults: equal-count balance, auto build threads,
+    /// unbounded memory, speculation off.
     pub fn new() -> Self {
         Resources {
             balance: Balance::Count,
             build: BuildConfig::default(),
-            merge_threads: 0,
             memory: MemoryBudget::UNBOUNDED,
             speculation: SpeculationConfig::OFF,
         }
@@ -132,9 +124,9 @@ impl Resources {
         self
     }
 
-    /// Set the merge worker count (0 = follow the build config).
-    pub fn with_merge_threads(mut self, threads: usize) -> Self {
-        self.merge_threads = threads;
+    /// Ignored: the merge is one sequential pass and has no worker
+    /// count. Kept so existing callers still compile.
+    pub fn with_merge_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -199,7 +191,6 @@ mod tests {
         let r = Resources::new();
         assert!(r.is_default());
         assert_eq!(r.balance, Balance::Count);
-        assert_eq!(r.merge_threads, 0);
         assert!(!r.memory.is_bounded());
         assert_eq!(r, Resources::default());
     }
@@ -208,12 +199,10 @@ mod tests {
     fn builders_compose() {
         let r = Resources::new()
             .with_balance(Balance::Cost)
-            .with_merge_threads(4)
             .with_memory_budget(1 << 20)
             .with_build(BuildConfig::default().with_threads(2));
         assert!(!r.is_default());
         assert_eq!(r.balance, Balance::Cost);
-        assert_eq!(r.merge_threads, 4);
         assert_eq!(r.memory.bytes(), 1 << 20);
         assert_eq!(r.build.threads, 2);
     }

@@ -24,7 +24,8 @@ pub fn dataset_to_csv(ds: &Dataset) -> String {
 }
 
 /// Parse one CSV row into coordinates. Returns `None` on any malformed
-/// field (callers decide whether to skip or fail).
+/// field, including the non-finite `NaN`/`inf`/`-inf` that `f64`
+/// parsing accepts (callers decide whether to skip or fail).
 pub fn parse_csv_row(line: &str) -> Option<Vec<f64>> {
     let line = line.trim();
     if line.is_empty() {
@@ -32,7 +33,11 @@ pub fn parse_csv_row(line: &str) -> Option<Vec<f64>> {
     }
     let mut row = Vec::new();
     for field in line.split(',') {
-        row.push(field.trim().parse::<f64>().ok()?);
+        let v = field.trim().parse::<f64>().ok()?;
+        if !v.is_finite() {
+            return None;
+        }
+        row.push(v);
     }
     Some(row)
 }
@@ -101,6 +106,10 @@ mod tests {
         assert_eq!(parse_csv_row(" 1.0 , 2.5 "), Some(vec![1.0, 2.5]));
         assert_eq!(parse_csv_row(""), None);
         assert_eq!(parse_csv_row("1.0,abc"), None);
+        // non-finite coordinates are malformed, whatever their spelling
+        assert_eq!(parse_csv_row("1.0,NaN"), None);
+        assert_eq!(parse_csv_row("inf,2.0"), None);
+        assert_eq!(parse_csv_row("1.0, -inf"), None);
     }
 
     #[test]

@@ -484,17 +484,14 @@ mod tests {
 
     #[test]
     fn spill_dir_is_cleaned_up() {
-        let root = std::env::temp_dir();
-        let count_jobs = || -> usize {
-            std::fs::read_dir(&root)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name().to_string_lossy().starts_with("mapred-job-"))
-                .count()
-        };
-        let before = count_jobs();
-        let _ = wordcount(splits_of(&["a b"], 1), JobConfig::with_slots(1));
-        assert_eq!(before, count_jobs(), "job directory removed after completion");
+        // a spill root of its own: concurrent tests' jobs spill to the
+        // shared temp dir and must not be counted
+        let root = std::env::temp_dir().join(format!("mapred-spill-test-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let _ = wordcount(splits_of(&["a b"], 1), JobConfig::with_slots(1).spill_root(&root));
+        let left = std::fs::read_dir(&root).unwrap().count();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(left, 0, "job directory removed after completion");
     }
 
     #[test]

@@ -231,7 +231,7 @@ fn chaos_cost_balanced_matches_clean_equal_count() {
             let ctx = Context::new(chaos_config(seed, &plan));
             let out = SparkDbscan::new(params)
                 .exact()
-                .balance(Balance::Cost)
+                .resources(Resources::from_env().with_balance(Balance::Cost))
                 .run(&ctx, Arc::clone(&data));
             let trace = ctx.trace().snapshot();
             if out.clustering.canonicalize().labels != reference.labels {
@@ -253,7 +253,7 @@ fn chaos_overlapped_collection_matches_clean_at_every_thread_count() {
     // the overlapped collector folds each task's partial clusters into
     // the driver accumulator *as the task finishes* — under retries,
     // stragglers and executor kills the fold must still apply exactly
-    // once per task, and the parallel build/merge must not let thread
+    // once per task, and the parallel build must not let thread
     // scheduling leak into the labels. Clean 1-thread run is the
     // reference; every plan × thread combination must reproduce it.
     for seed in SEEDS {
@@ -265,8 +265,7 @@ fn chaos_overlapped_collection_matches_clean_at_every_thread_count() {
         let clean_ctx = Context::new(ClusterConfig::local(PARTITIONS).with_seed(seed));
         let reference = SparkDbscan::new(params)
             .exact()
-            .build_config(build(1))
-            .merge_threads(1)
+            .resources(Resources::from_env().with_build(build(1)))
             .run(&clean_ctx, Arc::clone(&data));
         let ref_labels = reference.clustering.canonicalize().labels;
 
@@ -277,8 +276,7 @@ fn chaos_overlapped_collection_matches_clean_at_every_thread_count() {
                 let ctx = Context::new(chaos_config(seed, &plan));
                 let out = SparkDbscan::new(params)
                     .exact()
-                    .build_config(build(threads))
-                    .merge_threads(threads)
+                    .resources(Resources::from_env().with_build(build(threads)))
                     .run(&ctx, Arc::clone(&data));
                 let trace = ctx.trace().snapshot();
                 if out.clustering.canonicalize().labels != ref_labels {

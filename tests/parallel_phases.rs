@@ -1,16 +1,12 @@
-//! Thread-count invariance of the parallelized driver phases (PR 6).
+//! Thread-count invariance of the parallel kd-tree bulk build.
 //!
-//! The parallel kd-tree bulk-build and the parallel Algorithm-4 merge
-//! both promise **byte identity** with their sequential counterparts:
-//! threads may only change wall-clock time, never a node, an edge, or a
-//! label. These tests pin that contract at three levels — the raw tree,
-//! the raw merge, and the full `SparkDbscan` pipeline.
+//! The parallel build promises **byte identity** with the sequential
+//! one: threads may only change wall-clock time, never a node or a
+//! label. These tests pin that contract at two levels — the raw tree
+//! and the full `SparkDbscan` pipeline.
 
 use scalable_dbscan::datagen::StandardDataset;
-use scalable_dbscan::dbscan::{
-    local_partial_clusters, merge_partial_clusters_threaded, DbscanParams, MergeStrategy,
-    PartitionRanges, SeedPolicy, SparkDbscan,
-};
+use scalable_dbscan::dbscan::{DbscanParams, SparkDbscan};
 use scalable_dbscan::prelude::*;
 use scalable_dbscan::spatial::{BkdTree, Metric, SpatialIndex};
 use std::sync::Arc;
@@ -56,75 +52,22 @@ fn parallel_build_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Build real partial clusters (Algorithms 2+3 over a broadcast-style
-/// kd-tree) and check the parallel union-find merge replays the serial
-/// one exactly — labels, cluster count, and merge-op count.
-#[test]
-fn parallel_merge_is_byte_identical_on_real_partials() {
-    for (trial, policy) in
-        [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge].into_iter().enumerate()
-    {
-        let (data, params) = dataset(trial as u32);
-        let n = data.len();
-        let tree = BkdTree::build(Arc::clone(&data));
-        let ranges = PartitionRanges::new(n, 6);
-
-        let mut partials = Vec::new();
-        let mut core = vec![false; n];
-        for p in 0..ranges.num_partitions() {
-            let local = local_partial_clusters(
-                |i, out| tree.range_into(data.row(i as usize), params.eps, out),
-                params,
-                &ranges,
-                p,
-                policy,
-            );
-            partials.extend(local.clusters);
-            for c in local.core_points {
-                core[c as usize] = true;
-            }
-        }
-
-        let serial =
-            merge_partial_clusters_threaded(n, &partials, MergeStrategy::UnionFind, &core, 1);
-        for threads in [2, 8] {
-            let par = merge_partial_clusters_threaded(
-                n,
-                &partials,
-                MergeStrategy::UnionFind,
-                &core,
-                threads,
-            );
-            assert_eq!(
-                serial.clustering.labels, par.clustering.labels,
-                "{policy:?}: labels diverged at {threads} threads"
-            );
-            assert_eq!(serial.merged_clusters, par.merged_clusters);
-            assert_eq!(serial.merge_ops, par.merge_ops);
-        }
-    }
-}
-
-/// The whole pipeline — parallel build, overlapped collection, parallel
-/// merge — returns the same bytes at every thread combination.
+/// The whole pipeline — parallel build, overlapped collection, merge —
+/// returns the same bytes at every build thread count.
 #[test]
 fn spark_dbscan_output_is_thread_count_invariant() {
     let (data, params) = dataset(99);
-    let run = |build_threads: usize, merge_threads: usize| {
+    let run = |threads: usize| {
         let ctx = Context::new(ClusterConfig::local(4));
         SparkDbscan::new(params)
             .partitions(5)
-            .build_config(small_cfg(build_threads))
-            .merge_threads(merge_threads)
+            .resources(Resources::from_env().with_build(small_cfg(threads)))
             .run(&ctx, Arc::clone(&data))
     };
-    let base = run(1, 1);
-    for (bt, mt) in [(1, 8), (8, 1), (2, 2), (8, 8)] {
-        let r = run(bt, mt);
-        assert_eq!(
-            base.clustering.labels, r.clustering.labels,
-            "labels diverged at build={bt} merge={mt}"
-        );
+    let base = run(1);
+    for threads in [2, 8] {
+        let r = run(threads);
+        assert_eq!(base.clustering.labels, r.clustering.labels, "labels diverged at {threads}");
         assert_eq!(base.num_partial_clusters, r.num_partial_clusters);
         assert_eq!(base.merge_ops, r.merge_ops);
         assert_eq!(

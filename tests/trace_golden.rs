@@ -68,9 +68,9 @@ fn golden_trace_structure() {
     }
 }
 
-/// One fresh traced exact-mode run at the given build/merge thread
-/// count, with a cutoff small enough that the build really decomposes
-/// into several shards (and so emits several `BuildShard` events).
+/// One fresh traced exact-mode run at the given build thread count,
+/// with a cutoff small enough that the build really decomposes into
+/// several shards (and so emits several `BuildShard` events).
 fn traced_threaded_run(threads: usize) -> Trace {
     let spec = StandardDataset::C10k.scaled_spec(64);
     let (data, _) = spec.generate();
@@ -80,8 +80,10 @@ fn traced_threaded_run(threads: usize) -> Trace {
     let r = SparkDbscan::new(params)
         .partitions(2)
         .exact()
-        .build_config(BuildConfig::default().with_threads(threads).with_par_cutoff(64))
-        .merge_threads(threads)
+        .resources(
+            Resources::from_env()
+                .with_build(BuildConfig::default().with_threads(threads).with_par_cutoff(64)),
+        )
         .run(&ctx, Arc::clone(&data));
     assert!(r.build.shards.len() > 1, "cutoff must force a multi-shard build");
     ctx.trace().snapshot()
@@ -91,7 +93,7 @@ fn traced_threaded_run(threads: usize) -> Trace {
 fn trace_is_byte_identical_across_thread_counts() {
     // worker count is a pure performance knob: the shard decomposition,
     // the merge sub-phases and every virtual timestamp must come out
-    // the same whether the driver phases fork or not
+    // the same whether the build forks or not
     let serial = traced_threaded_run(1);
     for threads in [2, 8] {
         let par = traced_threaded_run(threads);
