@@ -41,14 +41,16 @@
 //!
 //! 5. **Data layout & batching (PR 9)** — leaf-scan kernel throughput:
 //!    the dimension-major SoA lane kernel against the row-major scalar
-//!    scan over the same bucketed tree's leaves at `d = 2..=6`
-//!    (acceptance: >= 1.5x at d in {2,3,4}), plus an end-to-end
+//!    scan over the leaves of a tree with the default leaf geometry at
+//!    `d = 2..=6`, with queries on data points (acceptance: >= 1.5x at
+//!    d in {2,3,4} and a hit at every d), plus an end-to-end
 //!    identity matrix (scalar / lanes / batched / count-fast-path at
 //!    1, 2 and 8 worker threads) whose labels — and traces, modulo the
 //!    zero-tick `TaskKernel` events for the fast path — must be
 //!    byte-identical to the scalar reference. Results land in
 //!    `<out_dir>/BENCH_PR9.json`; the suite exits non-zero on any
-//!    identity violation or a missed throughput floor.
+//!    identity violation, a hitless dimension or a missed throughput
+//!    floor.
 //!
 //! 6. **Speculative execution (PR 10)** — the straggler tail: one
 //!    traced run with simulated stragglers (`prob = 0.3`,
@@ -71,7 +73,7 @@ use dbscan_core::{Balance, DbscanParams, Resources, SparkDbscan, SparkDbscanResu
 use dbscan_datagen::{ClusterGenerator, GeneratorParams, SkewedGenerator, SkewedParams};
 use dbscan_spatial::{
     scan_block, scan_block_generic, scan_block_soa, BkdTree, BuildConfig, Dataset, KernelConfig,
-    Metric, DEFAULT_LANES,
+    Metric,
 };
 use serde::Serialize;
 use sparklet::{
@@ -502,7 +504,6 @@ struct LeafScanRow {
     rows: usize,
     leaves: usize,
     queries: usize,
-    lanes: usize,
     scalar_mrows_per_s: f64,
     soa_mrows_per_s: f64,
     speedup: f64,
@@ -539,8 +540,10 @@ struct ReportPr9 {
 }
 
 /// Leaf-scan throughput at one dimension: every query swept over every
-/// leaf of the same bucketed tree, once through the row-major scalar
-/// scan and once through the dimension-major SoA lane kernel. Both
+/// leaf of the same tree, built with the pipeline's default leaf
+/// geometry, once through the row-major scalar scan and once through
+/// the dimension-major SoA lane kernel. Queries sit on data points, so
+/// every dimension times the hit-emission path. Both
 /// paths must report the same hit count (they are bit-identical by
 /// construction; the counter is a cheap cross-check that also defeats
 /// dead-code elimination).
@@ -549,12 +552,10 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
         .map(|i| (0..dim).map(|k| (((i * dim + k) as f64) * 0.711).sin() * 500.0).collect())
         .collect();
     let ds = Arc::new(Dataset::from_rows(rows));
-    let cfg = BuildConfig::default().with_bucket_size(64);
-    let (tree, _) = BkdTree::build_with_report(Arc::clone(&ds), Metric::Euclidean, cfg);
+    let (tree, _) =
+        BkdTree::build_with_report(Arc::clone(&ds), Metric::Euclidean, BuildConfig::default());
     let leaves = tree.leaf_ranges();
-    let qs: Vec<Vec<f64>> = (0..queries)
-        .map(|q| (0..dim).map(|k| (((q * dim + k) as f64) * 1.37).cos() * 500.0).collect())
-        .collect();
+    let qs: Vec<Vec<f64>> = (0..queries).map(|q| ds.row(q * 7919 % n).to_vec()).collect();
     let thr = Metric::Euclidean.threshold(EPS * 2.0);
 
     let scalar_pass = || {
@@ -576,7 +577,7 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
         for q in &qs {
             for &(s, e) in &leaves {
                 let soa = tree.leaf_soa(s, e).expect("lanes layout builds the SoA mirror");
-                scan_block_soa(Metric::Euclidean, dim, q, soa, e - s, thr, DEFAULT_LANES, |_| {
+                scan_block_soa(Metric::Euclidean, dim, q, soa, e - s, thr, |_| {
                     hits += 1;
                     true
                 });
@@ -609,7 +610,6 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
         rows: n,
         leaves: leaves.len(),
         queries,
-        lanes: DEFAULT_LANES,
         scalar_mrows_per_s: touched / scalar_s / 1e6,
         soa_mrows_per_s: touched / soa_s / 1e6,
         speedup: scalar_s / soa_s,
@@ -722,6 +722,10 @@ fn kernel_layout_experiment(out_dir: &str) {
     }
     if !all_traces {
         eprintln!("FAIL: a kernel configuration changed the event trace");
+        std::process::exit(1);
+    }
+    if let Some(r) = report_value.leaf_scan.iter().find(|r| r.hits == 0) {
+        eprintln!("FAIL: the leaf-scan microbench found no hit at dim {}", r.dim);
         std::process::exit(1);
     }
     if min_speedup_d2_4 < 1.5 {

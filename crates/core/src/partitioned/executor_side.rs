@@ -623,7 +623,7 @@ pub fn local_partial_clusters_source<S: NeighborSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbscan_spatial::{Dataset, KdTree, SpatialIndex};
+    use dbscan_spatial::{Dataset, KdTree, Metric, SpatialIndex};
     use std::sync::Arc;
 
     /// 1-d chain of points 1.0 apart: with eps=1.1 / minpts=2 the whole
@@ -911,7 +911,8 @@ mod tests {
         // leaf scans, early-exit counting) against a plain closure over
         // the same tree — neighbor order, hence member order, must match
         let ds = Arc::new(Dataset::from_rows(blob_rows()));
-        let bkd = BkdTree::build(ds.clone());
+        // 16-point leaves: the 37 points span several leaves
+        let bkd = BkdTree::build_with(ds.clone(), Metric::Euclidean, 16);
         let n = ds.len();
         let params = DbscanParams::new(1.1, 3).unwrap();
         let ranges = PartitionRanges::new(n, 3);

@@ -14,7 +14,6 @@
 //! | `DBSCAN_BUILD_THREADS` | `build.threads` | kd-tree build worker count (`0` = auto) |
 //! | `DBSCAN_MEM_BUDGET` | `memory` | per-executor byte budget (unset = unbounded) |
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
-//! | `DBSCAN_KERNEL_LANES` | `build.kernel.lanes` | lane width (rounded to 4/8/16) |
 //! | `DBSCAN_QUERY_BATCH` | `build.kernel.batch` | frontier chunk size (`0` = per-query) |
 //! | `DBSCAN_COUNT_FAST_PATH` | `build.kernel.count_fast_path` | `min_pts` early-exit counting |
 //!

@@ -37,8 +37,11 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Leaf capacity used by [`BkdTree::build`].
-pub const DEFAULT_BUCKET_SIZE: usize = 16;
+/// Leaf capacity used by [`BkdTree::build`]. Median splits leave
+/// 32–64-row leaves, two to four whole 16-lane groups of the SoA
+/// kernel; 16-point leaves spent most of the scan on per-leaf overhead
+/// and scalar remainder rows (EXPERIMENTS.md, "Leaf geometry").
+pub const DEFAULT_BUCKET_SIZE: usize = 64;
 
 /// Subtrees at least this large are built on their own scoped thread.
 pub const PAR_CUTOFF: usize = 8 * 1024;
@@ -60,8 +63,8 @@ pub struct BuildConfig {
     /// depends only on the data, never on `threads`.
     pub par_cutoff: usize,
     /// Query-kernel configuration the built tree will scan leaves with
-    /// (data layout, lane width, frontier batching). Like `threads`,
-    /// every value yields byte-identical query results; under
+    /// (data layout, frontier batching). Like `threads`, every value
+    /// yields byte-identical query results; under
     /// [`KernelLayout::Lanes`] the build additionally materializes the
     /// dimension-major leaf blocks.
     pub kernel: KernelConfig,
@@ -549,7 +552,6 @@ impl BkdTree {
                 &self.soa[start * d..end * d],
                 end - start,
                 thr,
-                self.kernel.lanes,
                 on_match,
             ),
         }
@@ -682,7 +684,6 @@ impl BkdTree {
         let d = self.dataset.dim().max(1);
         let thr = self.metric.threshold(eps);
         let metric = self.metric;
-        let lanes = self.kernel.lanes;
         let soa_path = self.kernel.layout == KernelLayout::Lanes;
         let mut count = 0usize;
         let QueryScratch { stack, counters, .. } = scratch;
@@ -703,7 +704,6 @@ impl BkdTree {
                         &self.soa[start * d..end * d],
                         end - start,
                         thr,
-                        lanes,
                         cap,
                         &mut count,
                     )
@@ -1088,7 +1088,7 @@ fn build_rec(
     ids.select_nth_unstable_by(mid, |&p, &q| {
         let vp = ds.row(p as usize)[axis];
         let vq = ds.row(q as usize)[axis];
-        vp.partial_cmp(&vq).unwrap_or(std::cmp::Ordering::Equal)
+        vp.total_cmp(&vq)
     });
     let split = ds.row(ids[mid] as usize)[axis];
     let split_nanos = t.elapsed().as_nanos() as u64;
@@ -1163,7 +1163,7 @@ fn build_seq(ds: &Dataset, ids: &mut [u32], off: usize, bucket: usize) -> Vec<BN
     ids.select_nth_unstable_by(mid, |&p, &q| {
         let vp = ds.row(p as usize)[axis];
         let vq = ds.row(q as usize)[axis];
-        vp.partial_cmp(&vq).unwrap_or(std::cmp::Ordering::Equal)
+        vp.total_cmp(&vq)
     });
     let split = ds.row(ids[mid] as usize)[axis];
     let (lo, hi) = ids.split_at_mut(mid);
@@ -1215,6 +1215,38 @@ fn widest_axis(ds: &Dataset, ids: &[u32]) -> usize {
 mod tests {
     use super::*;
     use crate::bruteforce::BruteForceIndex;
+
+    /// Tree-order range under node `at`, checking on the way that every
+    /// internal node splits its points at `split` in `f64::total_cmp` order.
+    fn check_splits(t: &BkdTree, at: usize) -> (usize, usize) {
+        let node = t.nodes[at];
+        if node.is_leaf() {
+            return (node.a as usize, node.b as usize);
+        }
+        let (start, mid) = check_splits(t, at + 1);
+        let (right_start, end) = check_splits(t, node.a as usize);
+        assert_eq!(mid, right_start);
+        let d = t.dataset.dim();
+        let v = |pos: usize| t.coords[pos * d + node.axis as usize];
+        assert!((start..mid).all(|p| v(p).total_cmp(&node.split).is_le()), "left of {at}");
+        assert!((mid..end).all(|p| v(p).total_cmp(&node.split).is_ge()), "right of {at}");
+        (start, end)
+    }
+
+    #[test]
+    fn non_finite_coordinates_build_a_permutation() {
+        for n in [1, 2, 40, 300] {
+            let ds = Arc::new(Dataset::from_rows(crate::dataset::non_finite_rows(n)));
+            for bucket in [1, 4, DEFAULT_BUCKET_SIZE] {
+                let t = BkdTree::build_with(ds.clone(), Metric::Euclidean, bucket);
+                let mut perm = t.tree_order().to_vec();
+                perm.sort_unstable();
+                assert_eq!(perm, (0..n as u32).collect::<Vec<_>>(), "n={n} bucket={bucket}");
+                assert_eq!(check_splits(&t, 0), (0, n));
+                t.range(&[1.0, 2.0, 3.0], 4.0);
+            }
+        }
+    }
 
     fn grid_dataset() -> Arc<Dataset> {
         let rows = (0..5).flat_map(|x| (0..5).map(move |y| vec![x as f64, y as f64])).collect();
@@ -1270,7 +1302,7 @@ mod tests {
     #[test]
     fn permutation_is_consistent() {
         let ds = grid_dataset();
-        let t = BkdTree::build(ds.clone());
+        let t = BkdTree::build_with(ds.clone(), Metric::Euclidean, 16);
         // tree_order is a permutation of 0..n
         let mut perm = t.tree_order().to_vec();
         perm.sort_unstable();
@@ -1292,7 +1324,7 @@ mod tests {
     #[test]
     fn depth_is_logarithmic() {
         let rows = (0..4096).map(|i| vec![i as f64]).collect();
-        let t = BkdTree::build(Arc::new(Dataset::from_rows(rows)));
+        let t = BkdTree::build_with(Arc::new(Dataset::from_rows(rows)), Metric::Euclidean, 16);
         // 4096 points / 16-point buckets = 256 leaves -> depth 9
         assert!(t.depth() <= 10, "depth {} too large", t.depth());
     }
@@ -1351,7 +1383,7 @@ mod tests {
     #[test]
     fn nearest_finds_closest_grid_point() {
         let ds = grid_dataset();
-        let t = BkdTree::build(ds.clone());
+        let t = BkdTree::build_with(ds.clone(), Metric::Euclidean, 16);
         let (id, d) = t.nearest(&[3.2, 1.9]).unwrap();
         assert_eq!(ds.point(id), &[3.0, 2.0]);
         assert!((d - (0.2f64 * 0.2 + 0.1 * 0.1).sqrt()).abs() < 1e-9);

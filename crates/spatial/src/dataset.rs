@@ -142,6 +142,21 @@ impl Dataset {
     }
 }
 
+/// 3-d rows with NaN, ±inf and both signed zeros mixed into finite
+/// coordinates: hostile input for the tree builders' median selection.
+#[cfg(test)]
+pub(crate) fn non_finite_rows(n: usize) -> Vec<Vec<f64>> {
+    let coord = |i: usize, k: usize| match (i * 3 + k) % 11 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        _ => ((i * 31 + k * 7) % 17) as f64,
+    };
+    (0..n).map(|i| (0..3).map(|k| coord(i, k)).collect()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -193,7 +193,7 @@ fn build_recursive(ds: &Dataset, ids: &mut [u32], depth: usize, nodes: &mut Vec<
     ids.select_nth_unstable_by(mid, |&a, &b| {
         let va = ds.row(a as usize)[axis];
         let vb = ds.row(b as usize)[axis];
-        va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
+        va.total_cmp(&vb)
     });
     let me = nodes.len() as u32;
     nodes.push(Node { id: ids[mid], axis: axis as u32, left: NIL, right: NIL });
@@ -271,6 +271,17 @@ impl SpatialIndex for KdTree {
 mod tests {
     use super::*;
     use crate::bruteforce::BruteForceIndex;
+
+    #[test]
+    fn non_finite_coordinates_build_a_permutation() {
+        for n in [1, 2, 40, 300] {
+            let t = KdTree::build(Arc::new(Dataset::from_rows(crate::dataset::non_finite_rows(n))));
+            let mut perm: Vec<u32> = t.nodes.iter().map(|node| node.id).collect();
+            perm.sort_unstable();
+            assert_eq!(perm, (0..n as u32).collect::<Vec<_>>(), "n={n}");
+            t.range(&[1.0, 2.0, 3.0], 4.0);
+        }
+    }
 
     fn grid_dataset() -> Arc<Dataset> {
         // 5x5 integer grid

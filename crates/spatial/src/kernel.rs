@@ -12,9 +12,11 @@
 //!
 //! On top of the row-major kernels sit the **lane-blocked SoA kernels**
 //! ([`scan_block_soa`], [`count_block_soa`]): they scan a leaf block
-//! stored dimension-major (all `x`s, then all `y`s, …), accumulating a
-//! whole group of `LANES` points into a fixed-width `[f64; LANES]`
-//! stack buffer that LLVM auto-vectorizes on stable. One lane per
+//! stored dimension-major (all `x`s, then all `y`s, …), sixteen points
+//! at a time into a `[f64; 16]` stack buffer that LLVM vectorizes. The
+//! group distances are compiled twice, for the build target and with
+//! AVX2 enabled, and the AVX2 build runs when the CPU has it; rows past
+//! the last whole group run one at a time. One lane per
 //! point: each point's per-dimension sum runs in the exact sequential
 //! coordinate order of the scalar kernels, so every distance is the
 //! same `f64` bit for bit — vectorization happens *across* points,
@@ -28,9 +30,10 @@
 //!   paths accumulate in the same coordinate order, so every distance
 //!   is the exact same `f64` — all paths return byte-identical
 //!   neighborhoods (property-tested in `tests/proptest_kernels.rs`).
-//!   The AVX2 specialization vectorizes only *across* points with the
-//!   same per-lane IEEE ops (`vsubpd`/`vmulpd`/`vaddpd`, never an FMA
-//!   contraction), so it is covered by the same guarantee.
+//!   The AVX2 build computes the distances from the same source on
+//!   wider registers (Rust never contracts a multiply and an add into
+//!   an FMA) and only writes the `<=` threshold compare as an
+//!   intrinsic, so it is covered by the same guarantee.
 //! * **Same early-exit semantics.** [`scan_block`] and
 //!   [`scan_block_soa`] report matches through a callback that can stop
 //!   the scan, row by row in row order, so pruned queries
@@ -53,12 +56,10 @@ use crate::metric::Metric;
 /// neighborhood grids for (`MAX_NEIGHBORHOOD_DIM = 6`).
 pub const SPECIALIZED_DIMS: [usize; 5] = [2, 3, 4, 5, 6];
 
-/// Lane widths the SoA kernels are monomorphized for.
-pub const LANE_WIDTHS: [usize; 3] = [4, 8, 16];
-
-/// Default lane width: 8 points per group is wide enough to fill an
-/// AVX2 register file without spilling the accumulators at `d = 6`.
-pub const DEFAULT_LANES: usize = 8;
+/// Points per SoA lane group: sixteen `f64` lanes are four ymm
+/// registers on AVX2, and a full leaf at the default 64-point bucket
+/// size is four whole groups.
+const LANES: usize = 16;
 
 /// How leaf blocks are stored and scanned. Every layout produces
 /// bit-identical results; only throughput changes.
@@ -72,8 +73,8 @@ pub enum KernelLayout {
 }
 
 /// Query-kernel configuration threaded through the resource bundle:
-/// data layout, lane width, frontier batching and the `min_pts`
-/// count-only fast path. Labels are byte-identical for every value —
+/// data layout, frontier batching and the `min_pts` count-only fast
+/// path. Labels are byte-identical for every value —
 /// [`KernelConfig::count_fast_path`] additionally leaves every
 /// executor stat untouched and only changes the *kernel counters*
 /// (fewer rows scanned).
@@ -81,9 +82,6 @@ pub enum KernelLayout {
 pub struct KernelConfig {
     /// Leaf-block layout and scan strategy.
     pub layout: KernelLayout,
-    /// Points per SoA lane group (normalized to one of
-    /// [`LANE_WIDTHS`]); ignored under [`KernelLayout::Scalar`].
-    pub lanes: usize,
     /// Executor frontier chunk size for batched `query_batch`
     /// expansion; `0` disables batching (one query at a time).
     pub batch: usize,
@@ -94,12 +92,7 @@ pub struct KernelConfig {
 
 impl Default for KernelConfig {
     fn default() -> Self {
-        KernelConfig {
-            layout: KernelLayout::Lanes,
-            lanes: DEFAULT_LANES,
-            batch: 0,
-            count_fast_path: false,
-        }
+        KernelConfig { layout: KernelLayout::Lanes, batch: 0, count_fast_path: false }
     }
 }
 
@@ -117,12 +110,6 @@ impl KernelConfig {
         self
     }
 
-    /// Set the SoA lane width (normalized to one of [`LANE_WIDTHS`]).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = normalized_lanes(lanes);
-        self
-    }
-
     /// Set the executor frontier batch size (`0` = off).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch;
@@ -136,14 +123,12 @@ impl KernelConfig {
     }
 
     /// Defaults overlaid with the environment: `DBSCAN_KERNEL`
-    /// (`scalar`/`lanes`), `DBSCAN_KERNEL_LANES` (lane width),
-    /// `DBSCAN_QUERY_BATCH` (frontier chunk, `0` = off) and
-    /// `DBSCAN_COUNT_FAST_PATH` (`1`/`true`). Unset or unparsable
-    /// variables leave the default in place.
+    /// (`scalar`/`lanes`), `DBSCAN_QUERY_BATCH` (frontier chunk, `0` =
+    /// off) and `DBSCAN_COUNT_FAST_PATH` (`1`/`true`). Unset or
+    /// unparsable variables leave the default in place.
     pub fn from_env() -> Self {
         Self::from_env_values(
             std::env::var("DBSCAN_KERNEL").ok().as_deref(),
-            std::env::var("DBSCAN_KERNEL_LANES").ok().as_deref(),
             std::env::var("DBSCAN_QUERY_BATCH").ok().as_deref(),
             std::env::var("DBSCAN_COUNT_FAST_PATH").ok().as_deref(),
         )
@@ -153,20 +138,12 @@ impl KernelConfig {
     /// variable values so tests can exercise the parsing contract
     /// without touching the process environment. Never panics, never
     /// errors: junk keeps the default for that knob.
-    pub fn from_env_values(
-        layout: Option<&str>,
-        lanes: Option<&str>,
-        batch: Option<&str>,
-        fast: Option<&str>,
-    ) -> Self {
+    pub fn from_env_values(layout: Option<&str>, batch: Option<&str>, fast: Option<&str>) -> Self {
         let mut cfg = Self::default();
         match layout.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
             Some("scalar") => cfg.layout = KernelLayout::Scalar,
             Some("lanes") => cfg.layout = KernelLayout::Lanes,
             _ => {}
-        }
-        if let Some(l) = lanes.and_then(|v| v.trim().parse::<usize>().ok()) {
-            cfg.lanes = normalized_lanes(l);
         }
         if let Some(b) = batch.and_then(|v| v.trim().parse::<usize>().ok()) {
             cfg.batch = b;
@@ -177,17 +154,6 @@ impl KernelConfig {
             _ => {}
         }
         cfg
-    }
-}
-
-/// Snap an arbitrary lane request to the nearest monomorphized width.
-fn normalized_lanes(lanes: usize) -> usize {
-    if lanes <= 4 {
-        4
-    } else if lanes <= 8 {
-        8
-    } else {
-        16
     }
 }
 
@@ -335,7 +301,6 @@ fn scan_rows<const D: usize, G: Fn(&[f64; D]) -> f64, F: FnMut(usize) -> bool>(
 /// across points, each point still accumulates coordinate `0..dim`
 /// sequentially.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     metric: Metric,
     dim: usize,
@@ -343,18 +308,15 @@ pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     soa: &[f64],
     rows: usize,
     thr: f64,
-    lanes: usize,
     on_match: F,
 ) -> bool {
-    debug_assert_eq!(soa.len(), rows * dim);
+    assert_eq!(soa.len(), rows * dim, "a dimension-major block holds rows * dim values");
     if rows == 0 || dim == 0 {
         return true;
     }
-    match normalized_lanes(lanes) {
-        4 => scan_soa_dispatch::<4, F>(metric, dim, query, soa, rows, thr, on_match),
-        16 => scan_soa_dispatch::<16, F>(metric, dim, query, soa, rows, thr, on_match),
-        _ => scan_soa_dispatch::<8, F>(metric, dim, query, soa, rows, thr, on_match),
-    }
+    let block = SoaBlock { metric, query: &query[..dim], soa, rows, thr };
+    // SAFETY: `Body::detect` only returns a body this CPU can run.
+    unsafe { Body::detect().scan(&block, on_match) }
 }
 
 /// Count the rows of a dimension-major block within `thr`, adding to
@@ -371,68 +333,194 @@ pub fn count_block_soa(
     soa: &[f64],
     rows: usize,
     thr: f64,
-    lanes: usize,
     cap: usize,
     count: &mut usize,
 ) -> bool {
-    debug_assert_eq!(soa.len(), rows * dim);
+    assert_eq!(soa.len(), rows * dim, "a dimension-major block holds rows * dim values");
     if rows == 0 || dim == 0 {
         return *count >= cap;
     }
-    match normalized_lanes(lanes) {
-        4 => count_soa_dispatch::<4>(metric, dim, query, soa, rows, thr, cap, count),
-        16 => count_soa_dispatch::<16>(metric, dim, query, soa, rows, thr, cap, count),
-        _ => count_soa_dispatch::<8>(metric, dim, query, soa, rows, thr, cap, count),
+    let block = SoaBlock { metric, query: &query[..dim], soa, rows, thr };
+    // SAFETY: `Body::detect` only returns a body this CPU can run.
+    unsafe { Body::detect().count(&block, cap, count) }
+}
+
+/// One SoA leaf scan: `query` (one coordinate per dimension) against
+/// the `rows` points of a dimension-major block, with the threshold in
+/// [`Metric::threshold`] space.
+struct SoaBlock<'a> {
+    metric: Metric,
+    query: &'a [f64],
+    soa: &'a [f64],
+    rows: usize,
+    thr: f64,
+}
+
+impl SoaBlock<'_> {
+    /// The block's coordinate columns in dimension order, paired with
+    /// the query coordinate each is compared against. Every column is
+    /// split off as exactly `rows` values, which lets LLVM drop the
+    /// per-column bounds checks inside a lane group. (`chunks_exact`
+    /// would too, but zipping it divides `soa.len()` by `rows` on every
+    /// call.)
+    #[inline(always)]
+    fn columns(&self) -> impl Iterator<Item = (f64, &[f64])> {
+        let mut rest = self.soa;
+        self.query.iter().map(move |&q| {
+            let (col, tail) = rest.split_at(self.rows);
+            rest = tail;
+            (q, col)
+        })
+    }
+
+    /// Reduced distances of the lane group at `base`. The outer loop
+    /// runs coordinates in ascending order, so each lane accumulates
+    /// exactly like the scalar kernels; the inner `0..LANES` loop over
+    /// a length-proven group is what LLVM turns into vector code.
+    #[inline(always)]
+    fn distances(&self, base: usize) -> [f64; LANES] {
+        let mut acc = [0.0f64; LANES];
+        match self.metric {
+            Metric::Euclidean => {
+                for (q, col) in self.columns() {
+                    let col = lane_group(col, base);
+                    for j in 0..LANES {
+                        let delta = q - col[j];
+                        acc[j] += delta * delta;
+                    }
+                }
+            }
+            Metric::Manhattan => {
+                for (q, col) in self.columns() {
+                    let col = lane_group(col, base);
+                    for j in 0..LANES {
+                        acc[j] += (q - col[j]).abs();
+                    }
+                }
+            }
+            Metric::Chebyshev => {
+                for (q, col) in self.columns() {
+                    let col = lane_group(col, base);
+                    for j in 0..LANES {
+                        acc[j] = f64::max(acc[j], (q - col[j]).abs());
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    /// Reduced distance of point `i` (the remainder rows after the last
+    /// full lane group). Same coordinate order as the scalar kernels.
+    #[inline(always)]
+    fn distance(&self, i: usize) -> f64 {
+        let mut acc = 0.0f64;
+        match self.metric {
+            Metric::Euclidean => {
+                for (q, col) in self.columns() {
+                    let delta = q - col[i];
+                    acc += delta * delta;
+                }
+            }
+            Metric::Manhattan => {
+                for (q, col) in self.columns() {
+                    acc += (q - col[i]).abs();
+                }
+            }
+            Metric::Chebyshev => {
+                for (q, col) in self.columns() {
+                    acc = f64::max(acc, (q - col[i]).abs());
+                }
+            }
+        }
+        acc
     }
 }
 
-/// Pick the widest ISA the host supports at runtime. The AVX2 twin
-/// computes each group's threshold mask with explicit 256-bit
-/// intrinsics ([`group_mask_avx2`]) — the per-lane operations are the
-/// exact IEEE ops of the portable body in the same order, so every bit
-/// of every distance is identical to the portable build.
-#[inline]
-fn scan_soa_dispatch<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    on_match: F,
-) -> bool {
+/// Bitmask of the lanes of `acc` within `thr`: bit `j` is set iff
+/// `acc[j] <= thr`. Folding from the last lane keeps lane j in vector
+/// slot j; a shift-by-j loop led LLVM to regroup the accumulators and
+/// gather columns lane by lane.
+#[inline(always)]
+fn threshold(acc: &[f64; LANES], thr: f64) -> u32 {
+    acc.iter().rev().fold(0, |mask, &a| mask << 1 | u32::from(a <= thr))
+}
+
+/// The `LANES` values of `col` starting at row `base`.
+#[inline(always)]
+fn lane_group(col: &[f64], base: usize) -> &[f64; LANES] {
+    col[base..base + LANES].try_into().expect("a full lane group")
+}
+
+/// The two builds of the lane-group body. Both compute the distances
+/// with [`SoaBlock::distances`] and keep those `<=` the threshold, so
+/// they are interchangeable bit for bit; [`Body::detect`] picks AVX2
+/// when the CPU has it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    /// Compiled for the build target (SSE2 on a baseline x86-64 build).
+    Portable,
+    /// Compiled with AVX2 enabled: four ymm accumulators.
     #[cfg(target_arch = "x86_64")]
-    {
-        if L >= 8 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the avx512f feature was just detected on this CPU.
-            return unsafe {
-                scan_soa_lanes_avx512::<L, F>(metric, dim, query, soa, rows, thr, on_match)
-            };
-        }
+    Avx2,
+}
+
+impl Body {
+    /// The AVX2 body when the host supports it, detected at run time.
+    #[inline]
+    fn detect() -> Body {
+        #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 feature was just detected on this CPU.
-            return unsafe {
-                scan_soa_lanes_avx2::<L, F>(metric, dim, query, soa, rows, thr, on_match)
-            };
+            return Body::Avx2;
+        }
+        Body::Portable
+    }
+
+    /// [`scan_block_soa`] through this body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the body's instruction set.
+    #[inline]
+    unsafe fn scan<F: FnMut(usize) -> bool>(self, block: &SoaBlock, on_match: F) -> bool {
+        match self {
+            Body::Portable => scan_groups(block, threshold, on_match),
+            // SAFETY: the caller guarantees the CPU has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => unsafe { scan_avx2(block, on_match) },
         }
     }
-    scan_soa_lanes::<L, F>(metric, dim, query, soa, rows, thr, on_match)
+
+    /// [`count_block_soa`] through this body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the body's instruction set.
+    #[inline]
+    unsafe fn count(self, block: &SoaBlock, cap: usize, count: &mut usize) -> bool {
+        match self {
+            Body::Portable => count_groups(block, threshold, cap, count),
+            // SAFETY: the caller guarantees the CPU has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => unsafe { count_avx2(block, cap, count) },
+        }
+    }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scan_soa_lanes_avx2<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
+/// Report the rows of `block` within its threshold in row order: whole
+/// lane groups through `threshold` (the bitmask of the group's
+/// distances within `thr`), the remainder one point at a time. Returns
+/// `false` iff `on_match` stopped the scan.
+#[inline(always)]
+fn scan_groups<T: Fn(&[f64; LANES], f64) -> u32, F: FnMut(usize) -> bool>(
+    block: &SoaBlock,
+    threshold: T,
     mut on_match: F,
 ) -> bool {
     let mut base = 0usize;
-    while base + L <= rows {
-        let mut mask = unsafe { group_mask_avx2::<L>(metric, dim, query, soa, rows, base, thr) };
+    while base + LANES <= block.rows {
+        // the usual all-zero mask skips the emission loop entirely
+        let mut mask = threshold(&block.distances(base), block.thr);
         while mask != 0 {
             let j = mask.trailing_zeros() as usize;
             if !on_match(base + j) {
@@ -440,166 +528,36 @@ unsafe fn scan_soa_lanes_avx2<const L: usize, F: FnMut(usize) -> bool>(
             }
             mask &= mask - 1;
         }
-        base += L;
+        base += LANES;
     }
-    for i in base..rows {
-        if reduced_soa_point(metric, dim, query, soa, rows, i) <= thr && !on_match(i) {
+    for i in base..block.rows {
+        if block.distance(i) <= block.thr && !on_match(i) {
             return false;
         }
     }
     true
 }
 
-/// Within-threshold bitmask of one full lane group, 256 bits at a time:
-/// explicit `vsubpd`/`vmulpd`/`vaddpd` (and `vandpd` abs / `vmaxpd`)
-/// followed by `vcmppd LE_OQ` + `vmovmskpd`. Each instruction is the
-/// per-lane IEEE operation of the scalar kernel — multiply and add stay
-/// separate (no FMA contraction) and the accumulation still runs
-/// coordinates in ascending order — so every lane's distance, and hence
-/// the mask, is bit-identical to the portable path for the finite
-/// coordinates datasets hold.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn group_mask_avx2<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    base: usize,
-    thr: f64,
-) -> u32 {
-    use std::arch::x86_64::*;
-    debug_assert!(L.is_multiple_of(4) && base + L <= rows);
-    let t = _mm256_set1_pd(thr);
-    let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-    // coordinate-outer so the query broadcast is paid once per group
-    // per dimension; the whole group's accumulators live in registers
-    // (L <= 16, so at most four of the sixteen ymm registers)
-    let n = L / 4;
-    let mut acc = [_mm256_setzero_pd(); 4];
-    for (k, &q) in query.iter().enumerate().take(dim) {
-        let qv = _mm256_set1_pd(q);
-        // SAFETY: k < dim and base + L <= rows, so all L lanes lie
-        // inside column k of the dim-major block.
-        let colp = unsafe { soa.as_ptr().add(k * rows + base) };
-        for (c, a) in acc.iter_mut().enumerate().take(n) {
-            let col = unsafe { _mm256_loadu_pd(colp.add(4 * c)) };
-            let delta = _mm256_sub_pd(qv, col);
-            *a = match metric {
-                Metric::Euclidean => _mm256_add_pd(*a, _mm256_mul_pd(delta, delta)),
-                Metric::Manhattan => _mm256_add_pd(*a, _mm256_and_pd(delta, abs_mask)),
-                Metric::Chebyshev => _mm256_max_pd(*a, _mm256_and_pd(delta, abs_mask)),
-            };
-        }
-    }
-    let mut mask = 0u32;
-    for (c, &a) in acc.iter().enumerate().take(n) {
-        let le = _mm256_cmp_pd::<_CMP_LE_OQ>(a, t);
-        mask |= (_mm256_movemask_pd(le) as u32) << (4 * c);
-    }
-    mask
-}
-
-/// [`group_mask_avx2`] at AVX-512 width: the accumulators are zmm
-/// registers (8 lanes each, so `L = 8` is a single register and
-/// `L = 16` two) and the threshold compare lands directly in a mask
-/// register via `vcmppd k, ...`. Per-lane operations are the same IEEE
-/// sub/mul/add (no FMA) in the same coordinate order — bit-identical
-/// to both the portable and the AVX2 paths.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn group_mask_avx512<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    base: usize,
-    thr: f64,
-) -> u32 {
-    use std::arch::x86_64::*;
-    debug_assert!(L.is_multiple_of(8) && base + L <= rows);
-    let t = _mm512_set1_pd(thr);
-    let n = L / 8;
-    let mut acc = [_mm512_setzero_pd(); 2];
-    for (k, &q) in query.iter().enumerate().take(dim) {
-        let qv = _mm512_set1_pd(q);
-        // SAFETY: k < dim and base + L <= rows, so all L lanes lie
-        // inside column k of the dim-major block.
-        let colp = unsafe { soa.as_ptr().add(k * rows + base) };
-        for (c, a) in acc.iter_mut().enumerate().take(n) {
-            let col = unsafe { _mm512_loadu_pd(colp.add(8 * c)) };
-            let delta = _mm512_sub_pd(qv, col);
-            *a = match metric {
-                Metric::Euclidean => _mm512_add_pd(*a, _mm512_mul_pd(delta, delta)),
-                Metric::Manhattan => _mm512_add_pd(*a, _mm512_abs_pd(delta)),
-                Metric::Chebyshev => _mm512_max_pd(*a, _mm512_abs_pd(delta)),
-            };
-        }
-    }
-    let mut mask = 0u32;
-    for (c, &a) in acc.iter().enumerate().take(n) {
-        mask |= (_mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, t) as u32) << (8 * c);
-    }
-    mask
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn scan_soa_lanes_avx512<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    mut on_match: F,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let mut mask = unsafe { group_mask_avx512::<L>(metric, dim, query, soa, rows, base, thr) };
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            if !on_match(base + j) {
-                return false;
-            }
-            mask &= mask - 1;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        if reduced_soa_point(metric, dim, query, soa, rows, i) <= thr && !on_match(i) {
-            return false;
-        }
-    }
-    true
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn count_soa_lanes_avx512<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
+/// Count the rows of `block` within its threshold into `*count`, lane
+/// group by lane group through `threshold`, stopping once the count
+/// reaches `cap`. Returns `true` iff it did.
+#[inline(always)]
+fn count_groups<T: Fn(&[f64; LANES], f64) -> u32>(
+    block: &SoaBlock,
+    threshold: T,
     cap: usize,
     count: &mut usize,
 ) -> bool {
     let mut base = 0usize;
-    while base + L <= rows {
-        let mask = unsafe { group_mask_avx512::<L>(metric, dim, query, soa, rows, base, thr) };
-        *count += mask.count_ones() as usize;
+    while base + LANES <= block.rows {
+        *count += threshold(&block.distances(base), block.thr).count_ones() as usize;
         if *count >= cap {
             return true;
         }
-        base += L;
+        base += LANES;
     }
-    for i in base..rows {
-        *count += (reduced_soa_point(metric, dim, query, soa, rows, i) <= thr) as usize;
+    for i in base..block.rows {
+        *count += (block.distance(i) <= block.thr) as usize;
         if *count >= cap {
             return true;
         }
@@ -607,219 +565,42 @@ unsafe fn count_soa_lanes_avx512<const L: usize>(
     false
 }
 
+/// [`scan_groups`] compiled with AVX2 enabled, through
+/// [`threshold_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
+    scan_groups(block, |acc, thr| threshold_avx2(acc, thr), on_match)
+}
+
+/// [`count_groups`] compiled with AVX2 enabled, through
+/// [`threshold_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_avx2(block: &SoaBlock, cap: usize, count: &mut usize) -> bool {
+    count_groups(block, |acc, thr| threshold_avx2(acc, thr), cap, count)
+}
+
+/// [`threshold`] with AVX2: one `vcmppd LE_OQ` + `vmovmskpd` per four
+/// lanes (`LE_OQ` is false on NaN, like `<=`). The distances stay the
+/// shared safe code, which the AVX2 wrappers compile on ymm registers
+/// (Rust never contracts a multiply and an add into an FMA). From the
+/// portable fold LLVM emits packs, `pmovmskb` and about 20 scalar bit
+/// operations per group instead, which at d = 2 cost a third of the
+/// leaf-scan throughput (EXPERIMENTS.md, "Kernel body").
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn count_soa_dispatch<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if L >= 8 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the avx512f feature was just detected on this CPU.
-            return unsafe {
-                count_soa_lanes_avx512::<L>(metric, dim, query, soa, rows, thr, cap, count)
-            };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 feature was just detected on this CPU.
-            return unsafe {
-                count_soa_lanes_avx2::<L>(metric, dim, query, soa, rows, thr, cap, count)
-            };
-        }
-    }
-    count_soa_lanes::<L>(metric, dim, query, soa, rows, thr, cap, count)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn count_soa_lanes_avx2<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let mask = unsafe { group_mask_avx2::<L>(metric, dim, query, soa, rows, base, thr) };
-        *count += mask.count_ones() as usize;
-        if *count >= cap {
-            return true;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        *count += (reduced_soa_point(metric, dim, query, soa, rows, i) <= thr) as usize;
-        if *count >= cap {
-            return true;
-        }
-    }
-    false
-}
-
-#[inline(always)]
-fn scan_soa_lanes<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    mut on_match: F,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let acc = group_distances::<L>(metric, dim, query, soa, rows, base);
-        // branch-free threshold pass: one compare bit per lane (LLVM
-        // lowers the reduction to a vector compare + movemask), then
-        // report set bits in row order — the usual all-zero mask skips
-        // the emission loop entirely
-        let mut mask = 0u32;
-        for (j, &a) in acc.iter().enumerate() {
-            mask |= u32::from(a <= thr) << j;
-        }
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            if !on_match(base + j) {
-                return false;
-            }
-            mask &= mask - 1;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        if reduced_soa_point(metric, dim, query, soa, rows, i) <= thr && !on_match(i) {
-            return false;
-        }
-    }
-    true
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn count_soa_lanes<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let acc = group_distances::<L>(metric, dim, query, soa, rows, base);
-        let mut mask = 0u32;
-        for (j, &a) in acc.iter().enumerate() {
-            mask |= u32::from(a <= thr) << j;
-        }
-        *count += mask.count_ones() as usize;
-        if *count >= cap {
-            return true;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        *count += (reduced_soa_point(metric, dim, query, soa, rows, i) <= thr) as usize;
-        if *count >= cap {
-            return true;
-        }
-    }
-    false
-}
-
-/// Reduced distances of one full lane group, one lane per point. The
-/// outer loop runs coordinates in ascending order, so each lane's
-/// accumulation order matches the scalar kernels exactly; the inner
-/// `0..L` loop over a length-proven column slice is what LLVM turns
-/// into vector code.
-#[inline(always)]
-fn group_distances<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    base: usize,
-) -> [f64; L] {
-    let mut acc = [0.0f64; L];
-    match metric {
-        Metric::Euclidean => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let col: &[f64; L] =
-                    soa[k * rows + base..k * rows + base + L].try_into().expect("full lane group");
-                for j in 0..L {
-                    let delta = q - col[j];
-                    acc[j] += delta * delta;
-                }
-            }
-        }
-        Metric::Manhattan => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let col: &[f64; L] =
-                    soa[k * rows + base..k * rows + base + L].try_into().expect("full lane group");
-                for j in 0..L {
-                    acc[j] += (q - col[j]).abs();
-                }
-            }
-        }
-        Metric::Chebyshev => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let col: &[f64; L] =
-                    soa[k * rows + base..k * rows + base + L].try_into().expect("full lane group");
-                for j in 0..L {
-                    acc[j] = f64::max(acc[j], (q - col[j]).abs());
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Reduced distance of one point of a dimension-major block (the
-/// remainder rows after the last full lane group). Same coordinate
-/// order as the scalar kernels.
-#[inline(always)]
-fn reduced_soa_point(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    i: usize,
-) -> f64 {
-    let mut acc = 0.0f64;
-    match metric {
-        Metric::Euclidean => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let delta = q - soa[k * rows + i];
-                acc += delta * delta;
-            }
-        }
-        Metric::Manhattan => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                acc += (q - soa[k * rows + i]).abs();
-            }
-        }
-        Metric::Chebyshev => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                acc = f64::max(acc, (q - soa[k * rows + i]).abs());
-            }
-        }
-    }
-    acc
+fn threshold_avx2(acc: &[f64; LANES], thr: f64) -> u32 {
+    use std::arch::x86_64::*;
+    let thr = _mm256_set1_pd(thr);
+    let (quads, _) = acc.as_chunks::<4>();
+    quads.iter().enumerate().fold(0, |mask, (c, quad)| {
+        // SAFETY: `quad` is four contiguous f64.
+        let a = unsafe { _mm256_loadu_pd(quad.as_ptr()) };
+        let hits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a, thr)) as u32;
+        mask | hits << (4 * c)
+    })
 }
 
 /// Transpose one row-major block into dimension-major (SoA) order:
@@ -919,6 +700,20 @@ mod tests {
         out
     }
 
+    /// Every lane-group body this CPU can run. Dispatch runs only the
+    /// AVX2 build on an AVX2 host, so these tests are what executes the
+    /// portable one there.
+    fn bodies() -> Vec<Body> {
+        let mut v = vec![Body::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                v.push(Body::Avx2);
+            }
+        }
+        v
+    }
+
     #[test]
     fn dispatch_matches_generic_bit_for_bit() {
         for dim in 1..=8 {
@@ -959,28 +754,36 @@ mod tests {
 
     #[test]
     fn soa_scan_matches_row_major_scan() {
-        for dim in 1..=8 {
-            // rows chosen to leave a remainder group at every lane width
-            let data = block(dim, 43);
-            let soa = soa_of(&data, dim);
-            let q: Vec<f64> = (0..dim).map(|k| (k as f64) * 1.3).collect();
-            for m in METRICS {
-                for thr in [0.0, 10.0, 1000.0, f64::INFINITY] {
-                    for lanes in LANE_WIDTHS {
+        // 0..=2 full lane groups, every remainder length in between
+        for rows in 0..=2 * LANES + 3 {
+            for dim in 1..=8 {
+                let data = block(dim, rows);
+                let soa = soa_of(&data, dim);
+                let q: Vec<f64> = (0..dim).map(|k| (k as f64) * 1.3).collect();
+                for m in METRICS {
+                    for thr in [0.0, 10.0, 1000.0, f64::INFINITY] {
                         let mut row_major = Vec::new();
-                        let mut lane = Vec::new();
                         assert!(scan_block(m, dim, &q, &data, thr, |i| {
                             row_major.push(i);
                             true
                         }));
-                        assert!(scan_block_soa(m, dim, &q, &soa, 43, thr, lanes, |i| {
-                            lane.push(i);
-                            true
-                        }));
-                        assert_eq!(
-                            row_major, lane,
-                            "dim={dim} metric={m:?} thr={thr} lanes={lanes}"
-                        );
+                        let sb = SoaBlock { metric: m, query: &q, soa: &soa, rows, thr };
+                        for body in bodies() {
+                            let mut lane = Vec::new();
+                            // SAFETY: `bodies` lists only bodies this CPU runs.
+                            let done = unsafe {
+                                body.scan(&sb, |i| {
+                                    lane.push(i);
+                                    true
+                                })
+                            };
+                            assert!(done);
+                            assert_eq!(row_major, lane, "rows={rows} dim={dim} {m:?} {body:?}");
+                            let mut n = 0usize;
+                            // SAFETY: as above.
+                            assert!(!unsafe { body.count(&sb, usize::MAX, &mut n) });
+                            assert_eq!(n, row_major.len(), "rows={rows} dim={dim} {m:?} {body:?}");
+                        }
                     }
                 }
             }
@@ -992,21 +795,31 @@ mod tests {
         let data = block(3, 100);
         let soa = soa_of(&data, 3);
         let q = [0.0, 0.0, 0.0];
-        for cap in [1usize, 3, 7] {
-            let run = |soa_path: bool| {
-                let mut hits = Vec::new();
-                let cb = |i: usize| {
-                    hits.push(i);
-                    hits.len() < cap
+        let thr = 2500.0;
+        let sb = SoaBlock { metric: Metric::Euclidean, query: &q, soa: &soa, rows: 100, thr };
+        for cap in [1usize, 3, 7, LANES + 1, 2 * LANES + 2] {
+            let mut want = Vec::new();
+            let want_done = scan_block(Metric::Euclidean, 3, &q, &data, thr, |i| {
+                want.push(i);
+                want.len() < cap
+            });
+            let mut hits = Vec::new();
+            let done = scan_block_soa(Metric::Euclidean, 3, &q, &soa, 100, thr, |i| {
+                hits.push(i);
+                hits.len() < cap
+            });
+            assert_eq!((done, &hits), (want_done, &want), "cap={cap}");
+            for body in bodies() {
+                hits.clear();
+                // SAFETY: `bodies` lists only bodies this CPU runs.
+                let done = unsafe {
+                    body.scan(&sb, |i| {
+                        hits.push(i);
+                        hits.len() < cap
+                    })
                 };
-                let finished = if soa_path {
-                    scan_block_soa(Metric::Euclidean, 3, &q, &soa, 100, f64::INFINITY, 8, cb)
-                } else {
-                    scan_block(Metric::Euclidean, 3, &q, &data, f64::INFINITY, cb)
-                };
-                (finished, hits)
-            };
-            assert_eq!(run(true), run(false), "cap={cap}");
+                assert_eq!((done, &hits), (want_done, &want), "cap={cap} {body:?}");
+            }
         }
     }
 
@@ -1022,18 +835,15 @@ mod tests {
                     exact += 1;
                     true
                 });
-                for lanes in LANE_WIDTHS {
-                    // cap above the block count: exact count, no exit
+                // cap above the block count: exact count, no exit
+                let mut n = 0usize;
+                assert!(!count_block_soa(m, 2, &q, &soa, 77, thr, exact + 1, &mut n));
+                assert_eq!(n, exact, "metric={m:?} thr={thr}");
+                // cap at/below the count: must report reached
+                if exact > 0 {
                     let mut n = 0usize;
-                    let capped = count_block_soa(m, 2, &q, &soa, 77, thr, lanes, exact + 1, &mut n);
-                    assert!(!capped);
-                    assert_eq!(n, exact, "metric={m:?} thr={thr} lanes={lanes}");
-                    // cap at/below the count: must report reached
-                    if exact > 0 {
-                        let mut n = 0usize;
-                        assert!(count_block_soa(m, 2, &q, &soa, 77, thr, lanes, exact, &mut n));
-                        assert!(n >= exact);
-                    }
+                    assert!(count_block_soa(m, 2, &q, &soa, 77, thr, exact, &mut n));
+                    assert!(n >= exact);
                 }
             }
         }
@@ -1070,9 +880,7 @@ mod tests {
         for dim in [1, 2, 3, 4, 5, 6, 7] {
             let q = vec![0.0; dim];
             assert!(scan_block(Metric::Euclidean, dim, &q, &[], 1.0, |_| panic!("no rows")));
-            assert!(scan_block_soa(Metric::Euclidean, dim, &q, &[], 0, 1.0, 8, |_| panic!(
-                "no rows"
-            )));
+            assert!(scan_block_soa(Metric::Euclidean, dim, &q, &[], 0, 1.0, |_| panic!("no rows")));
         }
     }
 
@@ -1087,21 +895,16 @@ mod tests {
     fn kernel_config_env_parsing_contract() {
         let d = KernelConfig::default();
         assert_eq!(d.layout, KernelLayout::Lanes);
-        assert_eq!(d.lanes, DEFAULT_LANES);
         assert_eq!(d.batch, 0);
         assert!(!d.count_fast_path);
-        assert_eq!(KernelConfig::from_env_values(None, None, None, None), d);
-        let c =
-            KernelConfig::from_env_values(Some(" SCALAR "), Some("5"), Some("32"), Some("true"));
+        assert_eq!(KernelConfig::from_env_values(None, None, None), d);
+        let c = KernelConfig::from_env_values(Some(" SCALAR "), Some("32"), Some("true"));
         assert_eq!(c.layout, KernelLayout::Scalar);
-        assert_eq!(c.lanes, 8, "5 snaps up to the nearest monomorphized width");
         assert_eq!(c.batch, 32);
         assert!(c.count_fast_path);
         // junk keeps defaults per knob
-        let j = KernelConfig::from_env_values(Some("simd"), Some("lots"), Some("-1"), Some("yep"));
+        let j = KernelConfig::from_env_values(Some("simd"), Some("-1"), Some("yep"));
         assert_eq!(j, d);
-        assert_eq!(KernelConfig::from_env_values(None, Some("99"), None, None).lanes, 16);
-        assert_eq!(KernelConfig::from_env_values(None, Some("1"), None, None).lanes, 4);
         assert_eq!(KernelConfig::scalar().layout, KernelLayout::Scalar);
     }
 

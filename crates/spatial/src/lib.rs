@@ -49,8 +49,7 @@ pub use index::SpatialIndex;
 pub use kdtree::{KdTree, PruneConfig};
 pub use kernel::{
     count_block_soa, metric_kernel, scan_block, scan_block_generic, scan_block_soa,
-    transpose_block, KernelConfig, KernelCounters, KernelLayout, DEFAULT_LANES, LANE_WIDTHS,
-    SPECIALIZED_DIMS,
+    transpose_block, KernelConfig, KernelCounters, KernelLayout, SPECIALIZED_DIMS,
 };
 pub use metric::{chebyshev, euclidean, manhattan, squared_euclidean, Metric};
 pub use point::PointId;

@@ -128,22 +128,12 @@ impl RTree {
     }
 }
 
+/// Bounding box of the rows `ids` (non-empty). Built through
+/// [`Aabb::from_points`], which, unlike [`Aabb::new`], accepts the NaN
+/// bounds a non-finite coordinate leaves behind.
 fn bounding(ds: &Dataset, ids: &[u32]) -> Aabb {
-    let dim = ds.dim();
-    let mut lo = ds.row(ids[0] as usize).to_vec();
-    let mut hi = lo.clone();
-    for &i in &ids[1..] {
-        for (k, &v) in ds.row(i as usize).iter().enumerate() {
-            if v < lo[k] {
-                lo[k] = v;
-            }
-            if v > hi[k] {
-                hi[k] = v;
-            }
-        }
-    }
-    let _ = dim;
-    Aabb::new(lo, hi)
+    let rows: Vec<f64> = ids.iter().flat_map(|&i| ds.row(i as usize)).copied().collect();
+    Aabb::from_points(ds.dim(), &rows).expect("a node holds at least one point")
 }
 
 /// Recursive packed build over `ids[start..end]`; returns the node id.
@@ -159,14 +149,14 @@ fn build(ds: &Dataset, ids: &mut [u32], start: usize, end: usize, nodes: &mut Ve
         .max_by(|&a, &b| {
             let wa = aabb.hi()[a] - aabb.lo()[a];
             let wb = aabb.hi()[b] - aabb.lo()[b];
-            wa.partial_cmp(&wb).unwrap_or(std::cmp::Ordering::Equal)
+            wa.total_cmp(&wb)
         })
         .unwrap_or(0);
     let mid = (end - start) / 2;
     ids[start..end].select_nth_unstable_by(mid, |&a, &b| {
         let va = ds.row(a as usize)[axis];
         let vb = ds.row(b as usize)[axis];
-        va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
+        va.total_cmp(&vb)
     });
     let left = build(ds, ids, start, start + mid, nodes);
     let right = build(ds, ids, start + mid, end, nodes);
@@ -195,6 +185,17 @@ impl SpatialIndex for RTree {
 mod tests {
     use super::*;
     use crate::bruteforce::BruteForceIndex;
+
+    #[test]
+    fn non_finite_coordinates_build_a_permutation() {
+        for n in [1, 2, 40, 300] {
+            let t = RTree::build(Arc::new(Dataset::from_rows(crate::dataset::non_finite_rows(n))));
+            let mut perm = t.ids.clone();
+            perm.sort_unstable();
+            assert_eq!(perm, (0..n as u32).collect::<Vec<_>>(), "n={n}");
+            t.range(&[1.0, 2.0, 3.0], 4.0);
+        }
+    }
 
     fn grid() -> Arc<Dataset> {
         let rows = (0..9).flat_map(|x| (0..9).map(move |y| vec![x as f64, y as f64])).collect();

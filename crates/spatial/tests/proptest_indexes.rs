@@ -114,7 +114,7 @@ proptest! {
     #[test]
     fn bkdtree_matches_bruteforce_any_dim(
         dim in 1usize..=10,
-        bucket in 1usize..=32,
+        bucket in 1usize..=80,
         seed_rows in dataset_strategy(10),
         eps in 0.0f64..40.0,
     ) {
@@ -137,7 +137,7 @@ proptest! {
     fn bkdtree_handles_duplicate_heavy_data(
         distinct in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 3..=3), 1..8),
         copies in prop::collection::vec(0usize..8, 1..8),
-        bucket in 1usize..=16,
+        bucket in 1usize..=80,
         eps in 0.0f64..15.0,
     ) {
         // every distinct row duplicated `copies[i % len]` extra times:
@@ -161,7 +161,7 @@ proptest! {
         rows in dataset_strategy(4),
         eps in 0.0f64..30.0,
         cap in 1usize..10,
-        bucket in 1usize..=32,
+        bucket in 1usize..=80,
     ) {
         let ds = Arc::new(Dataset::from_rows(rows));
         let bkd = BkdTree::build_with(ds.clone(), Metric::Euclidean, bucket);
@@ -183,7 +183,7 @@ proptest! {
         rows in dataset_strategy(3),
         eps in 0.0f64..25.0,
         k in 0usize..12,
-        bucket in 1usize..=16,
+        bucket in 1usize..=80,
     ) {
         let ds = Arc::new(Dataset::from_rows(rows));
         let bkd = BkdTree::build_with(ds.clone(), Metric::Euclidean, bucket);
@@ -208,7 +208,7 @@ proptest! {
     fn bkdtree_nearest_agrees_with_exhaustive_scan(
         rows in dataset_strategy(4),
         q in prop::collection::vec(-60.0f64..60.0, 4..=4),
-        bucket in 1usize..=16,
+        bucket in 1usize..=80,
     ) {
         let ds = Arc::new(Dataset::from_rows(rows));
         let bkd = BkdTree::build_with(ds.clone(), Metric::Euclidean, bucket);

@@ -6,8 +6,7 @@
 
 use dbscan_spatial::{
     count_block_soa, scan_block, scan_block_generic, scan_block_soa, transpose_block, BkdTree,
-    BruteForceIndex, Dataset, Metric, PointId, QueryScratch, SpatialIndex, LANE_WIDTHS,
-    SPECIALIZED_DIMS,
+    BruteForceIndex, Dataset, Metric, PointId, QueryScratch, SpatialIndex, SPECIALIZED_DIMS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -21,6 +20,12 @@ fn sorted(mut v: Vec<PointId>) -> Vec<PointId> {
 
 fn dataset_strategy(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 1..120)
+}
+
+/// Leaf-sized blocks: 1..=80 rows covers up to five 16-lane groups and
+/// every remainder length 0..=15.
+fn block_strategy(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 1..=80)
 }
 
 proptest! {
@@ -103,7 +108,7 @@ proptest! {
     fn bkdtree_matches_bruteforce_specialized_dims(
         seed_rows in dataset_strategy(7),
         eps in 0.0f64..40.0,
-        bucket in 1usize..=16,
+        bucket in 1usize..=80,
         metric_idx in 0usize..3,
     ) {
         let metric = METRICS[metric_idx];
@@ -151,13 +156,13 @@ proptest! {
         }
     }
 
-    /// The lane-blocked SoA scan reports exactly the rows the scalar
-    /// scan reports, in the same order, for every dim, metric and lane
-    /// width — including the early-exit row when the callback stops.
+    /// The 16-lane SoA scan reports exactly the rows the scalar scan
+    /// reports, in the same order, for every dim and metric — including
+    /// the early-exit row when the callback stops.
     #[test]
     fn soa_scan_is_bit_identical_to_scalar(
         dim in 1usize..=6,
-        seed_rows in dataset_strategy(6),
+        seed_rows in block_strategy(6),
         q6 in prop::collection::vec(-60.0f64..60.0, 6..=6),
         eps in 0.0f64..60.0,
         metric_idx in 0usize..3,
@@ -180,14 +185,12 @@ proptest! {
             });
             (finished, hits)
         };
-        for lanes in LANE_WIDTHS {
-            let mut hits = Vec::new();
-            let finished = scan_block_soa(metric, dim, q, &soa, rows, thr, lanes, |i| {
-                hits.push(i);
-                cap.is_none_or(|c| hits.len() < c)
-            });
-            prop_assert_eq!(&(finished, hits), &scalar, "lanes={}", lanes);
-        }
+        let mut hits = Vec::new();
+        let finished = scan_block_soa(metric, dim, q, &soa, rows, thr, |i| {
+            hits.push(i);
+            cap.is_none_or(|c| hits.len() < c)
+        });
+        prop_assert_eq!(&(finished, hits), &scalar);
     }
 
     /// The count-only kernel is exact below its cap and agrees with the
@@ -195,7 +198,7 @@ proptest! {
     #[test]
     fn soa_count_is_exact_below_cap(
         dim in 1usize..=6,
-        seed_rows in dataset_strategy(6),
+        seed_rows in block_strategy(6),
         q6 in prop::collection::vec(-60.0f64..60.0, 6..=6),
         eps in 0.0f64..60.0,
         metric_idx in 0usize..3,
@@ -211,16 +214,14 @@ proptest! {
         let thr = metric.threshold(eps);
         let mut exact = 0usize;
         scan_block(metric, dim, q, &block, thr, |_| { exact += 1; true });
-        for lanes in LANE_WIDTHS {
-            let mut n = 0usize;
-            let capped = count_block_soa(metric, dim, q, &soa, rows, thr, lanes, cap, &mut n);
-            prop_assert_eq!(capped, exact >= cap, "lanes={}", lanes);
-            if capped {
-                prop_assert!(n >= cap);
-                prop_assert!(n <= exact, "no row is ever counted twice");
-            } else {
-                prop_assert_eq!(n, exact, "below the cap the count must be exact");
-            }
+        let mut n = 0usize;
+        let capped = count_block_soa(metric, dim, q, &soa, rows, thr, cap, &mut n);
+        prop_assert_eq!(capped, exact >= cap);
+        if capped {
+            prop_assert!(n >= cap);
+            prop_assert!(n <= exact, "no row is ever counted twice");
+        } else {
+            prop_assert_eq!(n, exact, "below the cap the count must be exact");
         }
     }
 }

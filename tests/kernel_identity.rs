@@ -1,11 +1,11 @@
 //! Kernel-configuration identity, end to end: the data layout
-//! (row-major scalar vs dimension-major SoA lanes), the lane width, and
-//! batched frontier expansion are pure *speed* knobs — labels,
-//! per-partition executor stats and the full event trace must be
-//! byte-identical across every configuration at every build/worker
-//! thread count. The `min_pts` early-exit fast path legitimately
-//! changes the kernel counters (it scans less), so it is compared
-//! modulo the zero-tick `TaskKernel` events, and those alone.
+//! (row-major scalar vs dimension-major SoA lanes) and batched frontier
+//! expansion are pure *speed* knobs — labels, per-partition executor
+//! stats and the full event trace must be byte-identical across every
+//! configuration at every build/worker thread count, at a given leaf
+//! size. The `min_pts` early-exit fast path legitimately changes the
+//! kernel counters (it scans less), so it is compared modulo the
+//! zero-tick `TaskKernel` events, and those alone.
 
 use scalable_dbscan::datagen::{SkewedGenerator, SkewedParams};
 use scalable_dbscan::dbscan::{ExecutorStats, SparkDbscan};
@@ -45,13 +45,28 @@ fn run_config(
     build_threads: usize,
     worker_threads: usize,
 ) -> RunOut {
+    run_build(
+        data,
+        params,
+        BuildConfig::default().with_kernel(kernel),
+        build_threads,
+        worker_threads,
+    )
+}
+
+fn run_build(
+    data: &Arc<Dataset>,
+    params: DbscanParams,
+    build: BuildConfig,
+    build_threads: usize,
+    worker_threads: usize,
+) -> RunOut {
     let mut cfg = ClusterConfig::local(4).with_trace(TraceConfig::enabled()).with_seed(SEED);
     cfg.worker_threads = worker_threads;
     let ctx = Context::new(cfg);
     // explicit resources: the CI kernel matrix drives these same knobs
     // through the environment, and this test must not inherit its cell
-    let res = Resources::new()
-        .with_build(BuildConfig::default().with_threads(build_threads).with_kernel(kernel));
+    let res = Resources::new().with_build(build.with_threads(build_threads));
     let out = SparkDbscan::new(params)
         .resources(res)
         .exact()
@@ -66,35 +81,45 @@ fn run_config(
 
 #[test]
 fn every_kernel_configuration_is_byte_identical_to_scalar() {
-    // (kernel, build threads, worker threads): layouts, lane widths and
-    // batch sizes crossed with the thread counts the satellite pins
+    // (kernel, leaf size, build threads, worker threads): layouts and
+    // batch sizes crossed with thread counts, on the default leaves and
+    // on 16-point leaves (many leaves, mostly remainder rows)
     let arms = [
-        (KernelConfig::default(), 2, 2),
-        (KernelConfig::default().with_lanes(4), 8, 8),
-        (KernelConfig::default().with_lanes(16), 1, 1),
-        (KernelConfig::default().with_batch(1), 2, 1),
-        (KernelConfig::default().with_batch(32), 1, 8),
-        (KernelConfig::scalar().with_batch(7), 2, 2),
+        (KernelConfig::default(), None, 2, 2),
+        (KernelConfig::default(), Some(16), 8, 8),
+        (KernelConfig::default().with_batch(32), Some(16), 1, 1),
+        (KernelConfig::default().with_batch(1), None, 2, 1),
+        (KernelConfig::default().with_batch(32), None, 1, 8),
+        (KernelConfig::scalar().with_batch(7), None, 2, 2),
     ];
+    let build = |kernel: KernelConfig, bucket: Option<usize>| {
+        let b = BuildConfig::default().with_kernel(kernel);
+        bucket.map_or(b, |n| b.with_bucket_size(n))
+    };
     for (name, (data, params)) in [("random", random_dataset()), ("skewed", skewed_dataset())] {
-        let reference = run_config(&data, params, KernelConfig::scalar(), 1, 1);
-        assert!(
-            reference.labels.iter().any(|l| matches!(l, Label::Cluster(_))),
-            "{name}: reference run must actually cluster something"
-        );
-        for (kernel, bt, wt) in arms {
-            let got = run_config(&data, params, kernel, bt, wt);
+        let reference =
+            |bucket| run_build(&data, params, build(KernelConfig::scalar(), bucket), 1, 1);
+        let references = [(None, reference(None)), (Some(16), reference(Some(16)))];
+        for (_, r) in &references {
+            assert!(
+                r.labels.iter().any(|l| matches!(l, Label::Cluster(_))),
+                "{name}: reference run must actually cluster something"
+            );
+        }
+        for (kernel, bucket, bt, wt) in arms {
+            let reference = &references.iter().find(|(b, _)| *b == bucket).expect("a reference").1;
+            let got = run_build(&data, params, build(kernel, bucket), bt, wt);
             assert_eq!(
                 got.labels, reference.labels,
-                "{name}: labels differ for {kernel:?} build={bt} workers={wt}"
+                "{name}: labels differ for {kernel:?} bucket={bucket:?} build={bt} workers={wt}"
             );
             assert_eq!(
                 got.stats, reference.stats,
-                "{name}: executor stats differ for {kernel:?} build={bt} workers={wt}"
+                "{name}: executor stats differ for {kernel:?} bucket={bucket:?} build={bt} workers={wt}"
             );
             assert_eq!(
                 got.trace.events, reference.trace.events,
-                "{name}: trace differs for {kernel:?} build={bt} workers={wt}"
+                "{name}: trace differs for {kernel:?} bucket={bucket:?} build={bt} workers={wt}"
             );
         }
     }
