@@ -52,21 +52,9 @@
 //!    identity violation, a hitless dimension or a missed throughput
 //!    floor.
 //!
-//! 6. **Speculative execution (PR 10)** — the straggler tail: one
-//!    traced run with simulated stragglers (`prob = 0.3`,
-//!    `slowdown = 8`) is replayed through the makespan model with and
-//!    without the speculation policy (acceptance: >= 2x tail-stage
-//!    reduction at `multiplier_pct = 150`), plus an end-to-end identity
-//!    matrix against *real* wall-clock stragglers at 1, 2 and 8 worker
-//!    threads: labels — and traces, modulo the zero-tick speculation
-//!    events — must be byte-identical to the speculation-free runs.
-//!    Results land in `<out_dir>/BENCH_PR10.json`; the suite exits
-//!    non-zero on any identity violation or a missed reduction floor.
-//!
 //! Usage:
 //!   cargo run --release -p dbscan-bench --bin perf_suite -- [out_dir] [n]
 //!   cargo run --release -p dbscan-bench --bin perf_suite -- --kernels-only [out_dir]
-//!   cargo run --release -p dbscan-bench --bin perf_suite -- --speculation-only [out_dir]
 
 use dbscan_bench::report;
 use dbscan_core::{Balance, DbscanParams, Resources, SparkDbscan, SparkDbscanResult};
@@ -76,10 +64,7 @@ use dbscan_spatial::{
     Metric,
 };
 use serde::Serialize;
-use sparklet::{
-    ClusterConfig, Context, EventKind, FaultPlan, FaultRule, SpeculationConfig, StragglerConfig,
-    Trace, TraceConfig,
-};
+use sparklet::{ClusterConfig, Context, Trace, TraceConfig};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -736,205 +721,6 @@ fn kernel_layout_experiment(out_dir: &str) {
     }
 }
 
-/// One stage of the speculation makespan model: the measured stage
-/// replayed with and without the clone-at-median-multiple policy.
-#[derive(Serialize)]
-struct SpecStageRow {
-    stage_id: usize,
-    kind: String,
-    tasks: usize,
-    straggled_tasks: usize,
-    off_ms: f64,
-    on_ms: f64,
-    ratio: f64,
-}
-
-/// One cell of the real-straggler identity matrix.
-#[derive(Serialize)]
-struct SpecIdentityCell {
-    worker_threads: usize,
-    speculative_launches: usize,
-    speculative_wins: usize,
-    speculative_losses: usize,
-    labels_identical: bool,
-    /// Modulo the zero-tick speculation events (clone-scoped executor
-    /// events and the driver's launch/win/loss markers).
-    stripped_trace_identical: bool,
-}
-
-#[derive(Serialize)]
-struct ReportPr10 {
-    bench: &'static str,
-    seed: u64,
-    n: usize,
-    partitions: usize,
-    straggler_prob: f64,
-    straggler_slowdown: f64,
-    multiplier_pct: u32,
-    stages: Vec<SpecStageRow>,
-    job_off_ms: f64,
-    job_on_ms: f64,
-    /// Off/on makespan ratio of the stage with the largest unspeculated
-    /// makespan — the tail the policy exists to cut.
-    tail_stage_ratio: f64,
-    job_ratio: f64,
-    identity: Vec<SpecIdentityCell>,
-    total_speculative_launches: usize,
-    all_labels_identical: bool,
-    all_traces_identical: bool,
-}
-
-fn speculation_counts(t: &Trace) -> (usize, usize, usize) {
-    let (mut launches, mut wins, mut losses) = (0, 0, 0);
-    for e in &t.events {
-        match e.kind {
-            EventKind::SpeculativeLaunch { .. } => launches += 1,
-            EventKind::SpeculativeWin { .. } => wins += 1,
-            EventKind::SpeculativeLoss { .. } => losses += 1,
-            _ => {}
-        }
-    }
-    (launches, wins, losses)
-}
-
-/// Experiment 6: speculative execution. Exits the process on an
-/// identity violation or a missed tail-reduction floor.
-fn speculation_experiment(out_dir: &str) {
-    let n = 16_000;
-    let params = DbscanParams::new(EPS, MIN_PTS).expect("valid params");
-    // evenly-loaded clusters (shuffled emission), so the tail below is
-    // *only* the injected straggler, not data skew
-    let (data, _) = ClusterGenerator::new(GeneratorParams::new(n, 2, 8, SEED)).generate();
-    let data = Arc::new(data);
-    let spec = SpeculationConfig::on().with_multiplier_pct(150);
-
-    // -- headline: one traced run with simulated stragglers, replayed
-    // through the makespan model with and without the policy
-    let straggle = StragglerConfig { prob: 0.3, slowdown: 8.0 };
-    let ctx =
-        Context::new(ClusterConfig::local(PARTITIONS).with_seed(SEED).with_straggler(straggle));
-    let out = SparkDbscan::new(params).partitions(PARTITIONS).exact().run(&ctx, Arc::clone(&data));
-
-    let stages: Vec<SpecStageRow> = out
-        .job
-        .stages
-        .iter()
-        .filter(|s| !s.tasks.is_empty())
-        .map(|s| {
-            let off = s.simulated_makespan(PARTITIONS).as_secs_f64() * 1e3;
-            let on = s.speculated_makespan(PARTITIONS, spec).as_secs_f64() * 1e3;
-            SpecStageRow {
-                stage_id: s.stage_id,
-                kind: format!("{:?}", s.kind),
-                tasks: s.tasks.len(),
-                straggled_tasks: s.tasks.iter().filter(|t| !t.straggler_extra.is_zero()).count(),
-                off_ms: off,
-                on_ms: on,
-                ratio: if on > 0.0 { off / on } else { 1.0 },
-            }
-        })
-        .collect();
-    let job_off_ms = out.job.simulated_executor_time(PARTITIONS).as_secs_f64() * 1e3;
-    let job_on_ms = out.job.speculated_executor_time(PARTITIONS, spec).as_secs_f64() * 1e3;
-    let tail_stage_ratio =
-        stages.iter().max_by(|a, b| a.off_ms.total_cmp(&b.off_ms)).map(|s| s.ratio).unwrap_or(1.0);
-    let job_ratio = if job_on_ms > 0.0 { job_off_ms / job_on_ms } else { 1.0 };
-    println!(
-        "speculation model: job {job_off_ms:.1} ms -> {job_on_ms:.1} ms ({job_ratio:.2}x), \
-         tail stage {tail_stage_ratio:.2}x"
-    );
-
-    // -- identity matrix: real wall-clock stragglers, speculation off
-    // (the reference) vs on, at 1, 2 and 8 worker threads. The policy
-    // rides the Resources bundle, exercising the full driver plumbing.
-    let plan = FaultPlan::none().with_stragglers(FaultRule::with_prob(0.3, 1), 25);
-    let run_leg = |workers: usize, spec: SpeculationConfig| {
-        let mut cfg = ClusterConfig::local(PARTITIONS)
-            .with_seed(SEED)
-            .with_trace(TraceConfig::enabled())
-            .with_fault(plan.clone());
-        cfg.worker_threads = workers;
-        let ctx = Context::new(cfg);
-        let res = Resources::new().with_speculation(spec);
-        let out = SparkDbscan::new(params)
-            .partitions(PARTITIONS)
-            .exact()
-            .resources(res)
-            .run(&ctx, Arc::clone(&data));
-        // losing twins may still be running when the stage commits;
-        // let them finish recording before snapshotting the trace
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        (out.clustering.canonicalize().labels, ctx.trace().snapshot())
-    };
-
-    let mut cells = Vec::new();
-    let mut ref_labels: Option<Vec<_>> = None;
-    for workers in [1usize, 2, 8] {
-        let (off_labels, off_trace) = run_leg(workers, SpeculationConfig::OFF);
-        let (on_labels, on_trace) = run_leg(workers, spec);
-        let reference = ref_labels.get_or_insert(off_labels.clone());
-        let labels_identical = off_labels == *reference && on_labels == *reference;
-        let stripped_trace_identical = on_trace.without_speculation().events == off_trace.events;
-        let (launches, wins, losses) = speculation_counts(&on_trace);
-        println!(
-            "identity speculation@{workers}: labels {} trace {} \
-             ({launches} launches, {wins} wins, {losses} losses)",
-            if labels_identical { "ok" } else { "DIFFER" },
-            if stripped_trace_identical { "ok" } else { "DIFFER" },
-        );
-        cells.push(SpecIdentityCell {
-            worker_threads: workers,
-            speculative_launches: launches,
-            speculative_wins: wins,
-            speculative_losses: losses,
-            labels_identical,
-            stripped_trace_identical,
-        });
-    }
-    let total_launches: usize = cells.iter().map(|c| c.speculative_launches).sum();
-    let all_labels = cells.iter().all(|c| c.labels_identical);
-    let all_traces = cells.iter().all(|c| c.stripped_trace_identical);
-
-    let report_value = ReportPr10 {
-        bench: "BENCH_PR10",
-        seed: SEED,
-        n,
-        partitions: PARTITIONS,
-        straggler_prob: straggle.prob,
-        straggler_slowdown: straggle.slowdown,
-        multiplier_pct: spec.multiplier_pct,
-        stages,
-        job_off_ms,
-        job_on_ms,
-        tail_stage_ratio,
-        job_ratio,
-        identity: cells,
-        total_speculative_launches: total_launches,
-        all_labels_identical: all_labels,
-        all_traces_identical: all_traces,
-    };
-    report::write_json(Path::new(out_dir), "BENCH_PR10", &report_value).expect("write BENCH_PR10");
-
-    if !all_labels {
-        eprintln!("FAIL: speculative execution changed the clustering labels");
-        std::process::exit(1);
-    }
-    if !all_traces {
-        eprintln!("FAIL: stripping speculation events did not recover the clean trace");
-        std::process::exit(1);
-    }
-    if total_launches == 0 {
-        eprintln!("FAIL: the straggler detector never launched a clone in the identity matrix");
-        std::process::exit(1);
-    }
-    if tail_stage_ratio < 2.0 {
-        eprintln!(
-            "FAIL: speculation cut the tail stage only {tail_stage_ratio:.2}x, below the 2x floor"
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     // fast path for iterating on the kernel experiment alone
@@ -942,13 +728,6 @@ fn main() {
         args.retain(|a| a != "--kernels-only");
         let out_dir = args.get(1).map(String::as_str).unwrap_or("results");
         kernel_layout_experiment(out_dir);
-        return;
-    }
-    // fast path for the speculation experiment alone
-    if args.iter().any(|a| a == "--speculation-only") {
-        args.retain(|a| a != "--speculation-only");
-        let out_dir = args.get(1).map(String::as_str).unwrap_or("results");
-        speculation_experiment(out_dir);
         return;
     }
     let out_dir = args.get(1).map(String::as_str).unwrap_or("results");
@@ -1024,7 +803,4 @@ fn main() {
 
     // ---- experiment 5: SoA lane kernels + kernel identity matrix -----
     kernel_layout_experiment(out_dir);
-
-    // ---- experiment 6: speculative execution vs stragglers -----------
-    speculation_experiment(out_dir);
 }

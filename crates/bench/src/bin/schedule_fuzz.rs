@@ -14,20 +14,15 @@
 //! a replay token of at most 20 decisions. Exit is non-zero when the
 //! planted bug is *missed*, so CI also guards the detector itself.
 //!
-//! `--speculate` enables speculative execution on every plan's base
-//! config: the explorer eagerly clones a deterministic quarter of
-//! submissions and lets each schedule pick which twin commits, so the
-//! campaign also fuzzes the first-commit-wins protocol.
-//!
 //! Usage:
 //!   cargo run --release -p dbscan-bench --bin schedule_fuzz -- \
-//!       [schedules] [out_dir] [--mutate] [--speculate]
+//!       [schedules] [out_dir] [--mutate]
 
 use dbscan_core::{DbscanExploreJob, DbscanParams};
 use dbscan_datagen::StandardDataset;
 use sparklet::{
     ClusterConfig, Context, ExecutorKillAt, Explorer, FaultPlan, FaultRule, JobArtifacts,
-    SparkResult, SpeculationConfig,
+    SparkResult,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -69,7 +64,7 @@ fn cluster_with(plan: FaultPlan) -> ClusterConfig {
 /// Explore `schedules` seeds split evenly across the fault plans.
 /// Returns the number of violations (0 or 1 per plan — exploration
 /// stops at the first).
-fn run_campaign(schedules: usize, out_dir: &Path, speculate: bool) -> usize {
+fn run_campaign(schedules: usize, out_dir: &Path) -> usize {
     let job = campaign_job();
     let plans = plans();
     let per_plan = schedules.div_ceil(plans.len());
@@ -78,12 +73,9 @@ fn run_campaign(schedules: usize, out_dir: &Path, speculate: bool) -> usize {
     let t0 = Instant::now();
 
     for (i, (name, plan)) in plans.into_iter().enumerate() {
-        let mut cfg = cluster_with(plan);
-        if speculate {
-            cfg = cfg.with_speculation(SpeculationConfig::on());
-        }
-        let explorer =
-            Explorer::new(cfg).with_schedules(per_plan).with_seed0((i * per_plan) as u64);
+        let explorer = Explorer::new(cluster_with(plan))
+            .with_schedules(per_plan)
+            .with_seed0((i * per_plan) as u64);
         let report = match explorer.explore(&job) {
             Ok(r) => r,
             Err(e) => {
@@ -188,7 +180,6 @@ fn run_mutation_check(schedules: usize, out_dir: &Path) -> usize {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mutate = args.iter().any(|a| a == "--mutate");
-    let speculate = args.iter().any(|a| a == "--speculate");
     let positional: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
     let schedules: usize =
         positional.first().map(|s| s.parse().expect("schedules must be an integer")).unwrap_or(256);
@@ -198,7 +189,7 @@ fn main() {
     let failures = if mutate {
         run_mutation_check(schedules.min(64), out_dir)
     } else {
-        run_campaign(schedules, out_dir, speculate)
+        run_campaign(schedules, out_dir)
     };
     if failures > 0 {
         std::process::exit(1);

@@ -38,7 +38,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const ITERS: u64 = 100_000;
 
 fn hammer(collector: &TraceCollector) -> u64 {
-    let scope = TaskScope { stage: 0, partition: 3, attempt: 0, ordinal: 0, executor: 1 };
+    let scope = TaskScope { stage: 0, partition: 3, attempt: 0, executor: 1 };
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..ITERS {
         collector.record(Some(scope), EventKind::TaskStart);

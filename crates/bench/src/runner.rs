@@ -240,6 +240,8 @@ pub fn fig8_series(spec: &DatasetSpec, cores: &[usize], opts: RunOptions) -> Vec
 mod tests {
     use super::*;
     use dbscan_datagen::StandardDataset;
+    use sparklet::EventKind;
+    use std::collections::HashMap;
 
     fn tiny() -> DatasetSpec {
         StandardDataset::C10k.scaled_spec(32)
@@ -278,19 +280,53 @@ mod tests {
         assert!(pts[0].ratio > 1.0, "MapReduce must pay its disk toll (ratio {})", pts[0].ratio);
     }
 
+    /// Virtual-time executor and driver spans, in trace ticks, of one
+    /// traced run at `p` cores: the summed stage spans and the summed
+    /// `kdtree_build` + `merge` phase spans. Unlike wall time these are
+    /// a pure function of the seeded workload.
+    fn virtual_spans(data: &Arc<Dataset>, params: DbscanParams, p: usize) -> (u64, u64) {
+        let ctx = Context::new(ClusterConfig::virtual_cluster(p).with_tracing());
+        configure(params, p, RunOptions::default()).run(&ctx, Arc::clone(data));
+        let (mut stages, mut phases) = (HashMap::new(), HashMap::new());
+        let (mut exec, mut driver) = (0, 0);
+        for e in ctx.trace().snapshot().events {
+            match e.kind {
+                EventKind::StageStart { stage, .. } => {
+                    stages.insert(stage, e.vt);
+                }
+                EventKind::StageEnd { stage, .. } => exec += e.vt - stages[&stage],
+                EventKind::PhaseStart { name } => {
+                    phases.insert(name, e.vt);
+                }
+                EventKind::PhaseEnd { name } if name == "kdtree_build" || name == "merge" => {
+                    driver += e.vt - phases[name];
+                }
+                _ => {}
+            }
+        }
+        (exec, driver)
+    }
+
     #[test]
     fn fig8_speedup_increases_with_cores() {
-        let pts = fig8_series(&tiny(), &[2, 8], RunOptions::default());
-        assert!(
-            pts[1].speedup_executor > pts[0].speedup_executor * 0.5,
-            "8-core speedup {} collapsed vs 2-core {}",
-            pts[1].speedup_executor,
-            pts[0].speedup_executor
-        );
-        assert!(pts[1].speedup_executor > 1.0);
-        assert!(
-            pts[1].speedup_total <= pts[1].speedup_executor * 1.1,
-            "driver time can only reduce total speedup"
-        );
+        // the Fig. 8 speedup definitions (executor-only and executor +
+        // driver, against the 1-partition run) on virtual-time spans
+        let spec = tiny();
+        let (data, _) = spec.generate();
+        let data = Arc::new(data);
+        let params = DbscanParams::new(spec.eps, spec.min_pts).unwrap();
+        let (e1, d1) = virtual_spans(&data, params, 1);
+        let speedups: Vec<(f64, f64)> = [2, 8]
+            .iter()
+            .map(|&p| {
+                let (e, d) = virtual_spans(&data, params, p);
+                (e1 as f64 / e as f64, (e1 + d1) as f64 / (e + d) as f64)
+            })
+            .collect();
+        let (exec2, _) = speedups[0];
+        let (exec8, total8) = speedups[1];
+        assert!(exec8 > exec2 * 0.5, "8-core speedup {exec8} collapsed vs 2-core {exec2}");
+        assert!(exec8 > 1.0);
+        assert!(total8 <= exec8 * 1.1, "driver time can only reduce total speedup");
     }
 }

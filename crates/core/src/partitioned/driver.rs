@@ -145,8 +145,7 @@ impl SparkDbscan {
     }
 
     /// Replace the whole execution-resource bundle (partition balance,
-    /// kd-tree build configuration, memory budget, speculation) in one
-    /// call.
+    /// kd-tree build configuration, memory budget) in one call.
     pub fn resources(mut self, res: Resources) -> Self {
         self.res = res;
         self
@@ -218,9 +217,6 @@ impl SparkDbscan {
         let trace = ctx.trace();
         if self.res.memory.is_bounded() {
             ctx.set_memory_budget(self.res.memory);
-        }
-        if self.res.speculation.enabled {
-            ctx.set_speculation(self.res.speculation);
         }
 
         // optional future-work feature: spatially coherent partitions

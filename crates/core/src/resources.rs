@@ -2,8 +2,8 @@
 //!
 //! [`Resources`] holds the partition balance, the driver-side kd-tree
 //! build configuration (seeded from the `DBSCAN_BUILD_THREADS`
-//! environment variable), the per-executor memory budget and the
-//! speculation policy in one `#[non_exhaustive]` value. It is the one
+//! environment variable) and the per-executor memory budget in one
+//! `#[non_exhaustive]` value. It is the one
 //! way to set them: [`SparkDbscan::resources`] and
 //! [`crate::runner::RunEnv::with_resources`] both accept it, and
 //! [`Resources::from_env`] is the single documented place environment
@@ -26,7 +26,7 @@
 
 use crate::partitioned::planner::Balance;
 use dbscan_spatial::BuildConfig;
-use sparklet::{MemoryBudget, SpeculationConfig};
+use sparklet::MemoryBudget;
 
 /// Execution-resource configuration shared by the driver builders and
 /// the [`crate::runner::RunEnv`] facade. Construct with
@@ -47,22 +47,16 @@ pub struct Resources {
     /// Per-executor engine memory budget (unbounded by default). Applied
     /// to the engine context at run start when bounded.
     pub memory: MemoryBudget,
-    /// Speculative-execution policy for engine stages (off by default).
-    /// Applied to the engine context at run start when enabled. Benign
-    /// like every other field: the first-commit-wins protocol keeps
-    /// labels identical with speculation on or off.
-    pub speculation: SpeculationConfig,
 }
 
 impl Resources {
     /// Library defaults: equal-count balance, auto build threads,
-    /// unbounded memory, speculation off.
+    /// unbounded memory.
     pub fn new() -> Self {
         Resources {
             balance: Balance::Count,
             build: BuildConfig::default(),
             memory: MemoryBudget::UNBOUNDED,
-            speculation: SpeculationConfig::OFF,
         }
     }
 
@@ -138,12 +132,6 @@ impl Resources {
     /// Set a bounded per-executor memory budget in bytes.
     pub fn with_memory_budget(self, bytes: u64) -> Self {
         self.with_memory(MemoryBudget::per_executor(bytes))
-    }
-
-    /// Set the speculative-execution policy for engine stages.
-    pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.speculation = speculation;
-        self
     }
 
     /// Whether this is exactly the library default ([`Resources::new`]).
@@ -227,14 +215,6 @@ mod tests {
         assert_eq!(parse_mem_budget(Some("0x40")), MemoryBudget::UNBOUNDED);
         // plain digits (with surrounding whitespace) still parse
         assert_eq!(Resources::from_env_values(Some(" 8 "), None).build.threads, 8);
-    }
-
-    #[test]
-    fn speculation_defaults_off_and_builder_applies() {
-        assert_eq!(Resources::new().speculation, SpeculationConfig::OFF);
-        let r = Resources::new().with_speculation(SpeculationConfig::on());
-        assert!(r.speculation.enabled);
-        assert!(!r.is_default());
     }
 
     #[test]

@@ -5,100 +5,6 @@ use crate::memory::MemoryBudget;
 use crate::schedule::{Fifo, SchedulePolicy};
 use std::sync::Arc;
 
-/// Straggler model for the virtual-cluster time simulation.
-///
-/// The paper's complexity analysis includes `t_straggling^ave`, "the
-/// average wait time for \[the\] framework to allow all stragglers to
-/// finish". We model it as: with probability `prob`, a task's simulated
-/// duration is multiplied by `slowdown` (deterministically derived from
-/// the task identity and the config seed, so runs are reproducible).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerConfig {
-    /// Probability that a task straggles.
-    pub prob: f64,
-    /// Multiplicative slowdown applied to straggling tasks.
-    pub slowdown: f64,
-}
-
-impl StragglerConfig {
-    /// No stragglers (the default).
-    pub const NONE: StragglerConfig = StragglerConfig { prob: 0.0, slowdown: 1.0 };
-}
-
-impl Default for StragglerConfig {
-    fn default() -> Self {
-        StragglerConfig::NONE
-    }
-}
-
-/// Speculative-execution configuration: when and whether the scheduler
-/// races a clone attempt against an in-flight straggler.
-///
-/// Detection is quantile-gated: once at least
-/// [`SpeculationConfig::min_completions`] attempts *and*
-/// [`SpeculationConfig::quantile_pct`] percent of the stage's tasks
-/// have committed, any in-flight original whose elapsed time exceeds
-/// [`SpeculationConfig::multiplier_pct`] percent of the median
-/// committed-attempt duration is cloned (at most one clone per
-/// attempt). The first reply to arrive commits the partition; the
-/// twin's reply is recognized by its clone ordinal and discarded.
-/// Thresholds are integer percentages so the type stays `Copy + Eq`
-/// (it is embedded in `Resources`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpeculationConfig {
-    /// Master switch (off by default — the scheduler then behaves
-    /// exactly as before speculation existed).
-    pub enabled: bool,
-    /// Straggler threshold as a percentage of the stage's median
-    /// committed-attempt duration (200 = clone anything slower than
-    /// 2× the median).
-    pub multiplier_pct: u32,
-    /// Percentage of the stage's tasks that must have committed before
-    /// detection engages (the median is meaningless earlier).
-    pub quantile_pct: u32,
-    /// Minimum committed attempts before detection engages, whatever
-    /// the quantile says (guards tiny stages).
-    pub min_completions: usize,
-}
-
-impl SpeculationConfig {
-    /// Speculation disabled (the default).
-    pub const OFF: SpeculationConfig = SpeculationConfig {
-        enabled: false,
-        multiplier_pct: 200,
-        quantile_pct: 50,
-        min_completions: 2,
-    };
-
-    /// Speculation enabled with the default thresholds (clone past 2×
-    /// the median, once half the stage plus two tasks have committed).
-    pub fn on() -> Self {
-        SpeculationConfig { enabled: true, ..Self::OFF }
-    }
-
-    /// Builder-style: set the median multiplier, in percent.
-    pub fn with_multiplier_pct(mut self, pct: u32) -> Self {
-        self.multiplier_pct = pct.max(100);
-        self
-    }
-
-    /// The detection threshold as a multiplier (`multiplier_pct / 100`).
-    pub fn multiplier(&self) -> f64 {
-        f64::from(self.multiplier_pct) / 100.0
-    }
-
-    /// The completion quantile as a fraction (`quantile_pct / 100`).
-    pub fn quantile(&self) -> f64 {
-        f64::from(self.quantile_pct) / 100.0
-    }
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig::OFF
-    }
-}
-
 /// Configuration of the structured tracing subsystem
 /// ([`crate::trace`]). Disabled by default: the task hot path then
 /// costs one relaxed atomic load and allocates nothing.
@@ -151,8 +57,6 @@ pub struct ClusterConfig {
     pub max_stage_retries: usize,
     /// Injected-fault schedule (see [`FaultPlan`]).
     pub fault: FaultPlan,
-    /// Straggler model for simulated makespans.
-    pub straggler: StragglerConfig,
     /// Seed for all deterministic pseudo-randomness in the engine.
     pub seed: u64,
     /// Structured event tracing (off by default).
@@ -164,8 +68,6 @@ pub struct ClusterConfig {
     /// Scheduling-decision policy ([`Fifo`] by default — production
     /// order; see [`crate::schedule`] and [`crate::explore`]).
     pub schedule: Arc<dyn SchedulePolicy>,
-    /// Speculative execution (off by default; see [`SpeculationConfig`]).
-    pub speculation: SpeculationConfig,
 }
 
 impl ClusterConfig {
@@ -179,12 +81,10 @@ impl ClusterConfig {
             max_task_attempts: 4,
             max_stage_retries: 4,
             fault: FaultPlan::none(),
-            straggler: StragglerConfig::NONE,
             seed: 0x5eed,
             trace: TraceConfig::default(),
             memory: MemoryBudget::UNBOUNDED,
             schedule: Arc::new(Fifo),
-            speculation: SpeculationConfig::OFF,
         }
     }
 
@@ -208,12 +108,6 @@ impl ClusterConfig {
     /// Builder-style: set the per-stage fetch-failure recovery budget.
     pub fn with_max_stage_retries(mut self, n: usize) -> Self {
         self.max_stage_retries = n.max(1);
-        self
-    }
-
-    /// Builder-style: set the straggler model.
-    pub fn with_straggler(mut self, s: StragglerConfig) -> Self {
-        self.straggler = s;
         self
     }
 
@@ -258,12 +152,6 @@ impl ClusterConfig {
         self.schedule = schedule;
         self
     }
-
-    /// Builder-style: set the speculative-execution configuration.
-    pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.speculation = speculation;
-        self
-    }
 }
 
 impl Default for ClusterConfig {
@@ -293,13 +181,9 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let c = ClusterConfig::local(2)
-            .with_max_attempts(0)
-            .with_seed(99)
-            .with_straggler(StragglerConfig { prob: 0.5, slowdown: 3.0 });
+        let c = ClusterConfig::local(2).with_max_attempts(0).with_seed(99);
         assert_eq!(c.max_task_attempts, 1, "attempt budget is at least 1");
         assert_eq!(c.seed, 99);
-        assert_eq!(c.straggler.prob, 0.5);
     }
 
     #[test]
@@ -330,21 +214,6 @@ mod tests {
         let c = c.with_schedule(Arc::new(crate::schedule::Seeded::new(3)));
         assert!(c.schedule.reorders());
         assert_eq!(c.schedule.keyed_seed(), Some(3));
-    }
-
-    #[test]
-    fn speculation_defaults_off_and_builders_apply() {
-        let c = ClusterConfig::local(2);
-        assert!(!c.speculation.enabled, "speculation is opt-in");
-        let c = c.with_speculation(SpeculationConfig::on().with_multiplier_pct(150));
-        assert!(c.speculation.enabled);
-        assert_eq!(c.speculation.multiplier_pct, 150);
-        assert!((c.speculation.multiplier() - 1.5).abs() < 1e-12);
-        assert!((SpeculationConfig::OFF.quantile() - 0.5).abs() < 1e-12);
-        // sub-100% multipliers would clone faster-than-median tasks
-        assert_eq!(SpeculationConfig::on().with_multiplier_pct(10).multiplier_pct, 100);
-        // virtual_cluster inherits via `..local(n)`
-        assert!(!ClusterConfig::virtual_cluster(8).speculation.enabled);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::accumulator::{Accumulator, AccumulatorRegistry};
 use crate::broadcast::Broadcast;
-use crate::config::{ClusterConfig, SpeculationConfig};
+use crate::config::ClusterConfig;
 use crate::error::SparkResult;
 use crate::executor::ExecutorPool;
 use crate::memory::{MemoryBudget, MemoryManager, MemoryStats};
@@ -35,9 +35,6 @@ pub(crate) struct ContextInner {
     next_accum: AtomicUsize,
     metrics: Mutex<Vec<JobMetrics>>,
     broadcast_bytes: AtomicU64,
-    /// Live speculative-execution policy; starts from the config and can
-    /// be replaced between jobs (mirrors the memory-budget override).
-    speculation: Mutex<SpeculationConfig>,
 }
 
 impl ContextInner {
@@ -94,7 +91,6 @@ impl Context {
             memory: Arc::clone(&memory),
             spill: Arc::clone(&spill),
         }));
-        let speculation = Mutex::new(config.speculation);
         Context {
             inner: Arc::new(ContextInner {
                 config,
@@ -113,7 +109,6 @@ impl Context {
                 next_accum: AtomicUsize::new(0),
                 metrics: Mutex::new(Vec::new()),
                 broadcast_bytes: AtomicU64::new(0),
-                speculation,
             }),
         }
     }
@@ -299,18 +294,6 @@ impl Context {
     /// Replace the per-executor memory budget for subsequent work.
     pub fn set_memory_budget(&self, budget: MemoryBudget) {
         self.inner.memory.set_budget(budget);
-    }
-
-    // ---- speculation -------------------------------------------------
-
-    /// The speculative-execution policy stages currently run under.
-    pub fn speculation(&self) -> SpeculationConfig {
-        *self.inner.speculation.lock()
-    }
-
-    /// Replace the speculative-execution policy for subsequent stages.
-    pub fn set_speculation(&self, spec: SpeculationConfig) {
-        *self.inner.speculation.lock() = spec;
     }
 }
 

@@ -6,9 +6,7 @@
 //! down — the fault-tolerance contrast with MPI the paper emphasizes.
 
 use crate::accumulator::{begin_task_buffer, take_task_buffer};
-use crate::fault::{
-    decision_hash_ordinal, FaultPlan, EXPLORE_JITTER_SALT, STRAGGLER_SALT, TASK_SALT,
-};
+use crate::fault::{decision_hash, FaultPlan, EXPLORE_JITTER_SALT, STRAGGLER_SALT, TASK_SALT};
 use crate::memory::MemoryManager;
 use crate::schedule::SchedulePolicy;
 use crate::task::{set_current_executor, AttemptResult, TaskError, TaskSpec};
@@ -23,9 +21,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct Envelope {
     pub spec: TaskSpec,
     pub attempt: usize,
-    /// Clone ordinal (0 = original submission, >0 = speculative twin).
-    /// Keys the worker's injection hashes so a clone rolls its own fate.
-    pub ordinal: usize,
     pub reply: Sender<AttemptResult>,
 }
 
@@ -114,7 +109,6 @@ fn run_attempt(
         stage: spec.stage_id,
         partition: spec.partition,
         attempt: env.attempt,
-        ordinal: env.ordinal,
         executor: spec.executor,
     };
     trace::set_task_scope(Some(scope));
@@ -134,27 +128,20 @@ fn run_attempt(
 
     // straggler injection: a real (small) delay perturbing the actual
     // thread interleaving, the way a slow node would
-    if plan.straggler.should_fire_ordinal(
-        seed,
-        STRAGGLER_SALT,
-        spec.stage_id,
-        spec.partition,
-        env.attempt,
-        env.ordinal,
-    ) {
+    if plan.straggler.should_fire(seed, STRAGGLER_SALT, spec.stage_id, spec.partition, env.attempt)
+    {
         std::thread::sleep(Duration::from_millis(plan.straggler_delay_ms));
     }
     // schedule-exploration jitter: an extra keyed sub-millisecond delay
     // perturbing the real thread interleaving, decided purely from the
     // task identity so a replay reproduces it without shared state
     if let Some(ks) = keyed {
-        let h = decision_hash_ordinal(
+        let h = decision_hash(
             ks,
             EXPLORE_JITTER_SALT,
             spec.stage_id as u64,
             spec.partition as u64,
             env.attempt as u64,
-            env.ordinal as u64,
         );
         if h.is_multiple_of(4) {
             std::thread::sleep(Duration::from_micros(100 + h % 900));
@@ -162,13 +149,12 @@ fn run_attempt(
     }
     let start = Instant::now();
 
-    let outcome = if plan.task_failure.should_fire_ordinal(
+    let outcome = if plan.task_failure.should_fire(
         seed,
         TASK_SALT,
         spec.stage_id,
         spec.partition,
         env.attempt,
-        env.ordinal,
     ) {
         Err(TaskError::generic(format!(
             "injected failure (stage {} partition {} attempt {})",
@@ -202,7 +188,6 @@ fn run_attempt(
         partition: spec.partition,
         executor: spec.executor,
         attempt: env.attempt,
-        ordinal: env.ordinal,
         busy,
         outcome,
         accum_updates,
@@ -243,18 +228,7 @@ mod tests {
 
     fn run_one(pool: &ExecutorPool, s: TaskSpec, attempt: usize) -> AttemptResult {
         let (tx, rx) = unbounded();
-        pool.submit(Envelope { spec: s, attempt, ordinal: 0, reply: tx });
-        rx.recv().unwrap()
-    }
-
-    fn run_clone(
-        pool: &ExecutorPool,
-        s: TaskSpec,
-        attempt: usize,
-        ordinal: usize,
-    ) -> AttemptResult {
-        let (tx, rx) = unbounded();
-        pool.submit(Envelope { spec: s, attempt, ordinal, reply: tx });
+        pool.submit(Envelope { spec: s, attempt, reply: tx });
         rx.recv().unwrap()
     }
 
@@ -302,37 +276,6 @@ mod tests {
         assert!(r0.outcome.as_ref().err().is_some_and(|e| e.injected));
         let r1 = run_one(&pool, spec(Arc::new(|| Ok(TaskOutput::Unit))), 1);
         assert!(r1.outcome.is_ok());
-    }
-
-    #[test]
-    fn clone_ordinal_escapes_the_originals_injected_fate() {
-        // regression for the attempt-keying bug: with injection hashed
-        // on (stage, partition, attempt) alone, a speculative clone at
-        // the same attempt number deterministically shared the
-        // original's failure. Find a partition the fractional rule
-        // curses at ordinal 0 but not ordinal 1, and run both.
-        let rule = FaultRule::with_prob(0.5, 1);
-        let seed = 11;
-        let cursed = (0..256usize)
-            .find(|&p| {
-                rule.should_fire_ordinal(seed, crate::fault::TASK_SALT, 0, p, 0, 0)
-                    && !rule.should_fire_ordinal(seed, crate::fault::TASK_SALT, 0, p, 0, 1)
-            })
-            .expect("some partition diverges across ordinals");
-        let plan = FaultPlan::none().with_task_failures(rule);
-        let pool =
-            start_fifo(1, plan, seed, TraceCollector::disabled(), MemoryManager::unbounded());
-        let mk = || {
-            let mut s = spec(Arc::new(|| Ok(TaskOutput::Unit)));
-            s.partition = cursed;
-            s
-        };
-        let original = run_clone(&pool, mk(), 0, 0);
-        assert!(original.outcome.as_ref().err().is_some_and(|e| e.injected));
-        assert_eq!(original.ordinal, 0);
-        let clone = run_clone(&pool, mk(), 0, 1);
-        assert!(clone.outcome.is_ok(), "clone must roll its own fate");
-        assert_eq!(clone.ordinal, 1);
     }
 
     #[test]

@@ -88,30 +88,6 @@ pub(crate) fn decision_hash(seed: u64, salt: u64, stage: u64, partition: u64, at
     mix(mix(mix(mix(seed ^ salt) ^ stage) ^ partition) ^ attempt)
 }
 
-/// [`decision_hash`] extended with a clone/submission ordinal. A
-/// speculative clone runs at the *same* `(stage, partition, attempt)`
-/// as its original, so hashes keyed on those three fields alone would
-/// hand the clone the original's injected fate — fail together,
-/// straggle together — defeating speculation. Ordinal 0 (the original
-/// submission) reproduces `decision_hash` exactly, keeping every
-/// pre-speculation golden trace stable.
-#[inline]
-pub(crate) fn decision_hash_ordinal(
-    seed: u64,
-    salt: u64,
-    stage: u64,
-    partition: u64,
-    attempt: u64,
-    ordinal: u64,
-) -> u64 {
-    let h = decision_hash(seed, salt, stage, partition, attempt);
-    if ordinal == 0 {
-        h
-    } else {
-        mix(h ^ ordinal)
-    }
-}
-
 /// Per-kind salts keep the fault kinds' decision streams independent:
 /// whether an attempt suffers a task failure says nothing about whether
 /// its shuffle fetch fails.
@@ -125,10 +101,6 @@ pub(crate) const STRAGGLER_SALT: u64 = 0x7374_7261_6767_6c65; // "straggle"
                                                               // its perturbations never alias the fault plan's decision streams
 pub(crate) const EXPLORE_FETCH_SALT: u64 = 0x6578_706c_6674_6368; // "explftch"
 pub(crate) const EXPLORE_JITTER_SALT: u64 = 0x6578_706c_6a69_7474; // "expljitt"
-                                                                   // salt for the scheduler's deterministic eager-clone decisions in
-                                                                   // explore mode (see `scheduler.rs`): which submissions grow a
-                                                                   // speculative twin must not correlate with any injected fault
-pub(crate) const SPECULATE_SALT: u64 = 0x7370_6563_756c_6174; // "speculat"
 
 /// One probabilistic fault rule, keyed by the full task identity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,38 +141,13 @@ impl FaultRule {
         partition: usize,
         attempt: usize,
     ) -> bool {
-        self.should_fire_ordinal(seed, salt, stage, partition, attempt, 0)
-    }
-
-    /// [`FaultRule::should_fire`] for a specific clone ordinal. Ordinal 0
-    /// decides exactly like `should_fire` always has; a speculative
-    /// clone (ordinal > 0) rolls its own independent fate, so an
-    /// injected straggle or failure on the original does not curse its
-    /// twin. Note `prob >= 1.0` rules still hit every ordinal — an
-    /// always-fail rule genuinely fails clones too.
-    pub(crate) fn should_fire_ordinal(
-        &self,
-        seed: u64,
-        salt: u64,
-        stage: usize,
-        partition: usize,
-        attempt: usize,
-        ordinal: usize,
-    ) -> bool {
         if attempt >= self.max_per_task || self.prob <= 0.0 {
             return false;
         }
         if self.prob >= 1.0 {
             return true;
         }
-        let h = decision_hash_ordinal(
-            seed,
-            salt,
-            stage as u64,
-            partition as u64,
-            attempt as u64,
-            ordinal as u64,
-        );
+        let h = decision_hash(seed, salt, stage as u64, partition as u64, attempt as u64);
         (h as f64 / u64::MAX as f64) < self.prob
     }
 }
@@ -393,62 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn ordinal_zero_reproduces_unkeyed_hash_exactly() {
-        // golden traces and chaos baselines were recorded before the
-        // ordinal existed; the original submission must decide
-        // identically forever
-        for stage in 0..8u64 {
-            for partition in 0..32u64 {
-                for attempt in 0..4u64 {
-                    assert_eq!(
-                        decision_hash_ordinal(9, TASK_SALT, stage, partition, attempt, 0),
-                        decision_hash(9, TASK_SALT, stage, partition, attempt),
-                    );
-                }
-            }
-        }
-        let r = FaultRule::with_prob(0.4, 3);
-        for partition in 0..256 {
-            assert_eq!(
-                r.should_fire_ordinal(7, STRAGGLER_SALT, 1, partition, 0, 0),
-                r.should_fire(7, STRAGGLER_SALT, 1, partition, 0),
-            );
-        }
-    }
-
-    #[test]
-    fn clone_ordinal_rolls_an_independent_fate() {
-        // a clone at the same (stage, partition, attempt) must not
-        // share the original's decision stream: across many partitions
-        // the two ordinals must disagree somewhere in both directions
-        let r = FaultRule::with_prob(0.5, 1);
-        let mut original_only = 0;
-        let mut clone_only = 0;
-        for partition in 0..512 {
-            let o0 = r.should_fire_ordinal(3, STRAGGLER_SALT, 2, partition, 0, 0);
-            let o1 = r.should_fire_ordinal(3, STRAGGLER_SALT, 2, partition, 0, 1);
-            original_only += usize::from(o0 && !o1);
-            clone_only += usize::from(!o0 && o1);
-        }
-        assert!(original_only > 50, "original fired alone {original_only} times");
-        assert!(clone_only > 50, "clone fired alone {clone_only} times");
-        // distinct clone ordinals decide independently of each other too
-        assert_ne!(
-            decision_hash_ordinal(3, TASK_SALT, 0, 0, 0, 1),
-            decision_hash_ordinal(3, TASK_SALT, 0, 0, 0, 2),
-        );
-    }
-
-    #[test]
-    fn always_fire_rules_hit_every_ordinal() {
-        // prob >= 1.0 short-circuits before hashing: an always-fail
-        // rule curses clones exactly like originals (semantically the
-        // fault is "this task cannot run", not "this submission")
-        let r = FaultRule::always_first(2);
-        for ordinal in 0..3 {
-            assert!(r.should_fire_ordinal(0, TASK_SALT, 0, 0, 1, ordinal));
-            assert!(!r.should_fire_ordinal(0, TASK_SALT, 0, 0, 2, ordinal));
-        }
+    fn decision_hash_values_are_pinned() {
+        // chaos baselines and replay tokens depend on every injection
+        // decision staying the same forever: pin a few raw hashes
+        assert_eq!(decision_hash(9, TASK_SALT, 0, 0, 0), 0x253d_de6c_328e_011e);
+        assert_eq!(decision_hash(9, TASK_SALT, 3, 17, 2), 0x7b0b_1f8c_fa6c_6840);
+        assert_eq!(decision_hash(0x5eed, STRAGGLER_SALT, 1, 5, 0), 0x0860_aa85_ada4_2454);
     }
 
     #[test]

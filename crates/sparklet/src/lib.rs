@@ -26,9 +26,8 @@
 //!   algorithm has no executor↔executor communication, the parallel
 //!   runtime on `p` cores is the makespan of independent tasks; we
 //!   measure real per-task busy times and schedule them onto `p` virtual
-//!   executors (greedy LPT) plus a configurable straggler term — this is
-//!   how the 64–512-core curves of Figs. 6b/8e/8f are reproduced on a
-//!   laptop.
+//!   executors (greedy LPT) — this is how the 64–512-core curves of
+//!   Figs. 6b/8e/8f are reproduced on a laptop.
 
 pub mod accumulator;
 pub mod broadcast;
@@ -53,7 +52,7 @@ pub mod trace;
 
 pub use accumulator::Accumulator;
 pub use broadcast::Broadcast;
-pub use config::{ClusterConfig, SpeculationConfig, StragglerConfig, TraceConfig};
+pub use config::{ClusterConfig, TraceConfig};
 pub use context::{Context, KillReport};
 pub use error::{SparkError, SparkResult};
 pub use explore::{ExploreJob, ExploreReport, Explorer, JobArtifacts, MergeOnceCheck, Violation};

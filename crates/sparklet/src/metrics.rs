@@ -6,7 +6,6 @@
 //! quantities: every task records its busy time and virtual executor, and
 //! [`JobMetrics`] aggregates them and feeds the makespan simulator.
 
-use crate::config::{SpeculationConfig, StragglerConfig};
 use crate::memory::MemoryStats;
 use crate::sim::lpt_makespan;
 use std::time::Duration;
@@ -31,17 +30,8 @@ pub struct TaskMetrics {
     pub attempt: usize,
     /// Measured busy time of the successful attempt.
     pub busy: Duration,
-    /// Extra simulated time from the straggler model (not slept).
-    pub straggler_extra: Duration,
     /// Records produced by the task.
     pub records_out: u64,
-}
-
-impl TaskMetrics {
-    /// Busy time plus simulated straggler penalty.
-    pub fn simulated(&self) -> Duration {
-        self.busy + self.straggler_extra
-    }
 }
 
 /// Measurements for one stage.
@@ -68,41 +58,16 @@ impl StageMetrics {
     /// Simulated makespan of this stage on `p` virtual executors,
     /// binding tasks to executors greedily longest-first (LPT).
     pub fn simulated_makespan(&self, p: usize) -> Duration {
-        lpt_makespan(self.tasks.iter().map(|t| t.simulated()), p)
+        lpt_makespan(self.tasks.iter().map(|t| t.busy), p)
     }
 
     /// Longest single task (the stage's critical path with unlimited
     /// executors).
     pub fn max_task(&self) -> Duration {
-        self.tasks.iter().map(|t| t.simulated()).max().unwrap_or(Duration::ZERO)
+        self.tasks.iter().map(|t| t.busy).max().unwrap_or(Duration::ZERO)
     }
 
-    /// Simulated makespan of this stage on `p` executors under a
-    /// speculative-execution policy.
-    ///
-    /// The model mirrors the scheduler's detector: once an attempt has
-    /// run for the stage's median busy time scaled by
-    /// [`SpeculationConfig::multiplier`], a clone is launched; the clone
-    /// is free of the simulated straggler penalty (the penalty is keyed
-    /// by `(seed, stage, partition)` but a wall-clock straggler is an
-    /// environmental accident, which is exactly what speculation
-    /// hedges), so the task's effective duration is capped at
-    /// `busy + median x multiplier`. Tasks that were never straggled are
-    /// unaffected — their simulated time already sits below the cap.
-    /// With the policy disabled this is exactly
-    /// [`StageMetrics::simulated_makespan`].
-    pub fn speculated_makespan(&self, p: usize, spec: SpeculationConfig) -> Duration {
-        if !spec.enabled || self.tasks.is_empty() {
-            return self.simulated_makespan(p);
-        }
-        let mut busys: Vec<Duration> = self.tasks.iter().map(|t| t.busy).collect();
-        busys.sort_unstable();
-        let median = busys[busys.len() / 2];
-        let cap = median.mul_f64(spec.multiplier());
-        lpt_makespan(self.tasks.iter().map(|t| t.simulated().min(t.busy + cap)), p)
-    }
-
-    /// Max-over-mean of simulated task times — the stage's load-balance
+    /// Max-over-mean of task busy times — the stage's load-balance
     /// number. `1.0` means perfectly even tasks; the stage's wall clock
     /// is roughly `mean x ratio` once executors outnumber tasks, so the
     /// ratio is exactly what cost-balanced partitioning tries to pull
@@ -111,7 +76,7 @@ impl StageMetrics {
         if self.tasks.is_empty() {
             return 1.0;
         }
-        let total: Duration = self.tasks.iter().map(|t| t.simulated()).sum();
+        let total: Duration = self.tasks.iter().map(|t| t.busy).sum();
         let mean = total.as_secs_f64() / self.tasks.len() as f64;
         if mean <= 0.0 {
             return 1.0;
@@ -151,13 +116,6 @@ impl JobMetrics {
         self.stages.iter().map(|s| s.simulated_makespan(p)).sum()
     }
 
-    /// Simulated executor wall time on `p` cores under a
-    /// speculative-execution policy (see
-    /// [`StageMetrics::speculated_makespan`]).
-    pub fn speculated_executor_time(&self, p: usize, spec: SpeculationConfig) -> Duration {
-        self.stages.iter().map(|s| s.speculated_makespan(p, spec)).sum()
-    }
-
     /// Driver-side time: job wall minus the time the driver spent just
     /// waiting on stages (i.e. scheduling, collection and merge overhead
     /// inside the engine). Saturates at zero.
@@ -171,31 +129,9 @@ impl JobMetrics {
         self.stages.iter().map(|s| s.failed_attempts).sum()
     }
 
-    /// All task durations (simulated), for external schedulers.
+    /// All task busy times, for external schedulers.
     pub fn task_durations(&self) -> Vec<Duration> {
-        self.stages.iter().flat_map(|s| s.tasks.iter().map(|t| t.simulated())).collect()
-    }
-}
-
-/// Compute the simulated straggler penalty for a task, deterministic in
-/// `(seed, stage, partition)`.
-pub(crate) fn straggler_extra(
-    cfg: StragglerConfig,
-    seed: u64,
-    stage: usize,
-    partition: usize,
-    busy: Duration,
-) -> Duration {
-    if cfg.prob <= 0.0 || cfg.slowdown <= 1.0 {
-        return Duration::ZERO;
-    }
-    let h = crate::fault::mix(
-        seed ^ 0xabcd_ef01 ^ crate::fault::mix(((stage as u64) << 32) | partition as u64),
-    );
-    if (h as f64 / u64::MAX as f64) < cfg.prob {
-        busy.mul_f64(cfg.slowdown - 1.0)
-    } else {
-        Duration::ZERO
+        self.stages.iter().flat_map(|s| s.tasks.iter().map(|t| t.busy)).collect()
     }
 }
 
@@ -209,7 +145,6 @@ mod tests {
             executor: part % 2,
             attempt: 0,
             busy: Duration::from_millis(ms),
-            straggler_extra: Duration::ZERO,
             records_out: 1,
         }
     }
@@ -267,52 +202,5 @@ mod tests {
         assert_eq!(j.simulated_executor_time(2), Duration::from_millis(15));
         assert_eq!(j.driver_overhead(), Duration::from_millis(20));
         assert_eq!(j.task_durations().len(), 3);
-    }
-
-    #[test]
-    fn speculated_makespan_caps_straggler_tails() {
-        // four even 100ms tasks, one straggled to 8x
-        let mut tasks: Vec<TaskMetrics> = (0..4).map(|i| task(i, 100)).collect();
-        tasks[3].straggler_extra = Duration::from_millis(700);
-        let s = stage(tasks);
-        let off = s.simulated_makespan(4);
-        assert_eq!(off, Duration::from_millis(800), "tail dominated by the straggler");
-        let spec = SpeculationConfig::on().with_multiplier_pct(150);
-        let on = s.speculated_makespan(4, spec);
-        // clone launched at 1.5x the 100ms median, finishes busy later
-        assert_eq!(on, Duration::from_millis(250));
-        assert!(off.as_secs_f64() / on.as_secs_f64() >= 2.0, "at least 2x tail reduction");
-        // a disabled policy is exactly the plain simulation
-        assert_eq!(s.speculated_makespan(4, SpeculationConfig::OFF), off);
-        // never-straggled tasks are untouched by the cap
-        let even = stage((0..4).map(|i| task(i, 100)).collect());
-        assert_eq!(even.speculated_makespan(4, spec), even.simulated_makespan(4));
-    }
-
-    #[test]
-    fn straggler_extra_zero_when_disabled() {
-        let d = straggler_extra(StragglerConfig::NONE, 0, 0, 0, Duration::from_secs(1));
-        assert_eq!(d, Duration::ZERO);
-    }
-
-    #[test]
-    fn straggler_extra_applies_slowdown() {
-        let cfg = StragglerConfig { prob: 1.0, slowdown: 3.0 };
-        let d = straggler_extra(cfg, 0, 0, 0, Duration::from_secs(1));
-        assert_eq!(d, Duration::from_secs(2));
-    }
-
-    #[test]
-    fn straggler_is_deterministic_and_partial() {
-        let cfg = StragglerConfig { prob: 0.4, slowdown: 2.0 };
-        let hits: Vec<bool> = (0..200)
-            .map(|p| !straggler_extra(cfg, 9, 1, p, Duration::from_secs(1)).is_zero())
-            .collect();
-        let again: Vec<bool> = (0..200)
-            .map(|p| !straggler_extra(cfg, 9, 1, p, Duration::from_secs(1)).is_zero())
-            .collect();
-        assert_eq!(hits, again);
-        let frac = hits.iter().filter(|&&b| b).count() as f64 / 200.0;
-        assert!(frac > 0.2 && frac < 0.6, "straggler fraction {frac}");
     }
 }

@@ -47,12 +47,6 @@ pub enum DecisionPoint {
     /// fires it after the `k`-th completion; `0` keeps the plan's own
     /// placement).
     Kill,
-    /// Whether a reply that would commit a speculatively-raced
-    /// partition does so now (`0`) or is deferred back into the buffer
-    /// so its twin gets the chance to commit first (`1`). Only consulted
-    /// when both racers' replies are buffered, so the explorer drives
-    /// the clone/original commit race both ways.
-    SpeculativeCommit,
 }
 
 /// A pluggable source of scheduling decisions. See the module docs for
@@ -374,21 +368,6 @@ mod tests {
             assert_eq!(r.choose(DecisionPoint::Reply, arity), 0);
         }
         assert_eq!(r.keyed_seed(), None);
-    }
-
-    #[test]
-    fn speculative_commit_point_is_position_addressed_like_any_other() {
-        // built-in policies are position-addressed: a SpeculativeCommit
-        // site consumes a position and replays exactly like Reply/Drain
-        let s = Seeded::new(5);
-        let first = s.choose(DecisionPoint::SpeculativeCommit, 2);
-        let second = s.choose(DecisionPoint::Reply, 3);
-        assert_eq!(s.positions_used(), 2);
-        let r = Replay::new(s.token());
-        assert_eq!(r.choose(DecisionPoint::SpeculativeCommit, 2), first);
-        assert_eq!(r.choose(DecisionPoint::Reply, 3), second);
-        // the baseline always commits immediately
-        assert_eq!(Replay::baseline().choose(DecisionPoint::SpeculativeCommit, 2), 0);
     }
 
     #[test]

@@ -36,22 +36,20 @@
 //! [`TaskErrorKind::Storage`]: crate::task::TaskErrorKind::Storage
 //! [`FaultPlan`]: crate::FaultPlan
 
-use crate::config::SpeculationConfig;
 use crate::context::Context;
 use crate::error::{SparkError, SparkResult};
 use crate::executor::Envelope;
-use crate::fault::{decision_hash, SPECULATE_SALT};
 use crate::memory::Grant;
-use crate::metrics::{straggler_extra, JobMetrics, StageKind, StageMetrics, TaskMetrics};
+use crate::metrics::{JobMetrics, StageKind, StageMetrics, TaskMetrics};
 use crate::rdd::{AnyRdd, Parent, RddNode, ShuffleDepObj};
 use crate::schedule::DecisionPoint;
 use crate::task::{AttemptResult, TaskErrorKind, TaskOutput, TaskSpec};
 use crate::trace::EventKind;
 use crate::Data;
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Base of the exponential virtual-time backoff between stage-retry
 /// rounds: round `r` waits `BASE << (r - 1)` driver ticks.
@@ -219,15 +217,13 @@ struct ParkedFetch {
 /// larger than the whole budget is a typed error. `force` is the
 /// scheduler's progress guarantee — an idle lane always runs one task —
 /// and overrides crowding but never the too-large rule.
-#[allow(clippy::too_many_arguments)]
 fn submit_reserved(
     ctx: &Context,
     spec: TaskSpec,
     attempt: usize,
-    ordinal: usize,
     force: bool,
     tx: &Sender<AttemptResult>,
-    pending: &mut VecDeque<(TaskSpec, usize, usize)>,
+    pending: &mut VecDeque<(TaskSpec, usize)>,
     in_flight: &mut usize,
 ) -> SparkResult<()> {
     match ctx.inner.memory.reserve_task(spec.executor, spec.mem_hint, force) {
@@ -237,62 +233,15 @@ fn submit_reserved(
             budget: ctx.inner.memory.budget().bytes(),
         }),
         Grant::Deferred => {
-            pending.push_back((spec, attempt, ordinal));
+            pending.push_back((spec, attempt));
             Ok(())
         }
         Grant::Granted => {
-            ctx.inner.pool.submit(Envelope { spec, attempt, ordinal, reply: tx.clone() });
+            ctx.inner.pool.submit(Envelope { spec, attempt, reply: tx.clone() });
             *in_flight += 1;
             Ok(())
         }
     }
-}
-
-/// Submit the accepted (ordinal-0) attempt for a partition, and — when
-/// speculation is enabled under an exploring policy — possibly race a
-/// clone against it right away.
-///
-/// Exploring policies serialize the stage behind a reply barrier, so
-/// wall-clock straggler detection never gets a chance to observe a
-/// "slow" attempt there. Instead the fuzzer's speculation races are
-/// seeded eagerly and deterministically: a hash keyed by
-/// [`SPECULATE_SALT`] clones roughly a quarter of submissions, and the
-/// policy then drives which twin commits first via
-/// [`DecisionPoint::SpeculativeCommit`]. Production (non-exploring)
-/// runs never clone here; they detect stragglers by elapsed time in the
-/// receive loop.
-#[allow(clippy::too_many_arguments)]
-fn submit_speculated(
-    ctx: &Context,
-    spec: TaskSpec,
-    attempt: usize,
-    spec_cfg: SpeculationConfig,
-    explore: bool,
-    cloned: &mut HashSet<(usize, usize)>,
-    submitted_at: &mut HashMap<usize, Instant>,
-    tx: &Sender<AttemptResult>,
-    pending: &mut VecDeque<(TaskSpec, usize, usize)>,
-    in_flight: &mut usize,
-) -> SparkResult<()> {
-    let (stage, partition) = (spec.stage_id, spec.partition);
-    submitted_at.insert(partition, Instant::now());
-    submit_reserved(ctx, spec.clone(), attempt, 0, false, tx, pending, in_flight)?;
-    if spec_cfg.enabled
-        && explore
-        && decision_hash(
-            ctx.inner.config.seed,
-            SPECULATE_SALT,
-            stage as u64,
-            partition as u64,
-            attempt as u64,
-        )
-        .is_multiple_of(4)
-        && cloned.insert((partition, attempt))
-    {
-        ctx.inner.tracer.record_driver(EventKind::SpeculativeLaunch { stage, partition, attempt });
-        submit_reserved(ctx, spec, attempt, 1, false, tx, pending, in_flight)?;
-    }
-    Ok(())
 }
 
 /// Re-try queued submissions after a release may have made room,
@@ -302,7 +251,7 @@ fn submit_speculated(
 fn drain_pending(
     ctx: &Context,
     tx: &Sender<AttemptResult>,
-    pending: &mut VecDeque<(TaskSpec, usize, usize)>,
+    pending: &mut VecDeque<(TaskSpec, usize)>,
     in_flight: &mut usize,
 ) {
     let policy = &ctx.inner.config.schedule;
@@ -310,19 +259,19 @@ fn drain_pending(
         // schedule exploration: the policy picks the drain order by
         // repeatedly choosing the next candidate (the final pick has
         // arity 1 and is free)
-        let mut rest: Vec<(TaskSpec, usize, usize)> = std::mem::take(pending).into_iter().collect();
+        let mut rest: Vec<(TaskSpec, usize)> = std::mem::take(pending).into_iter().collect();
         while !rest.is_empty() {
             let k = policy.choose(DecisionPoint::Drain, rest.len());
             pending.push_back(rest.remove(k));
         }
     }
     let mut still_blocked = VecDeque::with_capacity(pending.len());
-    while let Some((spec, attempt, ordinal)) = pending.pop_front() {
+    while let Some((spec, attempt)) = pending.pop_front() {
         if ctx.inner.memory.reserve_task_quiet(spec.executor, spec.mem_hint) {
-            ctx.inner.pool.submit(Envelope { spec, attempt, ordinal, reply: tx.clone() });
+            ctx.inner.pool.submit(Envelope { spec, attempt, reply: tx.clone() });
             *in_flight += 1;
         } else {
-            still_blocked.push_back((spec, attempt, ordinal));
+            still_blocked.push_back((spec, attempt));
         }
     }
     *pending = still_blocked;
@@ -354,37 +303,17 @@ fn run_stage(
     let cfg = &ctx.inner.config;
     let policy = Arc::clone(&cfg.schedule);
     let explore = policy.reorders();
-    let spec_cfg = ctx.speculation();
-    let speculating = spec_cfg.enabled;
 
     // the attempt number currently accepted per partition; replies with
     // any other attempt are stale (superseded by a requeue) and dropped
     let mut expected: HashMap<usize, usize> = HashMap::with_capacity(total);
     let mut in_flight = 0usize;
     // submissions deferred by memory backpressure, in submission order
-    let mut pending: VecDeque<(TaskSpec, usize, usize)> = VecDeque::new();
-    // (partition, attempt) pairs that have a speculative clone — at most
-    // one clone per accepted attempt; doubles as the stale-filter clue
-    // that a duplicate reply is a raced twin, not a requeue leftover
-    let mut cloned: HashSet<(usize, usize)> = HashSet::new();
-    // when the accepted attempt of each partition was handed to the
-    // pool; drives wall-clock straggler detection in production mode
-    let mut submitted_at: HashMap<usize, Instant> = HashMap::with_capacity(total);
+    let mut pending: VecDeque<(TaskSpec, usize)> = VecDeque::new();
     for spec in tasks {
         expected.insert(spec.partition, 0);
-        submit_speculated(
-            ctx,
-            spec,
-            0,
-            spec_cfg,
-            explore,
-            &mut cloned,
-            &mut submitted_at,
-            &tx,
-            &mut pending,
-            &mut in_flight,
-        )
-        .map_err(|e| finish_err(0, e))?;
+        submit_reserved(ctx, spec, 0, false, &tx, &mut pending, &mut in_flight)
+            .map_err(|e| finish_err(0, e))?;
     }
     let kills: Vec<crate::fault::ExecutorKillAt> = cfg
         .fault
@@ -415,7 +344,6 @@ fn run_stage(
     let mut parked: Vec<ParkedFetch> = Vec::new();
     let mut failed_attempts = 0usize;
     let mut stage_retries = 0usize;
-    let mut completions = 0usize;
     let mut done = 0usize;
 
     while done < total {
@@ -427,9 +355,9 @@ fn run_stage(
             // of the queue through (the progress guarantee — an idle
             // lane always runs one task, even over budget)
             debug_assert!(!pending.is_empty(), "stage stalled with nothing in flight");
-            let (spec, attempt, ordinal) =
+            let (spec, attempt) =
                 pending.pop_front().expect("pending non-empty when stage is stalled");
-            submit_reserved(ctx, spec, attempt, ordinal, true, &tx, &mut pending, &mut in_flight)
+            submit_reserved(ctx, spec, attempt, true, &tx, &mut pending, &mut in_flight)
                 .map_err(|e| finish_err(failed_attempts, e))?;
             drain_pending(ctx, &tx, &mut pending, &mut in_flight);
             continue;
@@ -477,28 +405,11 @@ fn run_stage(
                 }
             }
             for p in parked.drain(..) {
-                if outputs.contains_key(&p.partition) {
-                    // a speculative twin committed this partition while
-                    // its original sat parked on the fetch failure; the
-                    // failure is moot, nothing to resubmit
-                    continue;
-                }
                 let next = p.attempt + 1;
                 expected.insert(p.partition, next);
                 let spec = specs.get(&p.partition).expect("parked partition was submitted").clone();
-                submit_speculated(
-                    ctx,
-                    spec,
-                    next,
-                    spec_cfg,
-                    explore,
-                    &mut cloned,
-                    &mut submitted_at,
-                    &tx,
-                    &mut pending,
-                    &mut in_flight,
-                )
-                .map_err(|e| finish_err(failed_attempts, e))?;
+                submit_reserved(ctx, spec, next, false, &tx, &mut pending, &mut in_flight)
+                    .map_err(|e| finish_err(failed_attempts, e))?;
             }
             continue;
         }
@@ -511,88 +422,9 @@ fn run_stage(
             while reply_buf.len() < in_flight {
                 reply_buf.push(rx.recv().expect("executor pool alive while context exists"));
             }
-            reply_buf.sort_by_key(|r| (r.partition, r.attempt, r.ordinal));
+            reply_buf.sort_by_key(|r| (r.partition, r.attempt));
             let k = policy.choose(DecisionPoint::Reply, reply_buf.len());
-            let r = reply_buf.remove(k);
-            if speculating
-                && r.outcome.is_ok()
-                && expected.get(&r.partition) == Some(&r.attempt)
-                && !outputs.contains_key(&r.partition)
-                && reply_buf.iter().any(|o| o.partition == r.partition && o.attempt == r.attempt)
-                && policy.choose(DecisionPoint::SpeculativeCommit, 2) == 1
-            {
-                // both racers' replies are buffered and this one would
-                // commit: the policy may defer it so its twin wins
-                // instead. `in_flight` is untouched, so the fill loop
-                // above is already satisfied on re-entry; positions
-                // advance every iteration, so this terminates.
-                reply_buf.push(r);
-                continue;
-            }
-            r
-        } else if speculating {
-            // production straggler detection: poll the reply channel,
-            // and while it stays quiet look for accepted attempts that
-            // have overrun the stage's median completed busy time by
-            // the configured multiple; race one clone against each
-            loop {
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(r) => break r,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        panic!("executor pool alive while context exists")
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if completions < spec_cfg.min_completions.max(1)
-                            || completions * 100 < spec_cfg.quantile_pct as usize * total
-                        {
-                            continue;
-                        }
-                        let mut busys: Vec<Duration> =
-                            task_metrics.iter().map(|t: &TaskMetrics| t.busy).collect();
-                        busys.sort_unstable();
-                        let median = busys[busys.len() / 2];
-                        // floor the threshold so microsecond-scale
-                        // medians do not clone every task on the first
-                        // quiet poll
-                        let threshold =
-                            median.mul_f64(spec_cfg.multiplier()).max(Duration::from_millis(1));
-                        let mut overdue: Vec<usize> = expected
-                            .iter()
-                            .filter(|(p, &a)| {
-                                !outputs.contains_key(*p)
-                                    && !parked.iter().any(|f| f.partition == **p)
-                                    && !pending.iter().any(|(s, _, _)| s.partition == **p)
-                                    && !cloned.contains(&(**p, a))
-                                    && submitted_at.get(*p).is_some_and(|t| t.elapsed() > threshold)
-                            })
-                            .map(|(p, _)| *p)
-                            .collect();
-                        overdue.sort_unstable();
-                        for p in overdue {
-                            let attempt = expected[&p];
-                            cloned.insert((p, attempt));
-                            ctx.inner.tracer.record_driver(EventKind::SpeculativeLaunch {
-                                stage: stage_id,
-                                partition: p,
-                                attempt,
-                            });
-                            let spec =
-                                specs.get(&p).expect("overdue partition was submitted").clone();
-                            submit_reserved(
-                                ctx,
-                                spec,
-                                attempt,
-                                1,
-                                false,
-                                &tx,
-                                &mut pending,
-                                &mut in_flight,
-                            )
-                            .map_err(|e| finish_err(failed_attempts, e))?;
-                        }
-                    }
-                }
-            }
+            reply_buf.remove(k)
         } else {
             rx.recv().expect("executor pool alive while context exists")
         };
@@ -603,56 +435,27 @@ fn run_stage(
         if expected.get(&r.partition) != Some(&r.attempt) {
             // superseded by a requeue after an executor kill: drop the
             // reply *and* its accumulator updates (merge-once)
-            if r.ordinal > 0 {
-                ctx.inner.tracer.record_driver(EventKind::SpeculativeLoss {
-                    stage: stage_id,
-                    partition: r.partition,
-                    attempt: r.attempt,
-                    ordinal: r.ordinal,
-                });
-            }
             continue;
         }
         if outputs.contains_key(&r.partition) {
-            // first-commit-wins: the partition already committed at this
-            // very attempt, so this reply is the losing side of a
-            // speculation race — drop it and its accumulator updates
-            // (merge-once), whichever ordinal lost
-            ctx.inner.tracer.record_driver(EventKind::SpeculativeLoss {
-                stage: stage_id,
-                partition: r.partition,
-                attempt: r.attempt,
-                ordinal: r.ordinal,
-            });
+            // the partition already committed: a second reply must not
+            // merge its accumulator updates again (merge-once)
             continue;
         }
         match r.outcome {
             Ok(output) => {
-                if cloned.contains(&(r.partition, r.attempt)) {
-                    // this commit wins a speculation race; its twin's
-                    // reply (or pending submission) is now a loser
-                    ctx.inner.tracer.record_driver(EventKind::SpeculativeWin {
-                        stage: stage_id,
-                        partition: r.partition,
-                        attempt: r.attempt,
-                        ordinal: r.ordinal,
-                    });
-                }
                 ctx.inner.accums.apply_all(r.accum_updates);
-                let extra = straggler_extra(cfg.straggler, cfg.seed, stage_id, r.partition, r.busy);
                 task_metrics.push(TaskMetrics {
                     partition: r.partition,
                     executor: r.executor,
                     attempt: r.attempt,
                     busy: r.busy,
-                    straggler_extra: extra,
                     records_out: 0,
                 });
                 outputs.insert(r.partition, output);
                 done += 1;
-                completions += 1;
                 for (i, k) in kills.iter().enumerate() {
-                    if kills_fired[i] || completions < k.after_tasks {
+                    if kills_fired[i] || done < k.after_tasks {
                         continue;
                     }
                     kills_fired[i] = true;
@@ -666,7 +469,7 @@ fn run_stage(
                         .filter(|p| {
                             !outputs.contains_key(p)
                                 && !parked.iter().any(|f| f.partition == *p)
-                                && !pending.iter().any(|(s, _, _)| s.partition == *p)
+                                && !pending.iter().any(|(s, _)| s.partition == *p)
                                 && specs.get(p).is_some_and(|s| s.executor == k.executor)
                         })
                         .collect();
@@ -675,36 +478,12 @@ fn run_stage(
                         let next = expected[&p] + 1;
                         expected.insert(p, next);
                         let spec = specs.get(&p).expect("victim partition was submitted").clone();
-                        submit_speculated(
-                            ctx,
-                            spec,
-                            next,
-                            spec_cfg,
-                            explore,
-                            &mut cloned,
-                            &mut submitted_at,
-                            &tx,
-                            &mut pending,
-                            &mut in_flight,
-                        )
-                        .map_err(|e| finish_err(failed_attempts, e))?;
+                        submit_reserved(ctx, spec, next, false, &tx, &mut pending, &mut in_flight)
+                            .map_err(|e| finish_err(failed_attempts, e))?;
                     }
                 }
             }
             Err(err) => {
-                if r.ordinal > 0 {
-                    // a clone failed while its original is still in
-                    // flight: drop it without touching the retry ladder
-                    // — the original's outcome stays authoritative, so
-                    // retry counts match the speculation-free run
-                    ctx.inner.tracer.record_driver(EventKind::SpeculativeLoss {
-                        stage: stage_id,
-                        partition: r.partition,
-                        attempt: r.attempt,
-                        ordinal: r.ordinal,
-                    });
-                    continue;
-                }
                 failed_attempts += 1;
                 match err.kind {
                     TaskErrorKind::FetchFailed { shuffle } if deps.contains_key(&shuffle) => {
@@ -738,19 +517,8 @@ fn run_stage(
                             .get(&r.partition)
                             .expect("result for a submitted partition")
                             .clone();
-                        submit_speculated(
-                            ctx,
-                            spec,
-                            next,
-                            spec_cfg,
-                            explore,
-                            &mut cloned,
-                            &mut submitted_at,
-                            &tx,
-                            &mut pending,
-                            &mut in_flight,
-                        )
-                        .map_err(|e| finish_err(failed_attempts, e))?;
+                        submit_reserved(ctx, spec, next, false, &tx, &mut pending, &mut in_flight)
+                            .map_err(|e| finish_err(failed_attempts, e))?;
                     }
                 }
             }

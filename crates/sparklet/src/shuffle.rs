@@ -17,9 +17,7 @@
 //! as paired [`EventKind::MapOutputLost`] / [`EventKind::MapOutputRecomputed`]
 //! trace events.
 
-use crate::fault::{
-    decision_hash, decision_hash_ordinal, FaultRule, EXPLORE_FETCH_SALT, FETCH_SALT, VICTIM_SALT,
-};
+use crate::fault::{decision_hash, FaultRule, EXPLORE_FETCH_SALT, FETCH_SALT, VICTIM_SALT};
 use crate::memory::MemoryManager;
 use crate::schedule::{Fifo, SchedulePolicy};
 use crate::spill::{SpillHandle, SpillStore};
@@ -383,13 +381,12 @@ impl ShuffleManager {
     ) -> Result<Vec<Bucket>, TaskError> {
         if self.fetch_fault.is_active() {
             if let Some(scope) = trace::task_scope() {
-                let fire = self.fetch_fault.should_fire_ordinal(
+                let fire = self.fetch_fault.should_fire(
                     self.seed,
                     FETCH_SALT.wrapping_add(shuffle_id as u64),
                     scope.stage,
                     scope.partition,
                     scope.attempt,
-                    scope.ordinal,
                 );
                 if fire {
                     let victim = self.inject_lost_output(shuffle_id, scope);
@@ -422,13 +419,12 @@ impl ShuffleManager {
     fn inject_lost_output(&self, shuffle_id: usize, scope: trace::TaskScope) -> usize {
         let mut s = self.shuffles.lock();
         let Some(st) = s.get_mut(&shuffle_id) else { return 0 };
-        let h = decision_hash_ordinal(
+        let h = decision_hash(
             self.seed,
             VICTIM_SALT.wrapping_add(shuffle_id as u64),
             scope.stage as u64,
             scope.partition as u64,
             scope.attempt as u64,
-            scope.ordinal as u64,
         );
         let victim = (h % st.num_maps.max(1) as u64) as usize;
         st.outputs[victim] = None;
@@ -591,13 +587,7 @@ mod tests {
         m.put_map_output(3, 1, 1, vec![bucket(vec![(2, 2)])], 1, 8);
 
         // attempt 0 inside a task scope: injection fires, a victim is lost
-        trace::set_task_scope(Some(TaskScope {
-            stage: 9,
-            partition: 0,
-            attempt: 0,
-            ordinal: 0,
-            executor: 0,
-        }));
+        trace::set_task_scope(Some(TaskScope { stage: 9, partition: 0, attempt: 0, executor: 0 }));
         let err = m.fetch_checked(3, 0).unwrap_err();
         assert!(err.injected, "{err}");
         let missing = m.missing_maps(3);
@@ -605,13 +595,7 @@ mod tests {
 
         // recompute the victim, then attempt 1 succeeds
         m.put_map_output(3, missing[0], 0, vec![bucket(vec![(1, 1)])], 1, 8);
-        trace::set_task_scope(Some(TaskScope {
-            stage: 9,
-            partition: 0,
-            attempt: 1,
-            ordinal: 0,
-            executor: 0,
-        }));
+        trace::set_task_scope(Some(TaskScope { stage: 9, partition: 0, attempt: 1, executor: 0 }));
         assert!(m.fetch_checked(3, 0).is_ok());
         trace::set_task_scope(None);
     }

@@ -121,9 +121,6 @@ pub(crate) struct AttemptResult {
     pub partition: usize,
     pub executor: usize,
     pub attempt: usize,
-    /// Clone ordinal of the submission (0 = the original; >0 = a
-    /// speculative twin racing it at the same attempt number).
-    pub ordinal: usize,
     pub busy: Duration,
     pub outcome: Result<TaskOutput, TaskError>,
     /// Buffered accumulator updates (merged only on success).

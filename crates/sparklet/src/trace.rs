@@ -42,11 +42,6 @@ pub struct TaskScope {
     pub partition: usize,
     /// Attempt number (0-based).
     pub attempt: usize,
-    /// Clone ordinal of the submission (0 = the original; >0 = a
-    /// speculative twin racing the original at the same attempt).
-    /// Clone-scoped events consume zero virtual ticks and are stripped
-    /// by [`Trace::without_speculation`].
-    pub ordinal: usize,
     /// Virtual executor the attempt is bound to.
     pub executor: usize,
 }
@@ -223,42 +218,6 @@ pub enum EventKind {
         /// Bytes involved.
         bytes: u64,
     },
-    /// The scheduler launched a speculative clone of an in-flight
-    /// attempt (driver-side, zero virtual ticks — like
-    /// [`EventKind::MemoryAction`], a trace with its speculation events
-    /// stripped is byte-identical to the speculation-free run).
-    SpeculativeLaunch {
-        /// Stage of the raced attempt.
-        stage: usize,
-        /// Partition being raced.
-        partition: usize,
-        /// Attempt number both the original and the clone run at.
-        attempt: usize,
-    },
-    /// A raced attempt committed first (driver-side, zero ticks).
-    SpeculativeWin {
-        /// Stage of the raced attempt.
-        stage: usize,
-        /// Partition that committed.
-        partition: usize,
-        /// Attempt number of the committed result.
-        attempt: usize,
-        /// Which submission won: 0 = the original, >0 = a clone.
-        ordinal: usize,
-    },
-    /// A raced attempt's reply was discarded — its twin had already
-    /// committed the partition, or a clone failed before the original
-    /// resolved (driver-side, zero ticks).
-    SpeculativeLoss {
-        /// Stage of the raced attempt.
-        stage: usize,
-        /// Partition whose duplicate reply was dropped.
-        partition: usize,
-        /// Attempt number of the dropped reply.
-        attempt: usize,
-        /// Which submission lost: 0 = the original, >0 = a clone.
-        ordinal: usize,
-    },
     /// Spatial-kernel counters for one task (recorded in-task before
     /// completion). The counts are defined over *visited* leaves, so
     /// they are invariant across scalar, lane-blocked and batched
@@ -315,9 +274,6 @@ impl EventKind {
             EventKind::BuildShard { .. } => "phase",
             EventKind::MemoryAction { .. } => "memory",
             EventKind::TaskKernel { .. } => "kernel",
-            EventKind::SpeculativeLaunch { .. }
-            | EventKind::SpeculativeWin { .. }
-            | EventKind::SpeculativeLoss { .. } => "speculation",
         }
     }
 
@@ -332,11 +288,7 @@ impl EventKind {
             }
             EventKind::DfsBlockRead { bytes, .. } => 1 + bytes / 1024,
             EventKind::TaskWork { units } => 1 + units / 16,
-            EventKind::MemoryAction { .. }
-            | EventKind::TaskKernel { .. }
-            | EventKind::SpeculativeLaunch { .. }
-            | EventKind::SpeculativeWin { .. }
-            | EventKind::SpeculativeLoss { .. } => 0,
+            EventKind::MemoryAction { .. } | EventKind::TaskKernel { .. } => 0,
             _ => 1,
         }
     }
@@ -403,36 +355,6 @@ impl Trace {
                 .events
                 .iter()
                 .filter(|e| !matches!(e.kind, EventKind::TaskKernel { .. }))
-                .copied()
-                .collect(),
-            dropped: self.dropped,
-        }
-    }
-
-    /// The trace with everything speculation added removed: the
-    /// driver's `Speculative{Launch,Win,Loss}` markers and every event
-    /// scoped to a clone submission (`scope.ordinal > 0`). Speculation
-    /// events consume zero virtual ticks and clones never perturb the
-    /// originals' lanes, so on a run where every original attempt still
-    /// runs to completion (clean runs, pure-straggler plans) this is
-    /// byte-identical to the trace of the same workload with
-    /// speculation disabled — the invariant the chaos identity tests
-    /// and `perf_suite` experiment 6 assert. Under failure-injecting
-    /// plans a clone win can elide the original's remaining retry
-    /// chain, so only label identity is asserted there.
-    pub fn without_speculation(&self) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .filter(|e| {
-                    !matches!(
-                        e.kind,
-                        EventKind::SpeculativeLaunch { .. }
-                            | EventKind::SpeculativeWin { .. }
-                            | EventKind::SpeculativeLoss { .. }
-                    ) && e.scope.is_none_or(|s| s.ordinal == 0)
-                })
                 .copied()
                 .collect(),
             dropped: self.dropped,
@@ -534,20 +456,16 @@ impl TraceCollector {
             }
         }
         // Canonical key: driver events by their epoch; task events by
-        // (stage epoch, partition, attempt, clone ordinal) — all
-        // deterministic for a fixed seed — with the raw sequence as a
-        // within-attempt tiebreaker (single-threaded there, hence
-        // deterministic too). The ordinal slots a speculative clone's
-        // events directly after its original's, so stripping them
-        // leaves the remaining order untouched.
+        // (stage epoch, partition, attempt) — all deterministic for a
+        // fixed seed — with the raw sequence as a within-attempt
+        // tiebreaker (single-threaded there, hence deterministic too).
         let key = |e: &RawEvent| match e.scope {
-            None => (e.epoch, 0u8, 0usize, 0usize, 0usize, e.seq),
+            None => (e.epoch, 0u8, 0usize, 0usize, e.seq),
             Some(s) => (
                 stage_epoch.get(&s.stage).copied().unwrap_or(u64::MAX),
                 1u8,
                 s.partition,
                 s.attempt,
-                s.ordinal,
                 e.seq,
             ),
         };
@@ -575,16 +493,6 @@ impl TraceCollector {
                 (None, EventKind::MemoryAction { .. }) | (None, EventKind::TaskKernel { .. }) => {
                     vs.now()
                 }
-                // speculation markers likewise: they only exist with
-                // speculation enabled, and the rest of the timeline
-                // must not move when it is turned on
-                (None, EventKind::SpeculativeLaunch { .. })
-                | (None, EventKind::SpeculativeWin { .. })
-                | (None, EventKind::SpeculativeLoss { .. }) => vs.now(),
-                // clone-scoped events are virtual-time-neutral: a
-                // speculative twin occupies no executor lane and moves
-                // no cursor, so the originals' timeline is unchanged
-                (Some(s), _) if s.ordinal > 0 => vs.now(),
                 (None, kind) => {
                     let t = vs.driver_tick();
                     if let EventKind::StageStart { stage, .. } = kind {
@@ -829,16 +737,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut job_open: HashMap<usize, u64> = HashMap::new();
     let mut stage_open: HashMap<usize, (u64, StageKind, usize)> = HashMap::new();
     let mut phase_open: HashMap<&'static str, Vec<u64>> = HashMap::new();
-    let mut task_open: HashMap<(usize, usize, usize, usize), (u64, usize)> = HashMap::new();
-    // `task s0p1 a0` for originals (unchanged from pre-speculation
-    // exports); clones append their ordinal as ` c1`
-    fn task_name(stage: usize, partition: usize, attempt: usize, ordinal: usize) -> String {
-        if ordinal == 0 {
-            format!("task s{stage}p{partition} a{attempt}")
-        } else {
-            format!("task s{stage}p{partition} a{attempt} c{ordinal}")
-        }
-    }
+    let mut task_open: HashMap<(usize, usize, usize), (u64, usize)> = HashMap::new();
     let mut executors: BTreeMap<u64, ()> = BTreeMap::new();
     let last_vt = trace.events.last().map(|e| e.vt).unwrap_or(0);
 
@@ -904,14 +803,13 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             }
             EventKind::TaskStart => {
                 if let Some(s) = e.scope {
-                    task_open
-                        .insert((s.stage, s.partition, s.attempt, s.ordinal), (e.vt, s.executor));
+                    task_open.insert((s.stage, s.partition, s.attempt), (e.vt, s.executor));
                 }
             }
             EventKind::TaskSuccess | EventKind::TaskFailure { .. } => {
                 if let Some(s) = e.scope {
                     let (start, _) = task_open
-                        .remove(&(s.stage, s.partition, s.attempt, s.ordinal))
+                        .remove(&(s.stage, s.partition, s.attempt))
                         .unwrap_or((e.vt, s.executor));
                     let (status, injected) = match e.kind {
                         EventKind::TaskFailure { injected } => ("failed", injected),
@@ -920,15 +818,15 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                     complete(
                         &mut entries,
                         &mut order,
-                        &task_name(s.stage, s.partition, s.attempt, s.ordinal),
+                        &format!("task s{}p{} a{}", s.stage, s.partition, s.attempt),
                         "task",
                         start,
                         e.vt - start,
                         pid,
                         tid,
                         &format!(
-                            "\"stage\":{},\"partition\":{},\"attempt\":{},\"ordinal\":{},\"status\":\"{}\",\"injected\":{}",
-                            s.stage, s.partition, s.attempt, s.ordinal, status, injected
+                            "\"stage\":{},\"partition\":{},\"attempt\":{},\"status\":\"{}\",\"injected\":{}",
+                            s.stage, s.partition, s.attempt, status, injected
                         ),
                     );
                 }
@@ -1039,31 +937,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                         "\"blocks\":{blocks},\"rows\":{rows},\"hits\":{hits},\"early_exits\":{early_exits}"
                     )),
             ),
-            EventKind::SpeculativeLaunch { stage, partition, attempt } => push(
-                &mut entries,
-                &mut order,
-                e.vt,
-                instant("speculative launch", "speculation", e.vt, pid, tid,
-                    &format!("\"stage\":{stage},\"partition\":{partition},\"attempt\":{attempt}")),
-            ),
-            EventKind::SpeculativeWin { stage, partition, attempt, ordinal } => push(
-                &mut entries,
-                &mut order,
-                e.vt,
-                instant("speculative win", "speculation", e.vt, pid, tid,
-                    &format!(
-                        "\"stage\":{stage},\"partition\":{partition},\"attempt\":{attempt},\"ordinal\":{ordinal}"
-                    )),
-            ),
-            EventKind::SpeculativeLoss { stage, partition, attempt, ordinal } => push(
-                &mut entries,
-                &mut order,
-                e.vt,
-                instant("speculative loss", "speculation", e.vt, pid, tid,
-                    &format!(
-                        "\"stage\":{stage},\"partition\":{partition},\"attempt\":{attempt},\"ordinal\":{ordinal}"
-                    )),
-            ),
         }
     }
 
@@ -1119,12 +992,12 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             );
         }
     }
-    for ((stage, partition, attempt, ordinal), (start, executor)) in task_open {
+    for ((stage, partition, attempt), (start, executor)) in task_open {
         complete(&mut entries, &mut order,
-            &task_name(stage, partition, attempt, ordinal), "task", start,
+            &format!("task s{stage}p{partition} a{attempt}"), "task", start,
             last_vt.saturating_sub(start), executor as u64 + 1, partition as u64,
             &format!(
-                "\"stage\":{stage},\"partition\":{partition},\"attempt\":{attempt},\"ordinal\":{ordinal},\"status\":\"open\",\"injected\":false"
+                "\"stage\":{stage},\"partition\":{partition},\"attempt\":{attempt},\"status\":\"open\",\"injected\":false"
             ));
     }
 
@@ -1260,7 +1133,7 @@ pub fn ascii_timeline(trace: &Trace) -> String {
         attempts: Vec<Attempt>,
     }
     let mut stages: Vec<Stage> = Vec::new();
-    let mut open: HashMap<(usize, usize, usize, usize), u64> = HashMap::new();
+    let mut open: HashMap<(usize, usize, usize), u64> = HashMap::new();
     for e in &trace.events {
         match (e.scope, e.kind) {
             (None, EventKind::StageStart { stage, kind, .. }) => stages.push(Stage {
@@ -1278,11 +1151,10 @@ pub fn ascii_timeline(trace: &Trace) -> String {
                 }
             }
             (Some(s), EventKind::TaskStart) => {
-                open.insert((s.stage, s.partition, s.attempt, s.ordinal), e.vt);
+                open.insert((s.stage, s.partition, s.attempt), e.vt);
             }
             (Some(s), EventKind::TaskSuccess) | (Some(s), EventKind::TaskFailure { .. }) => {
-                let start =
-                    open.remove(&(s.stage, s.partition, s.attempt, s.ordinal)).unwrap_or(e.vt);
+                let start = open.remove(&(s.stage, s.partition, s.attempt)).unwrap_or(e.vt);
                 let status = match e.kind {
                     EventKind::TaskFailure { injected: true } => "fail(injected)",
                     EventKind::TaskFailure { injected: false } => "fail",
@@ -1315,21 +1187,10 @@ pub fn ascii_timeline(trace: &Trace) -> String {
             for i in 0..WIDTH.max(fill) {
                 bar.push(if i >= lead && i < fill { '#' } else { '.' });
             }
-            // clone rows are tagged; ordinal-0 rows keep the exact
-            // pre-speculation format
-            let clone_tag =
-                if a.scope.ordinal > 0 { format!(" c{}", a.scope.ordinal) } else { String::new() };
             let _ = writeln!(
                 out,
-                "  p{:<3} a{}{} e{:<3} |{}| {:>6}..{:<6} {}",
-                a.scope.partition,
-                a.scope.attempt,
-                clone_tag,
-                a.scope.executor,
-                bar,
-                a.start,
-                a.end,
-                a.status
+                "  p{:<3} a{} e{:<3} |{}| {:>6}..{:<6} {}",
+                a.scope.partition, a.scope.attempt, a.scope.executor, bar, a.start, a.end, a.status
             );
         }
     }
@@ -1344,7 +1205,7 @@ mod tests {
     use super::*;
 
     fn scope(stage: usize, partition: usize, attempt: usize) -> TaskScope {
-        TaskScope { stage, partition, attempt, ordinal: 0, executor: partition % 2 }
+        TaskScope { stage, partition, attempt, executor: partition % 2 }
     }
 
     fn enabled_collector(capacity: usize) -> TraceCollector {
@@ -1500,75 +1361,6 @@ mod tests {
         let summary = validate_chrome_trace(&json).expect("trace with kernel event validates");
         assert_eq!(summary.count("kernel"), 1);
         assert!(json.contains("\"early_exits\":1"));
-    }
-
-    #[test]
-    fn speculation_events_consume_zero_ticks_and_strip_cleanly() {
-        // a run where partition 0's original is raced by a clone that
-        // loses: stripping the speculation artifacts must reproduce the
-        // speculation-free trace byte for byte
-        let build = |with_speculation: bool| {
-            let c = enabled_collector(1024);
-            c.record_driver(EventKind::StageStart { stage: 0, kind: StageKind::Result, tasks: 2 });
-            let s0 = scope(0, 0, 0);
-            let s1 = scope(0, 1, 0);
-            let clone0 = TaskScope { ordinal: 1, ..s0 };
-            c.record(Some(s1), EventKind::TaskStart);
-            c.record(Some(s1), EventKind::TaskSuccess);
-            if with_speculation {
-                c.record_driver(EventKind::SpeculativeLaunch {
-                    stage: 0,
-                    partition: 0,
-                    attempt: 0,
-                });
-                c.record(Some(clone0), EventKind::TaskStart);
-                c.record(Some(clone0), EventKind::TaskWork { units: 64 });
-                c.record(Some(clone0), EventKind::TaskSuccess);
-            }
-            c.record(Some(s0), EventKind::TaskStart);
-            c.record(Some(s0), EventKind::TaskSuccess);
-            if with_speculation {
-                c.record_driver(EventKind::SpeculativeWin {
-                    stage: 0,
-                    partition: 0,
-                    attempt: 0,
-                    ordinal: 0,
-                });
-                c.record_driver(EventKind::SpeculativeLoss {
-                    stage: 0,
-                    partition: 0,
-                    attempt: 0,
-                    ordinal: 1,
-                });
-            }
-            c.record_driver(EventKind::StageEnd { stage: 0, failed_attempts: 0 });
-            c.snapshot()
-        };
-        let with = build(true);
-        let without = build(false);
-        assert_eq!(format!("{:?}", with.without_speculation()), format!("{without:?}"));
-        // clone events carry real (current-clock) timestamps but move
-        // no lane: the stage end must join past the originals only
-        let json = chrome_trace_json(&with);
-        let summary = validate_chrome_trace(&json).expect("trace with clones validates");
-        assert_eq!(summary.count("speculation"), 3);
-        assert!(json.contains("task s0p0 a0 c1"), "clone span is named distinctly");
-        assert!(json.contains("\"ordinal\":1"));
-    }
-
-    #[test]
-    fn clone_rows_are_tagged_in_the_ascii_timeline() {
-        let c = enabled_collector(1024);
-        c.record_driver(EventKind::StageStart { stage: 0, kind: StageKind::Result, tasks: 1 });
-        let s = scope(0, 0, 0);
-        let clone = TaskScope { ordinal: 2, ..s };
-        c.record(Some(s), EventKind::TaskStart);
-        c.record(Some(clone), EventKind::TaskStart);
-        c.record(Some(clone), EventKind::TaskSuccess);
-        c.record(Some(s), EventKind::TaskSuccess);
-        c.record_driver(EventKind::StageEnd { stage: 0, failed_attempts: 0 });
-        let timeline = ascii_timeline(&c.snapshot());
-        assert!(timeline.contains("a0 c2"), "{timeline}");
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use sparklet::{
         ClusterConfig, Context, ExploreJob, ExploreReport, Explorer, MemoryBudget, MemoryStats,
-        Replay, ReplayToken, SchedulePolicy, Seeded, SparkError, SpeculationConfig, SpillError,
-        TraceConfig, TraceHandle,
+        Replay, ReplayToken, SchedulePolicy, Seeded, SparkError, SpillError, TraceConfig,
+        TraceHandle,
     };
 }

@@ -352,83 +352,6 @@ fn chaos_tight_budget_matches_unbudgeted() {
 }
 
 #[test]
-fn chaos_speculation_on_matches_clean_under_every_plan() {
-    // speculative execution races duplicate attempts against slow
-    // originals; first-commit-wins must make the race invisible: every
-    // runner under every fault plan with speculation enabled reproduces
-    // the clean speculation-free labels byte for byte, recovery stays
-    // surgical, and a summing accumulator still merges exactly once
-    for seed in SEEDS {
-        let (data, params) = dataset(seed);
-
-        let clean_ctx = Context::new(ClusterConfig::local(PARTITIONS).with_seed(seed));
-        let clean_env = RunEnv::engine(&clean_ctx);
-        let clean_labels: Vec<Vec<Label>> = runners(params)
-            .iter()
-            .map(|r| {
-                let out = r
-                    .run_dbscan(&clean_env, Arc::clone(&data))
-                    .unwrap_or_else(|e| panic!("chaos[seed={seed} clean {}]: {e}", r.name()));
-                out.clustering.canonicalize().labels
-            })
-            .collect();
-
-        for (plan_name, plan) in plans() {
-            for (i, runner) in runners(params).iter().enumerate() {
-                let tag =
-                    format!("seed={seed} plan={plan_name} runner={} speculation=on", runner.name());
-                let ctx = Context::new(
-                    chaos_config(seed, &plan).with_speculation(SpeculationConfig::on()),
-                );
-                let env = RunEnv::engine(&ctx);
-                let out = match runner.run_dbscan(&env, Arc::clone(&data)) {
-                    Ok(out) => out,
-                    Err(e) => fail(
-                        &tag,
-                        Some(&ctx.trace().snapshot()),
-                        &format!("speculative run failed: {e}"),
-                    ),
-                };
-                let trace = ctx.trace().snapshot();
-                if out.clustering.canonicalize().labels != clean_labels[i] {
-                    fail(&tag, Some(&trace), "speculative clustering differs from clean run");
-                }
-                let (lost, recomputed) = lost_and_recomputed(&trace);
-                if !recomputed.is_subset(&lost) {
-                    fail(&tag, Some(&trace), "recomputed a map output that was never lost");
-                }
-            }
-
-            // merge-once survives losing clones: the duplicate attempt's
-            // accumulator contribution must be discarded with its reply
-            let tag = format!("seed={seed} plan={plan_name} runner=accumulator speculation=on");
-            let ctx =
-                Context::new(chaos_config(seed, &plan).with_speculation(SpeculationConfig::on()));
-            let acc = ctx.accumulator(0u64);
-            let adds = acc.clone();
-            let r = ctx.parallelize((1..=500u64).collect(), PARTITIONS * 2).foreach_partition(
-                move |_, data| {
-                    for v in data {
-                        adds.add(v);
-                    }
-                },
-            );
-            if let Err(e) = r {
-                fail(&tag, Some(&ctx.trace().snapshot()), &format!("job failed: {e}"));
-            }
-            let got = acc.value();
-            if got != 500 * 501 / 2 {
-                fail(
-                    &tag,
-                    Some(&ctx.trace().snapshot()),
-                    &format!("accumulator saw {got}, want {}", 500 * 501 / 2),
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn chaos_batched_kernels_match_clean_under_every_plan() {
     // batched frontier expansion and the min_pts count fast path reuse
     // per-worker scratch across task attempts — retries, stragglers and

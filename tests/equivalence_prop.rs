@@ -2,7 +2,8 @@
 //! sequential DBSCAN on core points for *arbitrary* data, parameters
 //! and partition counts; the paper-literal configuration is equivalent
 //! whenever clusters span at most two partitions and close to it
-//! otherwise (checked via ARI).
+//! otherwise (checked via ARI). Both exact entry points are also
+//! checked against an independent O(n²) all-pairs oracle ([`oracle`]).
 
 use proptest::prelude::*;
 use scalable_dbscan::dbscan::{
@@ -223,5 +224,243 @@ mod regressions {
             vec![0.0, -0.8584529199867934],
         ];
         check(rows, 0.33271281245546924, 4, 2);
+    }
+}
+
+/// An independent DBSCAN oracle: an O(n²) all-pairs loop over plain
+/// rows. It uses no spatial index, leaf kernel or library distance
+/// function, so it cannot share a bug with the code under test.
+mod oracle {
+    use scalable_dbscan::prelude::{Clustering, Label};
+    use std::collections::HashMap;
+
+    /// Brute-force DBSCAN facts about a point set.
+    pub struct Oracle {
+        /// At least `min_pts` points (itself included) within `eps`.
+        core: Vec<bool>,
+        /// Smallest index in each core point's component of core
+        /// points linked by `eps`; `usize::MAX` for non-core points.
+        component: Vec<usize>,
+        /// Core points within `eps` of each point.
+        core_neighbors: Vec<Vec<usize>>,
+    }
+
+    fn within(a: &[f64], b: &[f64], eps: f64) -> bool {
+        let mut sum = 0.0;
+        for (x, y) in a.iter().zip(b) {
+            sum += (x - y) * (x - y);
+        }
+        sum <= eps * eps
+    }
+
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+
+    impl Oracle {
+        pub fn new(rows: &[Vec<f64>], eps: f64, min_pts: usize) -> Self {
+            let n = rows.len();
+            let neighbors: Vec<Vec<usize>> = (0..n)
+                .map(|i| (0..n).filter(|&j| within(&rows[i], &rows[j], eps)).collect())
+                .collect();
+            let core: Vec<bool> = neighbors.iter().map(|nb| nb.len() >= min_pts).collect();
+            let core_neighbors: Vec<Vec<usize>> = neighbors
+                .into_iter()
+                .map(|nb| nb.into_iter().filter(|&j| core[j]).collect())
+                .collect();
+            let mut parent: Vec<usize> = (0..n).collect();
+            for i in (0..n).filter(|&i| core[i]) {
+                for &j in &core_neighbors[i] {
+                    let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+                    parent[a.max(b)] = a.min(b);
+                }
+            }
+            let component =
+                (0..n).map(|i| if core[i] { root(&mut parent, i) } else { usize::MAX }).collect();
+            Oracle { core, component, core_neighbors }
+        }
+
+        /// Whether `c` is a DBSCAN answer: the same core flags, the same
+        /// partition of the core points into clusters, noise exactly
+        /// where no core point lies within `eps`, and every border
+        /// point within `eps` of a core point of its own cluster.
+        pub fn check(&self, c: &Clustering) -> Result<(), String> {
+            let n = self.core.len();
+            if c.labels.len() != n || c.core.len() != n {
+                return Err(format!(
+                    "{} labels, {} core flags for {n} points",
+                    c.len(),
+                    c.core.len()
+                ));
+            }
+            if let Some(i) = (0..n).find(|&i| c.core[i] != self.core[i]) {
+                return Err(format!("core flag of point {i} is {}", c.core[i]));
+            }
+            let mut label_of: HashMap<usize, u32> = HashMap::new();
+            let mut component_of: HashMap<u32, usize> = HashMap::new();
+            for i in (0..n).filter(|&i| self.core[i]) {
+                let Label::Cluster(l) = c.labels[i] else {
+                    return Err(format!("core point {i} is noise"));
+                };
+                let comp = self.component[i];
+                if *label_of.entry(comp).or_insert(l) != l
+                    || *component_of.entry(l).or_insert(comp) != comp
+                {
+                    return Err(format!("core point {i} is in the wrong cluster"));
+                }
+            }
+            for i in (0..n).filter(|&i| !self.core[i]) {
+                let near = &self.core_neighbors[i];
+                match c.labels[i] {
+                    Label::Noise if near.is_empty() => {}
+                    Label::Noise => return Err(format!("border point {i} is noise")),
+                    Label::Cluster(_) if near.is_empty() => {
+                        return Err(format!("noise point {i} is clustered"))
+                    }
+                    label => {
+                        if !near.iter().any(|&j| c.labels[j] == label) {
+                            return Err(format!(
+                                "border point {i} has no core point in its cluster"
+                            ));
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn oracle_rejects_wrong_answers() {
+        // a 1-d chain 0..=4 (one cluster) and an isolated point
+        let rows: Vec<Vec<f64>> = [0.0, 1.0, 2.0, 3.0, 4.0, 100.0].map(|x| vec![x]).into();
+        let oracle = Oracle::new(&rows, 1.0, 3);
+        let good = Clustering {
+            labels: vec![Label::Cluster(7); 5].into_iter().chain([Label::Noise]).collect(),
+            core: vec![false, true, true, true, false, false],
+        };
+        oracle.check(&good).expect("correct answer");
+        let mut split = good.clone();
+        split.labels[3] = Label::Cluster(8);
+        assert!(oracle.check(&split).is_err(), "split core component");
+        let mut flag = good.clone();
+        flag.core[0] = true;
+        assert!(oracle.check(&flag).is_err(), "wrong core flag");
+        let mut noise = good.clone();
+        noise.labels[5] = Label::Cluster(7);
+        assert!(oracle.check(&noise).is_err(), "noise clustered");
+        let mut border = good.clone();
+        border.labels[0] = Label::Noise;
+        assert!(oracle.check(&border).is_err(), "border dropped to noise");
+        let mut stray = good;
+        stray.labels[4] = Label::Cluster(8);
+        assert!(oracle.check(&stray).is_err(), "border in a cluster with no core neighbour");
+    }
+}
+
+/// Check `SequentialDbscan` and `SparkDbscan::exact()`, under both leaf
+/// kernel layouts, against the all-pairs oracle.
+fn check_against_oracle(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partitions: usize) {
+    let oracle = oracle::Oracle::new(&rows, eps, min_pts);
+    let data = Arc::new(Dataset::from_rows(rows));
+    let params = DbscanParams::new(eps, min_pts).unwrap();
+    let tag =
+        format!("n={} d={} eps={eps} min_pts={min_pts} p={partitions}", data.len(), data.dim());
+    let seq = SequentialDbscan::new(params).run(Arc::clone(&data));
+    oracle.check(&seq).unwrap_or_else(|e| panic!("{tag}: sequential: {e}"));
+    let ctx = Context::new(ClusterConfig::local(2));
+    for layout in [KernelLayout::Scalar, KernelLayout::Lanes] {
+        let kernel = KernelConfig::default().with_layout(layout);
+        let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
+        let par = SparkDbscan::new(params)
+            .partitions(partitions)
+            .exact()
+            .resources(res)
+            .run(&ctx, Arc::clone(&data));
+        oracle.check(&par.clustering).unwrap_or_else(|e| panic!("{tag}: exact {layout:?}: {e}"));
+    }
+}
+
+/// Clumpy rows in `1..=7` dimensions around four far-apart centres;
+/// `grid` snaps the jitter to quarter steps, which makes duplicates and
+/// exact-`eps` ties common.
+fn arb_rows_any_dim() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        1usize..=7,
+        any::<bool>(),
+        prop::collection::vec((0usize..4, prop::collection::vec(-1.0f64..1.0, 7)), 1..100),
+    )
+        .prop_map(|(dim, grid, pts)| {
+            pts.into_iter()
+                .map(|(c, jitter)| {
+                    jitter[..dim]
+                        .iter()
+                        .map(|&j| 10.0 * c as f64 + if grid { (j * 4.0).round() / 4.0 } else { j })
+                        .collect()
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn exact_entry_points_match_the_all_pairs_oracle(
+        rows in arb_rows_any_dim(),
+        eps in (0usize..6).prop_map(|i| [0.25, 0.5, 0.7, 1.0, 1.5, 2.5][i]),
+        min_pts in 1usize..8,
+        partitions in 1usize..12,
+    ) {
+        check_against_oracle(rows, eps, min_pts, partitions);
+    }
+}
+
+/// Fixed hostile shapes for the oracle check.
+mod oracle_cases {
+    use super::*;
+
+    #[test]
+    fn mass_duplicates() {
+        // 60 copies of one point plus 20 of another: every point is core
+        // at min_pts 5, and eps 0 still links exact duplicates
+        let rows: Vec<Vec<f64>> = (0..80).map(|i| vec![f64::from(u8::from(i >= 60)); 2]).collect();
+        check_against_oracle(rows.clone(), 0.0, 5, 4);
+        check_against_oracle(rows, 0.5, 30, 7);
+    }
+
+    #[test]
+    fn fewer_points_than_min_pts() {
+        let rows = vec![vec![0.0, 0.0], vec![0.1, 0.0], vec![0.0, 0.1]];
+        check_against_oracle(rows, 5.0, 4, 2);
+    }
+
+    #[test]
+    fn more_partitions_than_points() {
+        let rows = vec![vec![0.0, 0.0], vec![0.5, 0.0], vec![1.0, 0.0], vec![9.0, 9.0]];
+        check_against_oracle(rows, 0.6, 2, 9);
+        check_against_oracle(vec![vec![3.0, 4.0]], 1.0, 1, 5);
+    }
+
+    #[test]
+    fn one_dimension() {
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i % 20) * 0.5]).collect();
+        check_against_oracle(rows, 0.5, 3, 3);
+    }
+
+    #[test]
+    fn seven_dimensions() {
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i: u32| {
+                (0..7)
+                    .map(|k| f64::from((i * (k + 3)) % 5) * 0.3 + f64::from(i / 30) * 20.0)
+                    .collect()
+            })
+            .collect();
+        check_against_oracle(rows, 0.8, 4, 5);
     }
 }

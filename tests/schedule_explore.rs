@@ -70,25 +70,6 @@ fn spark_dbscan_is_schedule_independent_under_fault_plans() {
     }
 }
 
-#[test]
-fn speculative_clone_races_are_schedule_independent() {
-    // with speculation on, the explorer eagerly clones a deterministic
-    // quarter of submissions and surfaces a `SpeculativeCommit` decision
-    // point, so seeded schedules race both twins in either commit order
-    // — labels, merge-once effects and the memory ledger must not care
-    // which twin wins, even while tasks are also failing and executors
-    // are being killed mid-stage
-    let job = DbscanExploreJob::new(blobs(), params(), PARTITIONS);
-    for (name, plan) in fault_plans() {
-        let report = Explorer::new(cluster_with(plan).with_speculation(SpeculationConfig::on()))
-            .with_schedules(6)
-            .with_seed0(300)
-            .explore_or_panic(&job);
-        assert_eq!(report.schedules_run, 6, "plan {name}");
-        assert!(report.ok());
-    }
-}
-
 /// A job whose fingerprint depends on driver-observed completion order
 /// — the class of bug the explorer exists to surface.
 fn order_sensitive_job(ctx: &Context) -> SparkResult<JobArtifacts> {
