@@ -297,28 +297,31 @@ impl SparkDbscan {
         let collected_acc =
             ctx.accumulator_with(Collected::default(), move |state: &mut Collected, feed: Feed| {
                 match feed {
-                    Feed::Partial(c) => {
-                        let bytes = partial_bytes(&c);
-                        if !fold_memory.try_charge(DRIVER_LANE, bytes) {
-                            if !state.partials.is_empty() {
-                                let batch: Vec<(u32, (u32, u32), Vec<u32>)> = state
-                                    .partials
-                                    .drain(..)
-                                    .map(|p| (p.owner, p.range, p.members))
-                                    .collect();
-                                let blob = sparklet::spill::encode(&batch);
-                                let h =
-                                    fold_spill.spill(&blob).expect("driver spill tier writable");
-                                state.spilled.push(h);
-                                fold_memory.note_spill(DRIVER_LANE, state.charged);
-                                state.charged = 0;
+                    Feed::Partials(partials) => {
+                        for c in partials {
+                            let bytes = partial_bytes(&c);
+                            if !fold_memory.try_charge(DRIVER_LANE, bytes) {
+                                if !state.partials.is_empty() {
+                                    let batch: Vec<(u32, (u32, u32), Vec<u32>)> = state
+                                        .partials
+                                        .drain(..)
+                                        .map(|p| (p.owner, p.range, p.members))
+                                        .collect();
+                                    let blob = sparklet::spill::encode(&batch);
+                                    let h = fold_spill
+                                        .spill(&blob)
+                                        .expect("driver spill tier writable");
+                                    state.spilled.push(h);
+                                    fold_memory.note_spill(DRIVER_LANE, state.charged);
+                                    state.charged = 0;
+                                }
+                                // the newcomer itself may exceed the lane
+                                // budget alone; it must be buffered anyway
+                                fold_memory.force_charge(DRIVER_LANE, bytes);
                             }
-                            // the newcomer itself may exceed the lane
-                            // budget alone; it must be buffered anyway
-                            fold_memory.force_charge(DRIVER_LANE, bytes);
+                            state.charged += bytes;
+                            state.partials.push(c);
                         }
-                        state.charged += bytes;
-                        state.partials.push(c);
                     }
                     Feed::Cores(cs) => {
                         if state.core.len() < n {
@@ -384,9 +387,7 @@ impl SparkDbscan {
                 th.task_kernel(k.blocks_scanned, k.rows_scanned, k.range_hits, k.early_exits);
                 // Algorithm 2 lines 26-28: send partial clusters to the
                 // driver through the accumulator at closure end
-                for c in local.clusters {
-                    acc.add(Feed::Partial(c));
-                }
+                acc.add(Feed::Partials(local.clusters));
                 acc.add(Feed::Cores(local.core_points));
                 acc.add(Feed::Stats(part as u32, local.stats));
             })
@@ -516,7 +517,8 @@ struct Collected {
 
 /// One streamed fragment of an executor's result.
 enum Feed {
-    Partial(PartialCluster),
+    /// One task's partial clusters, folded one by one.
+    Partials(Vec<PartialCluster>),
     Cores(Vec<u32>),
     Stats(u32, ExecutorStats),
 }
@@ -755,6 +757,38 @@ mod tests {
         // retried tasks must not duplicate accumulator contributions
         assert_eq!(r.clustering.canonicalize().labels, seq.canonicalize().labels);
         assert!(r.job.failed_attempts() > 0);
+    }
+
+    #[test]
+    fn worker_scratch_reuse_across_jobs_matches_fresh_contexts() {
+        // worker threads keep their executor scratch (stamp arrays
+        // included) from one run to the next: jobs of growing and
+        // shrinking n on one context must equal runs on fresh contexts
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let params = DbscanParams::new(0.3, 4).unwrap();
+        let shared = Context::new(ClusterConfig::local(2));
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in [3_000usize, 500, 5_000] {
+            let rows = (0..n)
+                .map(|_| {
+                    let c = rng.random_range(0..6u32) as f64;
+                    vec![4.0 * c + rng.random_range(-1.5..1.5), rng.random_range(-1.5..1.5)]
+                })
+                .collect();
+            let data = Arc::new(Dataset::from_rows(rows));
+            let run = |ctx: &Context| {
+                SparkDbscan::new(params).partitions(8).exact().run(ctx, Arc::clone(&data))
+            };
+            let reused = run(&shared);
+            let fresh = run(&Context::new(ClusterConfig::local(2)));
+            assert_eq!(reused.clustering, fresh.clustering, "n={n}");
+            assert_eq!(reused.num_partial_clusters, fresh.num_partial_clusters, "n={n}");
+            assert_eq!(reused.merge_ops, fresh.merge_ops, "n={n}");
+            assert_eq!(reused.executor_stats, fresh.executor_stats, "n={n}");
+            let seeds: usize = fresh.executor_stats.iter().map(|(_, s)| s.seeds_placed).sum();
+            assert!(seeds > 0, "n={n}: the job must place SEEDs");
+        }
     }
 }
 

@@ -3,18 +3,25 @@
 //!
 //! The executor owns one contiguous index range. It expands clusters
 //! with the usual queue-based DBSCAN, **but only through points it
-//! owns**: when the queue yields a *foreign* index the executor never
-//! expands it — it either records it as a SEED member (first time that
-//! foreign partition is touched by this cluster, under the paper's
-//! [`SeedPolicy::OnePerPartition`]) or skips it. Neighborhoods are
-//! computed over the **full broadcast dataset**, so core status is
-//! globally exact even though expansion is local.
+//! owns**. A core point's neighborhood is settled as it leaves the
+//! query: each *foreign* index goes straight through Algorithm 3 — it
+//! is recorded as a SEED member (under the paper's
+//! [`SeedPolicy::OnePerPartition`], the first time this cluster touches
+//! that foreign partition) or skipped, and is never enqueued or
+//! expanded — while own indices that still need work join the queue.
+//! The queue is FIFO, so foreign points meet the policy in the order a
+//! dequeue-time placement would see them, and every partial keeps the
+//! same SEEDs. A partial's members are its regular points in claim
+//! order, then its SEEDs in placement order. Neighborhoods are computed over the **full broadcast
+//! dataset**, so core status is globally exact even though expansion
+//! is local.
 //!
 //! Data structures: the paper's §III-B uses a Java `Hashtable` for
 //! visited state and a `LinkedList` queue for candidates. We keep the
-//! FIFO queue (`VecDeque`) but replace the hashtable with **dense
-//! per-partition arrays** indexed by local offset: the executor only
-//! ever marks its own `[start, end)` points, so an `O(1)` array probe
+//! FIFO queue (`VecDeque`) but replace every hashtable with a **dense
+//! stamped array**: visited/assigned flags indexed by local offset and
+//! stamped per task, and Algorithm 3's SEED tables indexed by partition
+//! or by global point and stamped per cluster. An `O(1)` array probe
 //! beats hashing — and keeps per-point cost independent of partition
 //! size (a `HashSet` sized to the whole partition penalizes the
 //! 1-partition baseline through cache misses and would *inflate* the
@@ -26,7 +33,8 @@ use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{
     BkdTree, KernelConfig, KernelCounters, PointId, PruneConfig, QueryScratch, SpatialIndex,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::mem::replace;
 
 /// Instrumentation returned with each executor's result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,40 +84,18 @@ pub struct LocalClustering {
     pub stats: ExecutorStats,
 }
 
-/// Reusable executor working state, epoch-stamped so nothing is
-/// cleared (or reallocated) between tasks.
-///
-/// The per-partition `visited`/`assigned` arrays are validated by an
-/// epoch stamp: an entry belongs to the current task iff its stamp
-/// equals the task's epoch, so "clearing" them is a single counter
-/// bump. The expansion queue, neighbor buffer and Algorithm-3 seed
-/// tables likewise persist at their high-water capacity across every
-/// partial cluster and every task the executor runs.
+/// Reusable executor working state. Every array and buffer keeps its
+/// high-water size across clusters, tasks and jobs, and the stamped
+/// arrays are never cleared, so steady-state tasks allocate nothing but
+/// their output.
 #[derive(Debug, Default)]
 pub struct ExecutorScratch {
-    /// Current task epoch; array entries are live iff stamped with it.
-    epoch: u32,
-    /// visited\[i\] iff `visited_epoch[i] == epoch`.
-    visited_epoch: Vec<u32>,
-    /// Point `i` already belongs to a cluster of this task iff
-    /// `assigned_epoch[i] == epoch` (first assignment wins; *which*
-    /// cluster claimed it lives in the cluster's member list).
-    assigned_epoch: Vec<u32>,
-    /// FIFO expansion queue (Algorithm 2), reused across clusters.
-    queue: VecDeque<u32>,
+    /// The stamp tables and queue an [`Expansion`] works on.
+    marks: Marks,
     /// Neighborhood query buffer, reused across all queries.
     nbuf: Vec<PointId>,
-    /// Algorithm 3's `place_flg`, stamped by `seed_stamp` — an entry
-    /// belongs to the current cluster iff it holds the cluster's stamp.
-    seeded_partition_stamp: Vec<u64>,
-    /// Monotonic per-cluster stamp; never reused across tasks, so the
-    /// partition table survives task boundaries without clearing.
-    seed_stamp: u64,
-    /// `(slot, point)` pairs already seeded under `PerBoundaryEdge`.
-    seeded_points: HashSet<u64>,
-    /// Frontier chunk drained from `queue` (batched expansion).
-    chunk: Vec<u32>,
-    /// Chunk members that still need a neighborhood query this round.
+    /// Frontier members that still need a neighborhood query this
+    /// round (batched expansion).
     pending: Vec<u32>,
     /// Concatenated batch-query results.
     batch_out: Vec<PointId>,
@@ -123,32 +109,152 @@ impl ExecutorScratch {
         Self::default()
     }
 
-    /// Start a task over `local_n` points and `partitions` partitions:
-    /// bump the epoch and grow (never shrink) the arrays.
-    fn begin_task(&mut self, local_n: usize, partitions: usize) {
-        if self.epoch == u32::MAX {
-            // epoch wrap: hard-reset the stamps once every 2^32 tasks
-            self.visited_epoch.iter_mut().for_each(|s| *s = 0);
-            self.assigned_epoch.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        if self.visited_epoch.len() < local_n {
-            self.visited_epoch.resize(local_n, 0);
-            self.assigned_epoch.resize(local_n, 0);
-        }
-        if self.seeded_partition_stamp.len() < partitions {
-            self.seeded_partition_stamp.resize(partitions, 0);
-        }
-        // slots restart at 0 each task, so the (slot, point) key set
-        // must not leak across tasks; clearing keeps its capacity
-        self.seeded_points.clear();
-        self.queue.clear();
-    }
-
     /// High-water capacity of the visited array (test hook).
     pub fn capacity(&self) -> usize {
-        self.visited_epoch.len()
+        self.marks.visited_epoch.len()
+    }
+
+    /// High-water length of the per-point SEED table (test hook).
+    #[cfg(test)]
+    fn seed_capacity(&self) -> usize {
+        self.marks.seeded_point_stamp.len()
+    }
+}
+
+/// The stamped arrays of Algorithms 2 and 3, the FIFO queue and the
+/// open cluster's SEED buffer.
+#[derive(Debug, Default)]
+struct Marks {
+    /// Current task epoch; `visited`/`assigned` entries are live iff
+    /// stamped with it.
+    epoch: u32,
+    /// Own point at local offset `i` is visited iff
+    /// `visited_epoch[i] == epoch`.
+    visited_epoch: Vec<u32>,
+    /// Own point `i` already belongs to a cluster of this task iff
+    /// `assigned_epoch[i] == epoch` (first assignment wins; *which*
+    /// cluster claimed it lives in the cluster's member list). An
+    /// assigned point is always visited.
+    assigned_epoch: Vec<u32>,
+    /// FIFO expansion queue (Algorithm 2): own points only.
+    queue: VecDeque<u32>,
+    /// Monotonic per-cluster stamp, never reused across tasks or jobs,
+    /// so the SEED tables below are never cleared: an entry belongs to
+    /// the current cluster iff it holds the cluster's stamp.
+    seed_stamp: u64,
+    /// Algorithm 3's `place_flg`, one entry per partition
+    /// ([`SeedPolicy::OnePerPartition`]).
+    seeded_partition_stamp: Vec<u64>,
+    /// One entry per global point ([`SeedPolicy::PerBoundaryEdge`]).
+    seeded_point_stamp: Vec<u64>,
+    /// SEEDs of the open cluster in placement order, appended to its
+    /// members when it closes.
+    seeds: Vec<u32>,
+}
+
+/// One task's expansion over its own range: the Algorithm 2/3 steps
+/// shared by the scalar and the batched loop.
+struct Expansion<'a> {
+    marks: &'a mut Marks,
+    ranges: &'a PartitionRanges,
+    policy: SeedPolicy,
+    epoch: u32,
+    owner: u32,
+    start: u32,
+    end: u32,
+}
+
+impl<'a> Expansion<'a> {
+    /// Start the task for `partition`: bump the epoch and grow (never
+    /// shrink) the arrays.
+    fn begin(
+        marks: &'a mut Marks,
+        ranges: &'a PartitionRanges,
+        partition: usize,
+        policy: SeedPolicy,
+    ) -> Self {
+        let (start, end) = ranges.range(partition);
+        let local_n = (end - start) as usize;
+        if marks.epoch == u32::MAX {
+            // epoch wrap: hard-reset the stamps once every 2^32 tasks
+            marks.visited_epoch.iter_mut().for_each(|s| *s = 0);
+            marks.assigned_epoch.iter_mut().for_each(|s| *s = 0);
+            marks.epoch = 0;
+        }
+        marks.epoch += 1;
+        if marks.visited_epoch.len() < local_n {
+            marks.visited_epoch.resize(local_n, 0);
+            marks.assigned_epoch.resize(local_n, 0);
+        }
+        if marks.seeded_partition_stamp.len() < ranges.num_partitions() {
+            marks.seeded_partition_stamp.resize(ranges.num_partitions(), 0);
+        }
+        if marks.seeded_point_stamp.len() < ranges.num_points() {
+            marks.seeded_point_stamp.resize(ranges.num_points(), 0);
+        }
+        marks.queue.clear();
+        let epoch = marks.epoch;
+        Expansion { marks, ranges, policy, epoch, owner: partition as u32, start, end }
+    }
+
+    /// Mark own point `q` visited; whether it was unvisited.
+    fn visit(&mut self, q: u32) -> bool {
+        replace(&mut self.marks.visited_epoch[(q - self.start) as usize], self.epoch) != self.epoch
+    }
+
+    /// Algorithm 2 lines 13-22 for a dequeued own point: claim it for
+    /// `cluster` unless a cluster already holds it (border-point claim),
+    /// then visit it. Returns whether it still needs a query.
+    fn claim(&mut self, q: u32, cluster: &mut PartialCluster) -> bool {
+        let assigned = &mut self.marks.assigned_epoch[(q - self.start) as usize];
+        if replace(assigned, self.epoch) != self.epoch {
+            cluster.members.push(q);
+        }
+        self.visit(q)
+    }
+
+    /// Algorithm 2 line 8: a new cluster around the visited core point
+    /// `p`, with a fresh SEED stamp.
+    fn open(&mut self, p: u32) -> PartialCluster {
+        self.marks.seed_stamp += 1;
+        self.marks.seeds.clear();
+        let mut cluster = PartialCluster::new(self.owner, (self.start, self.end));
+        self.claim(p, &mut cluster);
+        cluster
+    }
+
+    /// Finish `cluster`: its regulars in claim order, then its SEEDs in
+    /// placement order.
+    fn close(&mut self, mut cluster: PartialCluster, stats: &mut ExecutorStats) -> PartialCluster {
+        stats.seeds_placed += self.marks.seeds.len();
+        cluster.members.append(&mut self.marks.seeds);
+        cluster
+    }
+
+    /// Admit a core point's neighborhood `nbrs` into the open cluster.
+    /// A foreign index meets Algorithm 3 at once and becomes a SEED or
+    /// nothing — "each executor only computes the points that belong
+    /// to it". An own index is enqueued unless already claimed, since
+    /// a claimed point has nothing left to do at dequeue.
+    fn admit(&mut self, nbrs: &[PointId]) {
+        let stamp = self.marks.seed_stamp;
+        for &PointId(r) in nbrs {
+            if r >= self.start && r < self.end {
+                if self.marks.assigned_epoch[(r - self.start) as usize] != self.epoch {
+                    self.marks.queue.push_back(r);
+                }
+                continue;
+            }
+            let seeded = match self.policy {
+                SeedPolicy::OnePerPartition => {
+                    &mut self.marks.seeded_partition_stamp[self.ranges.partition_of(r)]
+                }
+                SeedPolicy::PerBoundaryEdge => &mut self.marks.seeded_point_stamp[r as usize],
+            };
+            if replace(seeded, stamp) != stamp {
+                self.marks.seeds.push(r);
+            }
+        }
     }
 }
 
@@ -303,34 +409,17 @@ pub fn local_partial_clusters_scratch(
     seed_policy: SeedPolicy,
     scratch: &mut ExecutorScratch,
 ) -> LocalClustering {
-    let (start, end) = ranges.range(partition);
-    let owner = partition as u32;
-    let local_n = (end - start) as usize;
-
-    scratch.begin_task(local_n, ranges.num_partitions());
-    let epoch = scratch.epoch;
-    let ExecutorScratch {
-        visited_epoch,
-        assigned_epoch,
-        queue,
-        nbuf,
-        seeded_partition_stamp,
-        seed_stamp,
-        seeded_points,
-        ..
-    } = scratch;
-
+    let ExecutorScratch { marks, nbuf, .. } = scratch;
+    let mut x = Expansion::begin(marks, ranges, partition, seed_policy);
     let mut clusters: Vec<PartialCluster> = Vec::new();
     let mut core_points: Vec<u32> = Vec::new();
     let mut stats = ExecutorStats::default();
 
-    for p in start..end {
-        let pl = (p - start) as usize;
+    for p in x.start..x.end {
         stats.points_processed += 1;
-        if visited_epoch[pl] == epoch {
+        if !x.visit(p) {
             continue;
         }
-        visited_epoch[pl] = epoch;
         nbuf.clear();
         neighbors_of(p, nbuf);
         stats.neighbor_queries += 1;
@@ -342,61 +431,12 @@ pub fn local_partial_clusters_scratch(
             continue;
         }
 
-        // Algorithm 2 line 8: create a new cluster C and add p to it
-        let slot = clusters.len() as u32;
-        *seed_stamp += 1;
-        let stamp = *seed_stamp;
-        let mut cluster = PartialCluster::new(owner, (start, end));
-        cluster.members.push(p);
-        assigned_epoch[pl] = epoch;
+        let mut cluster = x.open(p);
         core_points.push(p);
-
-        queue.clear();
-        queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| {
-            // own points that are already visited *and* assigned have
-            // nothing left to do at dequeue — don't enqueue them at all
-            !(r >= start && r < end && {
-                let rl = (r - start) as usize;
-                visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-            })
-        }));
-        while let Some(q) = queue.pop_front() {
-            if q < start || q >= end {
-                // foreign point: SEED placement (Algorithm 3), never
-                // expanded — "each executor only computes the points
-                // that belong to it"
-                let place = match seed_policy {
-                    SeedPolicy::OnePerPartition => {
-                        let pt = ranges.partition_of(q);
-                        let fresh = seeded_partition_stamp[pt] != stamp;
-                        seeded_partition_stamp[pt] = stamp;
-                        fresh
-                    }
-                    SeedPolicy::PerBoundaryEdge => {
-                        seeded_points.insert((slot as u64) << 32 | q as u64)
-                    }
-                };
-                if place {
-                    cluster.members.push(q);
-                    stats.seeds_placed += 1;
-                }
+        x.admit(nbuf);
+        while let Some(q) = x.marks.queue.pop_front() {
+            if !x.claim(q, &mut cluster) {
                 continue;
-            }
-            let ql = (q - start) as usize;
-            if visited_epoch[ql] == epoch {
-                // Algorithm 2 lines 20-22: add to C if not yet a member
-                // of any cluster (border-point claim)
-                if assigned_epoch[ql] != epoch {
-                    assigned_epoch[ql] = epoch;
-                    cluster.members.push(q);
-                }
-                continue;
-            }
-            // Algorithm 2 lines 13-19: visit q, claim it, test core status
-            visited_epoch[ql] = epoch;
-            if assigned_epoch[ql] != epoch {
-                assigned_epoch[ql] = epoch;
-                cluster.members.push(q);
             }
             nbuf.clear();
             neighbors_of(q, nbuf);
@@ -404,15 +444,10 @@ pub fn local_partial_clusters_scratch(
             stats.neighbors_found += nbuf.len();
             if nbuf.len() >= params.min_pts {
                 core_points.push(q);
-                queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| {
-                    !(r >= start && r < end && {
-                        let rl = (r - start) as usize;
-                        visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-                    })
-                }));
+                x.admit(nbuf);
             }
         }
-        clusters.push(cluster);
+        clusters.push(x.close(cluster, &mut stats));
     }
 
     LocalClustering { clusters, core_points, stats }
@@ -429,14 +464,13 @@ pub fn local_partial_clusters_scratch(
 /// clusters, member order, core points, SEEDs and stats (fast path
 /// excepted on [`ExecutorStats::kernel`] only):
 ///
-/// * A chunk is classified strictly in FIFO order, so member pushes,
-///   SEED placements and visited/assigned transitions replay the
-///   scalar dequeue sequence; expansions append to the queue in chunk
-///   order, exactly where the scalar loop appends them.
-/// * Deferring an expansion behind later chunk classifications can only
-///   *drop* enqueues the scalar path would also neutralize: the enqueue
-///   filter rejects visited-and-assigned points, and such a point's
-///   scalar dequeue is a no-op.
+/// * A chunk is claimed strictly in FIFO order, so member pushes and
+///   visited/assigned transitions replay the scalar dequeue sequence;
+///   expansions admit their neighborhoods in chunk order, exactly where
+///   the scalar loop admits them, so SEEDs are placed in the same order.
+/// * Deferring an expansion behind later chunk claims can only *drop*
+///   enqueues the scalar path would also neutralize: admission rejects
+///   claimed points, and such a point's scalar dequeue is a no-op.
 /// * A non-core point's early-exit count never reaches `min_pts`, so it
 ///   is the exact neighborhood size — `neighbors_found` is unchanged.
 ///   Core points still pay the full query that drives expansion.
@@ -460,40 +494,19 @@ pub fn local_partial_clusters_source<S: NeighborSource>(
         );
     }
 
-    let (start, end) = ranges.range(partition);
-    let owner = partition as u32;
-    let local_n = (end - start) as usize;
-
-    scratch.begin_task(local_n, ranges.num_partitions());
-    let epoch = scratch.epoch;
-    let ExecutorScratch {
-        visited_epoch,
-        assigned_epoch,
-        queue,
-        nbuf,
-        seeded_partition_stamp,
-        seed_stamp,
-        seeded_points,
-        chunk,
-        pending,
-        batch_out,
-        spans,
-        ..
-    } = scratch;
-
+    let ExecutorScratch { marks, nbuf, pending, batch_out, spans } = scratch;
+    let mut x = Expansion::begin(marks, ranges, partition, seed_policy);
     let chunk_cap = kernel.batch.max(1);
     let fast = kernel.count_fast_path;
     let mut clusters: Vec<PartialCluster> = Vec::new();
     let mut core_points: Vec<u32> = Vec::new();
     let mut stats = ExecutorStats::default();
 
-    for p in start..end {
-        let pl = (p - start) as usize;
+    for p in x.start..x.end {
         stats.points_processed += 1;
-        if visited_epoch[pl] == epoch {
+        if !x.visit(p) {
             continue;
         }
-        visited_epoch[pl] = epoch;
         stats.neighbor_queries += 1;
         if fast {
             // probe first: noise points settle with their exact count
@@ -505,116 +518,54 @@ pub fn local_partial_clusters_source<S: NeighborSource>(
                 stats.local_noise += 1;
                 continue;
             }
-            nbuf.clear();
-            source.neighbors_of(p, nbuf);
-            stats.neighbors_found += nbuf.len();
-        } else {
-            nbuf.clear();
-            source.neighbors_of(p, nbuf);
-            stats.neighbors_found += nbuf.len();
-            if nbuf.len() < params.min_pts {
-                stats.local_noise += 1;
-                continue;
-            }
+        }
+        nbuf.clear();
+        source.neighbors_of(p, nbuf);
+        stats.neighbors_found += nbuf.len();
+        if nbuf.len() < params.min_pts {
+            stats.local_noise += 1;
+            continue;
         }
 
-        let slot = clusters.len() as u32;
-        *seed_stamp += 1;
-        let stamp = *seed_stamp;
-        let mut cluster = PartialCluster::new(owner, (start, end));
-        cluster.members.push(p);
-        assigned_epoch[pl] = epoch;
+        let mut cluster = x.open(p);
         core_points.push(p);
-
-        queue.clear();
-        queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| {
-            !(r >= start && r < end && {
-                let rl = (r - start) as usize;
-                visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-            })
-        }));
-        while !queue.is_empty() {
-            // drain up to chunk_cap frontier items, classify in FIFO order
-            chunk.clear();
-            while chunk.len() < chunk_cap {
-                match queue.pop_front() {
-                    Some(q) => chunk.push(q),
-                    None => break,
-                }
-            }
+        x.admit(nbuf);
+        while !x.marks.queue.is_empty() {
+            // claim up to chunk_cap frontier items in FIFO order
             pending.clear();
-            for &q in chunk.iter() {
-                if q < start || q >= end {
-                    let place = match seed_policy {
-                        SeedPolicy::OnePerPartition => {
-                            let pt = ranges.partition_of(q);
-                            let fresh = seeded_partition_stamp[pt] != stamp;
-                            seeded_partition_stamp[pt] = stamp;
-                            fresh
-                        }
-                        SeedPolicy::PerBoundaryEdge => {
-                            seeded_points.insert((slot as u64) << 32 | q as u64)
-                        }
-                    };
-                    if place {
-                        cluster.members.push(q);
-                        stats.seeds_placed += 1;
-                    }
-                    continue;
+            for _ in 0..chunk_cap {
+                let Some(q) = x.marks.queue.pop_front() else { break };
+                if x.claim(q, &mut cluster) {
+                    pending.push(q);
                 }
-                let ql = (q - start) as usize;
-                if visited_epoch[ql] == epoch {
-                    if assigned_epoch[ql] != epoch {
-                        assigned_epoch[ql] = epoch;
-                        cluster.members.push(q);
-                    }
-                    continue;
-                }
-                visited_epoch[ql] = epoch;
-                if assigned_epoch[ql] != epoch {
-                    assigned_epoch[ql] = epoch;
-                    cluster.members.push(q);
-                }
-                pending.push(q);
             }
             if fast {
                 // count probes retire non-core points; survivors keep
                 // their chunk order for the materialized batch below
-                let mut keep = 0usize;
-                for i in 0..pending.len() {
-                    let q = pending[i];
+                pending.retain(|&q| {
                     let cnt = source.count_up_to(q, params.min_pts);
-                    if cnt >= params.min_pts {
-                        pending[keep] = q;
-                        keep += 1;
-                    } else {
+                    if cnt < params.min_pts {
                         stats.neighbor_queries += 1;
                         stats.neighbors_found += cnt;
                     }
-                }
-                pending.truncate(keep);
+                    cnt >= params.min_pts
+                });
             }
             if pending.is_empty() {
                 continue;
             }
             source.neighbors_batch(pending, batch_out, spans);
-            for (i, &q) in pending.iter().enumerate() {
-                let (off, len) = spans[i];
+            for (&q, &(off, len)) in pending.iter().zip(spans.iter()) {
                 let span = &batch_out[off as usize..(off + len) as usize];
                 stats.neighbor_queries += 1;
                 stats.neighbors_found += span.len();
                 if span.len() >= params.min_pts {
                     core_points.push(q);
-                    queue.extend(span.iter().map(|id| id.0).filter(|&r| {
-                        !(r >= start && r < end && {
-                            let rl = (r - start) as usize;
-                            visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-                        })
-                    }));
+                    x.admit(span);
                 }
             }
         }
-        clusters.push(cluster);
+        clusters.push(x.close(cluster, &mut stats));
     }
 
     LocalClustering { clusters, core_points, stats }
@@ -813,6 +764,24 @@ mod tests {
         assert_eq!(scratch.capacity(), 20);
         go(8, 3, &mut scratch); // local_n = 5: keeps high-water capacity
         assert_eq!(scratch.capacity(), 20);
+        // the per-point SEED table spans the whole dataset and keeps its
+        // high-water length when a smaller dataset follows
+        assert_eq!(scratch.seed_capacity(), 40);
+        for (n, len) in [(60usize, 60usize), (25, 60)] {
+            let tree = chain_tree(n);
+            let ranges = PartitionRanges::new(n, 3);
+            let fresh = run(&tree, params, &ranges, 1, SeedPolicy::PerBoundaryEdge);
+            let reused = local_partial_clusters_scratch(
+                |q, out| tree.range_into(tree.dataset().point(PointId(q)), params.eps, out),
+                params,
+                &ranges,
+                1,
+                SeedPolicy::PerBoundaryEdge,
+                &mut scratch,
+            );
+            assert_eq!(fresh, reused, "n={n}");
+            assert_eq!(scratch.seed_capacity(), len, "n={n}");
+        }
     }
 
     /// A mildly adversarial 2-d mixture: two dense blobs, a bridge of
@@ -973,5 +942,134 @@ mod tests {
         let cleared = stats.without_kernel();
         assert_eq!(cleared.neighbor_queries, 7);
         assert!(cleared.kernel.is_zero());
+    }
+
+    /// Algorithms 2 and 3 transcribed directly, with SEEDs placed when
+    /// the queue yields a foreign point: `HashSet` visited, assigned and
+    /// seeded sets, and every neighbor enqueued except own points
+    /// already visited and assigned.
+    fn reference(
+        tree: &KdTree,
+        params: DbscanParams,
+        ranges: &PartitionRanges,
+        part: usize,
+        policy: SeedPolicy,
+    ) -> LocalClustering {
+        use std::collections::HashSet;
+        let (start, end) = ranges.range(part);
+        let own = |q: u32| q >= start && q < end;
+        let neighbors = |q: u32| {
+            let mut out = Vec::new();
+            tree.range_into(tree.dataset().point(PointId(q)), params.eps, &mut out);
+            out.into_iter().map(|id| id.0).collect::<Vec<u32>>()
+        };
+        let (mut visited, mut assigned) = (HashSet::new(), HashSet::new());
+        let mut clusters = Vec::new();
+        let mut core_points = Vec::new();
+        let mut stats = ExecutorStats::default();
+        for p in start..end {
+            stats.points_processed += 1;
+            if !visited.insert(p) {
+                continue;
+            }
+            let nbrs = neighbors(p);
+            stats.neighbor_queries += 1;
+            stats.neighbors_found += nbrs.len();
+            if nbrs.len() < params.min_pts {
+                stats.local_noise += 1;
+                continue;
+            }
+            let mut cluster = PartialCluster::new(part as u32, (start, end));
+            cluster.members.push(p);
+            assigned.insert(p);
+            core_points.push(p);
+            let mut seeded = HashSet::new();
+            let mut queue = VecDeque::new();
+            queue.extend(
+                nbrs.into_iter()
+                    .filter(|r| !(own(*r) && visited.contains(r) && assigned.contains(r))),
+            );
+            while let Some(q) = queue.pop_front() {
+                if !own(q) {
+                    let key = match policy {
+                        SeedPolicy::OnePerPartition => ranges.partition_of(q) as u32,
+                        SeedPolicy::PerBoundaryEdge => q,
+                    };
+                    if seeded.insert(key) {
+                        cluster.members.push(q);
+                        stats.seeds_placed += 1;
+                    }
+                    continue;
+                }
+                let fresh = visited.insert(q);
+                if assigned.insert(q) {
+                    cluster.members.push(q);
+                }
+                if !fresh {
+                    continue;
+                }
+                let nbrs = neighbors(q);
+                stats.neighbor_queries += 1;
+                stats.neighbors_found += nbrs.len();
+                if nbrs.len() >= params.min_pts {
+                    core_points.push(q);
+                    queue.extend(
+                        nbrs.into_iter()
+                            .filter(|r| !(own(*r) && visited.contains(r) && assigned.contains(r))),
+                    );
+                }
+            }
+            clusters.push(cluster);
+        }
+        LocalClustering { clusters, core_points, stats }
+    }
+
+    #[test]
+    fn admission_time_seeds_match_the_dequeue_time_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut seeds_seen = 0;
+        for trial in 0..16 {
+            // clumpy 2-d data: jittered points around a few centres
+            let centres = rng.random_range(1usize..5);
+            let rows = (0..rng.random_range(20usize..120))
+                .map(|_| {
+                    let c = rng.random_range(0..centres) as f64;
+                    let (dx, dy): (f64, f64) =
+                        (rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0));
+                    vec![3.0 * c + dx, 2.0 * (c % 2.0) + dy]
+                })
+                .collect();
+            let tree = KdTree::build(Arc::new(Dataset::from_rows(rows)));
+            let n = tree.dataset().len();
+            let params =
+                DbscanParams::new(rng.random_range(0.2..1.2), rng.random_range(2usize..6)).unwrap();
+            for parts in 1..=8 {
+                let ranges = PartitionRanges::new(n, parts);
+                for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+                    for part in 0..parts {
+                        let want = reference(&tree, params, &ranges, part, policy);
+                        seeds_seen += want.stats.seeds_placed;
+                        for batch in [0usize, 3] {
+                            let kernel = KernelConfig::default().with_batch(batch);
+                            let got = run_kernel(&tree, params, &ranges, part, policy, kernel);
+                            let tag =
+                                format!("trial {trial} batch={batch} {part}/{parts} {policy:?}");
+                            assert_eq!(got.clusters.len(), want.clusters.len(), "{tag}");
+                            for (g, w) in got.clusters.iter().zip(&want.clusters) {
+                                assert_eq!((g.owner, g.range), (w.owner, w.range), "{tag}");
+                                assert_eq!(g.members[0], w.members[0], "{tag}");
+                                assert!(g.regulars().eq(w.regulars()), "{tag}: regulars");
+                                assert!(g.seeds().eq(w.seeds()), "{tag}: seeds");
+                            }
+                            assert_eq!(got.core_points, want.core_points, "{tag}");
+                            assert_eq!(got.stats, want.stats, "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seeds_seen > 1000, "inputs must place SEEDs: {seeds_seen}");
     }
 }

@@ -332,6 +332,27 @@ mod oracle {
             }
             Ok(())
         }
+
+        /// Whether `c` keeps what the paper's one-SEED-per-partition
+        /// heuristic guarantees: exact core flags, every core point
+        /// clustered, and no cluster whose core points span two true
+        /// clusters (it may split clusters, never join them).
+        pub fn check_paper(&self, c: &Clustering) -> Result<(), String> {
+            let n = self.core.len();
+            if let Some(i) = (0..n).find(|&i| c.core.get(i) != Some(&self.core[i])) {
+                return Err(format!("core flag of point {i} is wrong"));
+            }
+            let mut component_of: HashMap<u32, usize> = HashMap::new();
+            for i in (0..n).filter(|&i| self.core[i]) {
+                let Label::Cluster(l) = c.labels[i] else {
+                    return Err(format!("core point {i} is noise"));
+                };
+                if *component_of.entry(l).or_insert(self.component[i]) != self.component[i] {
+                    return Err(format!("cluster {l} joins two true clusters at core point {i}"));
+                }
+            }
+            Ok(())
+        }
     }
 
     #[test]
@@ -360,10 +381,31 @@ mod oracle {
         stray.labels[4] = Label::Cluster(8);
         assert!(oracle.check(&stray).is_err(), "border in a cluster with no core neighbour");
     }
+
+    #[test]
+    fn paper_check_allows_splits_but_rejects_joins() {
+        // two 1-d chains far apart, both all core at min_pts 2
+        let rows: Vec<Vec<f64>> = [0.0, 1.0, 2.0, 50.0, 51.0].map(|x| vec![x]).into();
+        let oracle = Oracle::new(&rows, 1.0, 2);
+        let split =
+            Clustering { labels: [0, 1, 1, 2, 2].map(Label::Cluster).into(), core: vec![true; 5] };
+        oracle.check_paper(&split).expect("a split keeps the invariants");
+        let mut joined = split.clone();
+        joined.labels[3] = Label::Cluster(1);
+        assert!(oracle.check_paper(&joined).is_err(), "two true clusters joined");
+        let mut noise = split.clone();
+        noise.labels[0] = Label::Noise;
+        assert!(oracle.check_paper(&noise).is_err(), "core point dropped to noise");
+        let mut flag = split;
+        flag.core[4] = false;
+        assert!(oracle.check_paper(&flag).is_err(), "wrong core flag");
+    }
 }
 
-/// Check `SequentialDbscan` and `SparkDbscan::exact()`, under both leaf
-/// kernel layouts, against the all-pairs oracle.
+/// Check `SequentialDbscan` and `SparkDbscan::exact()` against the
+/// all-pairs oracle, under both leaf kernel layouts and the batched
+/// expansion loop. Under the same kernels, the paper's one SEED per
+/// partition, with either merge, must keep the heuristic's invariants.
 fn check_against_oracle(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partitions: usize) {
     let oracle = oracle::Oracle::new(&rows, eps, min_pts);
     let data = Arc::new(Dataset::from_rows(rows));
@@ -373,15 +415,21 @@ fn check_against_oracle(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partition
     let seq = SequentialDbscan::new(params).run(Arc::clone(&data));
     oracle.check(&seq).unwrap_or_else(|e| panic!("{tag}: sequential: {e}"));
     let ctx = Context::new(ClusterConfig::local(2));
-    for layout in [KernelLayout::Scalar, KernelLayout::Lanes] {
-        let kernel = KernelConfig::default().with_layout(layout);
+    let kernels = [
+        KernelConfig::default().with_layout(KernelLayout::Scalar),
+        KernelConfig::default().with_layout(KernelLayout::Lanes),
+        KernelConfig::default().with_batch(4),
+    ];
+    for kernel in kernels {
         let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
-        let par = SparkDbscan::new(params)
-            .partitions(partitions)
-            .exact()
-            .resources(res)
-            .run(&ctx, Arc::clone(&data));
-        oracle.check(&par.clustering).unwrap_or_else(|e| panic!("{tag}: exact {layout:?}: {e}"));
+        let job = SparkDbscan::new(params).partitions(partitions).resources(res);
+        let par = job.clone().exact().run(&ctx, Arc::clone(&data));
+        oracle.check(&par.clustering).unwrap_or_else(|e| panic!("{tag}: exact {kernel:?}: {e}"));
+        let union_find = job.clone().exact().seed_policy(SeedPolicy::OnePerPartition);
+        for (merge, paper) in [("paper merge", job), ("union-find", union_find)] {
+            let out = paper.run(&ctx, Arc::clone(&data)).clustering;
+            oracle.check_paper(&out).unwrap_or_else(|e| panic!("{tag}: one SEED, {merge}: {e}"));
+        }
     }
 }
 
