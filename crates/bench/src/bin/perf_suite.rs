@@ -39,15 +39,14 @@
 //!    spilled bytes nonzero. Results land in `<out_dir>/BENCH_PR7.json`
 //!    and the suite exits non-zero on any violation.
 //!
-//! 5. **Data layout & batching (PR 9)** — leaf-scan kernel throughput:
+//! 5. **Data layout** — leaf-scan kernel throughput:
 //!    the dimension-major SoA lane kernel against the row-major scalar
 //!    scan over the leaves of a tree with the default leaf geometry at
 //!    `d = 2..=6`, with queries on data points (acceptance: >= 1.5x at
 //!    d in {2,3,4} and a hit at every d), plus an end-to-end
-//!    identity matrix (scalar / lanes / batched / count-fast-path at
-//!    1, 2 and 8 worker threads) whose labels — and traces, modulo the
-//!    zero-tick `TaskKernel` events for the fast path — must be
-//!    byte-identical to the scalar reference. Results land in
+//!    identity matrix (scalar / lanes at 1, 2 and 8 worker threads)
+//!    whose labels and traces must be byte-identical to the scalar
+//!    reference. Results land in
 //!    `<out_dir>/BENCH_PR9.json`; the suite exits non-zero on any
 //!    identity violation, a hitless dimension or a missed throughput
 //!    floor.
@@ -498,11 +497,9 @@ struct LeafScanRow {
 /// One cell of the end-to-end kernel identity matrix.
 #[derive(Serialize)]
 struct IdentityCell {
-    config: String,
+    config: &'static str,
     worker_threads: usize,
     labels_identical: bool,
-    /// Full trace for scalar/lanes/batched cells; modulo the zero-tick
-    /// `TaskKernel` events for fast-path cells (their counters shrink).
     trace_identical: bool,
     kernel_rows_scanned: u64,
     kernel_early_exits: u64,
@@ -639,32 +636,15 @@ fn kernel_layout_experiment(out_dir: &str) {
     let (ref_out, ref_trace) = run_cell(KernelConfig::scalar(), 1);
     let ref_labels = ref_out.clustering.canonicalize().labels;
 
-    let arms: Vec<(String, KernelConfig, usize, bool)> = {
-        let mut v = Vec::new();
-        for workers in [1usize, 2, 8] {
-            v.push(("scalar".to_string(), KernelConfig::scalar(), workers, false));
-            v.push(("lanes".to_string(), KernelConfig::default(), workers, false));
-            v.push(("batch32".to_string(), KernelConfig::default().with_batch(32), workers, false));
-        }
-        v.push((
-            "batch32-fast".to_string(),
-            KernelConfig::default().with_batch(32).with_count_fast_path(true),
-            2,
-            true,
-        ));
-        v.push(("fast".to_string(), KernelConfig::default().with_count_fast_path(true), 2, true));
-        v
-    };
+    let arms = [1usize, 2, 8].into_iter().flat_map(|workers| {
+        [("scalar", KernelConfig::scalar(), workers), ("lanes", KernelConfig::default(), workers)]
+    });
 
     let mut cells = Vec::new();
-    for (name, kernel, workers, fast) in arms {
+    for (name, kernel, workers) in arms {
         let (out, trace) = run_cell(kernel, workers);
         let labels_identical = out.clustering.canonicalize().labels == ref_labels;
-        let trace_identical = if fast {
-            trace.without_kernel().events == ref_trace.without_kernel().events
-        } else {
-            trace.events == ref_trace.events
-        };
+        let trace_identical = trace.events == ref_trace.events;
         let rows: u64 = out.executor_stats.iter().map(|(_, s)| s.kernel.rows_scanned).sum();
         let exits: u64 = out.executor_stats.iter().map(|(_, s)| s.kernel.early_exits).sum();
         println!(
@@ -723,7 +703,7 @@ fn kernel_layout_experiment(out_dir: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    // fast path for iterating on the kernel experiment alone
+    // shortcut for iterating on the kernel experiment alone
     if args.iter().any(|a| a == "--kernels-only") {
         args.retain(|a| a != "--kernels-only");
         let out_dir = args.get(1).map(String::as_str).unwrap_or("results");

@@ -64,7 +64,7 @@ pub use params::{DbscanParams, ParamError};
 pub use partitioned::driver::{SparkDbscan, SparkDbscanResult, Timings};
 pub use partitioned::executor_side::{
     local_partial_clusters, local_partial_clusters_scratch, local_partial_clusters_source,
-    ExecutorScratch, ExecutorStats, LocalClustering, NeighborSource, TreeNeighborSource,
+    ExecutorScratch, ExecutorStats, LocalClustering, TreeNeighborSource,
 };
 pub use partitioned::merge::{
     extract_seed_edges, merge_partial_clusters, merge_with_edges, MergeOutcome, MergeStrategy,

@@ -53,23 +53,9 @@ pub struct ExecutorStats {
     /// SEEDs placed across all partial clusters.
     pub seeds_placed: usize,
     /// Kernel-level instrumentation of the task's queries (leaf blocks
-    /// scanned, rows of those blocks, hits, early exits). Unlike every
-    /// field above — which is invariant across *all* kernel
-    /// configurations — the counters legitimately shrink when the
-    /// `min_pts` count fast path prunes traversals; compare through
-    /// [`ExecutorStats::without_kernel`] in identity tests that enable
-    /// it.
+    /// scanned, rows of those blocks, hits, early exits). Like every
+    /// field above, invariant across kernel configurations.
     pub kernel: KernelCounters,
-}
-
-impl ExecutorStats {
-    /// This stats value with the kernel counters zeroed — the part
-    /// that must be byte-identical across every kernel configuration,
-    /// count fast path included.
-    pub fn without_kernel(mut self) -> Self {
-        self.kernel = KernelCounters::default();
-        self
-    }
 }
 
 /// One executor's output: its partial clusters, the core points it
@@ -94,13 +80,6 @@ pub struct ExecutorScratch {
     marks: Marks,
     /// Neighborhood query buffer, reused across all queries.
     nbuf: Vec<PointId>,
-    /// Frontier members that still need a neighborhood query this
-    /// round (batched expansion).
-    pending: Vec<u32>,
-    /// Concatenated batch-query results.
-    batch_out: Vec<PointId>,
-    /// Per-pending-query (offset, len) into `batch_out`.
-    spans: Vec<(u32, u32)>,
 }
 
 impl ExecutorScratch {
@@ -152,8 +131,8 @@ struct Marks {
     seeds: Vec<u32>,
 }
 
-/// One task's expansion over its own range: the Algorithm 2/3 steps
-/// shared by the scalar and the batched loop.
+/// One task's expansion over its own range: the Algorithm 2/3 steps of
+/// the expansion loop.
 struct Expansion<'a> {
     marks: &'a mut Marks,
     ranges: &'a PartitionRanges,
@@ -258,67 +237,14 @@ impl<'a> Expansion<'a> {
     }
 }
 
-/// Where the executor gets eps-neighborhoods from. The object-level
-/// contract is [`NeighborSource::neighbors_of`]; the batched and
-/// count-only entry points have *defaults* expressed in terms of it, so
-/// any closure source (via the blanket `FnMut` impl) works with every
-/// expansion strategy, while [`TreeNeighborSource`] overrides them with
-/// the genuinely shared-work tree paths.
-pub trait NeighborSource {
-    /// Append the eps-neighborhood of point `q` over the **whole**
-    /// dataset to `out` (which arrives cleared). The reported order
-    /// must be deterministic — it decides SEED placement.
-    fn neighbors_of(&mut self, q: u32, out: &mut Vec<PointId>);
-
-    /// Neighborhoods of a whole frontier chunk: `out` and `spans` are
-    /// cleared, then `spans[i] = (offset, len)` addresses query `i`'s
-    /// slice of `out`. Per query, contents and order must equal
-    /// [`NeighborSource::neighbors_of`] exactly.
-    fn neighbors_batch(
-        &mut self,
-        ids: &[u32],
-        out: &mut Vec<PointId>,
-        spans: &mut Vec<(u32, u32)>,
-    ) {
-        out.clear();
-        spans.clear();
-        for &q in ids {
-            let off = out.len() as u32;
-            self.neighbors_of(q, out);
-            spans.push((off, out.len() as u32 - off));
-        }
-    }
-
-    /// Neighbor count of `q`, allowed to stop once `cap` is reached;
-    /// any returned value **below** `cap` must be the exact count. The
-    /// default pays a full materialized query.
-    fn count_up_to(&mut self, q: u32, cap: usize) -> usize {
-        let _ = cap;
-        let mut tmp = Vec::new();
-        self.neighbors_of(q, &mut tmp);
-        tmp.len()
-    }
-}
-
-impl<F: FnMut(u32, &mut Vec<PointId>)> NeighborSource for F {
-    fn neighbors_of(&mut self, q: u32, out: &mut Vec<PointId>) {
-        self(q, out)
-    }
-}
-
-/// The production [`NeighborSource`]: the broadcast [`BkdTree`] plus a
-/// worker's [`QueryScratch`]. Batched queries go through
-/// [`BkdTree::query_batch`] when the prune configuration is exact (the
-/// only case where deferring leaf scans is sound); core-status probes
-/// go through [`BkdTree::count_up_to`] under the same condition.
+/// Where the executor gets eps-neighborhoods from: the broadcast
+/// [`BkdTree`] plus a worker's [`QueryScratch`], queried under the
+/// run's [`PruneConfig`].
 pub struct TreeNeighborSource<'a> {
     tree: &'a BkdTree,
     scratch: &'a mut QueryScratch,
     eps: f64,
     prune: PruneConfig,
-    /// Scratch for the pruned-configuration `count_up_to` fallback,
-    /// which must reproduce the capped materialized query's count.
-    count_buf: Vec<PointId>,
 }
 
 impl<'a> TreeNeighborSource<'a> {
@@ -329,49 +255,14 @@ impl<'a> TreeNeighborSource<'a> {
         eps: f64,
         prune: PruneConfig,
     ) -> Self {
-        TreeNeighborSource { tree, scratch, eps, prune, count_buf: Vec::new() }
+        TreeNeighborSource { tree, scratch, eps, prune }
     }
-}
 
-impl NeighborSource for TreeNeighborSource<'_> {
-    fn neighbors_of(&mut self, q: u32, out: &mut Vec<PointId>) {
+    /// Append the eps-neighborhood of point `q` over the **whole**
+    /// dataset to `out`, in the tree's deterministic order.
+    pub fn neighbors_of(&mut self, q: u32, out: &mut Vec<PointId>) {
         let row = self.tree.dataset().point(PointId(q));
         self.tree.range_pruned_scratch(row, self.eps, self.prune, self.scratch, out);
-    }
-
-    fn neighbors_batch(
-        &mut self,
-        ids: &[u32],
-        out: &mut Vec<PointId>,
-        spans: &mut Vec<(u32, u32)>,
-    ) {
-        if self.prune == PruneConfig::EXACT {
-            self.tree.query_batch(ids, self.eps, self.scratch, out, spans);
-        } else {
-            // pruned traversals carry per-query state; run them one at
-            // a time with the exact scalar semantics
-            out.clear();
-            spans.clear();
-            for &q in ids {
-                let off = out.len() as u32;
-                self.neighbors_of(q, out);
-                spans.push((off, out.len() as u32 - off));
-            }
-        }
-    }
-
-    fn count_up_to(&mut self, q: u32, cap: usize) -> usize {
-        let row = self.tree.dataset().point(PointId(q));
-        if self.prune == PruneConfig::EXACT {
-            self.tree.count_up_to(row, self.eps, cap, self.scratch)
-        } else {
-            // a pruned query's neighbor count is defined by the pruned
-            // traversal itself — reproduce it exactly
-            self.count_buf.clear();
-            let buf = &mut self.count_buf;
-            self.tree.range_pruned_scratch(row, self.eps, self.prune, self.scratch, buf);
-            buf.len()
-        }
     }
 }
 
@@ -409,7 +300,7 @@ pub fn local_partial_clusters_scratch(
     seed_policy: SeedPolicy,
     scratch: &mut ExecutorScratch,
 ) -> LocalClustering {
-    let ExecutorScratch { marks, nbuf, .. } = scratch;
+    let ExecutorScratch { marks, nbuf } = scratch;
     let mut x = Expansion::begin(marks, ranges, partition, seed_policy);
     let mut clusters: Vec<PartialCluster> = Vec::new();
     let mut core_points: Vec<u32> = Vec::new();
@@ -453,128 +344,32 @@ pub fn local_partial_clusters_scratch(
     LocalClustering { clusters, core_points, stats }
 }
 
-/// [`local_partial_clusters_scratch`] parameterized by a
-/// [`NeighborSource`] and a [`KernelConfig`]: `kernel.batch > 0` drains
-/// the BFS frontier in chunks and issues batched neighborhood queries;
-/// `kernel.count_fast_path` settles non-core points with an early-exit
-/// count instead of a materialized neighbor list. With both off this
-/// *is* the scalar loop.
-///
-/// Every configuration is **byte-identical** to the scalar path — same
-/// clusters, member order, core points, SEEDs and stats (fast path
-/// excepted on [`ExecutorStats::kernel`] only):
-///
-/// * A chunk is claimed strictly in FIFO order, so member pushes and
-///   visited/assigned transitions replay the scalar dequeue sequence;
-///   expansions admit their neighborhoods in chunk order, exactly where
-///   the scalar loop admits them, so SEEDs are placed in the same order.
-/// * Deferring an expansion behind later chunk claims can only *drop*
-///   enqueues the scalar path would also neutralize: admission rejects
-///   claimed points, and such a point's scalar dequeue is a no-op.
-/// * A non-core point's early-exit count never reaches `min_pts`, so it
-///   is the exact neighborhood size — `neighbors_found` is unchanged.
-///   Core points still pay the full query that drives expansion.
-pub fn local_partial_clusters_source<S: NeighborSource>(
-    source: &mut S,
+/// [`local_partial_clusters_scratch`] over a [`TreeNeighborSource`].
+/// `kernel` is unused: the leaf layout is fixed when the tree is built,
+/// and every layout gives the same clustering.
+pub fn local_partial_clusters_source(
+    source: &mut TreeNeighborSource<'_>,
     params: DbscanParams,
     ranges: &PartitionRanges,
     partition: usize,
     seed_policy: SeedPolicy,
     scratch: &mut ExecutorScratch,
-    kernel: KernelConfig,
+    _kernel: KernelConfig,
 ) -> LocalClustering {
-    if kernel.batch == 0 && !kernel.count_fast_path {
-        return local_partial_clusters_scratch(
-            |q, out| source.neighbors_of(q, out),
-            params,
-            ranges,
-            partition,
-            seed_policy,
-            scratch,
-        );
-    }
-
-    let ExecutorScratch { marks, nbuf, pending, batch_out, spans } = scratch;
-    let mut x = Expansion::begin(marks, ranges, partition, seed_policy);
-    let chunk_cap = kernel.batch.max(1);
-    let fast = kernel.count_fast_path;
-    let mut clusters: Vec<PartialCluster> = Vec::new();
-    let mut core_points: Vec<u32> = Vec::new();
-    let mut stats = ExecutorStats::default();
-
-    for p in x.start..x.end {
-        stats.points_processed += 1;
-        if !x.visit(p) {
-            continue;
-        }
-        stats.neighbor_queries += 1;
-        if fast {
-            // probe first: noise points settle with their exact count
-            // (exact because the cap was never reached) and skip the
-            // materialized query entirely
-            let cnt = source.count_up_to(p, params.min_pts);
-            if cnt < params.min_pts {
-                stats.neighbors_found += cnt;
-                stats.local_noise += 1;
-                continue;
-            }
-        }
-        nbuf.clear();
-        source.neighbors_of(p, nbuf);
-        stats.neighbors_found += nbuf.len();
-        if nbuf.len() < params.min_pts {
-            stats.local_noise += 1;
-            continue;
-        }
-
-        let mut cluster = x.open(p);
-        core_points.push(p);
-        x.admit(nbuf);
-        while !x.marks.queue.is_empty() {
-            // claim up to chunk_cap frontier items in FIFO order
-            pending.clear();
-            for _ in 0..chunk_cap {
-                let Some(q) = x.marks.queue.pop_front() else { break };
-                if x.claim(q, &mut cluster) {
-                    pending.push(q);
-                }
-            }
-            if fast {
-                // count probes retire non-core points; survivors keep
-                // their chunk order for the materialized batch below
-                pending.retain(|&q| {
-                    let cnt = source.count_up_to(q, params.min_pts);
-                    if cnt < params.min_pts {
-                        stats.neighbor_queries += 1;
-                        stats.neighbors_found += cnt;
-                    }
-                    cnt >= params.min_pts
-                });
-            }
-            if pending.is_empty() {
-                continue;
-            }
-            source.neighbors_batch(pending, batch_out, spans);
-            for (&q, &(off, len)) in pending.iter().zip(spans.iter()) {
-                let span = &batch_out[off as usize..(off + len) as usize];
-                stats.neighbor_queries += 1;
-                stats.neighbors_found += span.len();
-                if span.len() >= params.min_pts {
-                    core_points.push(q);
-                    x.admit(span);
-                }
-            }
-        }
-        clusters.push(x.close(cluster, &mut stats));
-    }
-
-    LocalClustering { clusters, core_points, stats }
+    local_partial_clusters_scratch(
+        |q, out| source.neighbors_of(q, out),
+        params,
+        ranges,
+        partition,
+        seed_policy,
+        scratch,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbscan_spatial::{Dataset, KdTree, Metric, SpatialIndex};
+    use dbscan_spatial::{BuildConfig, Dataset, KdTree, Metric, SpatialIndex};
     use std::sync::Arc;
 
     /// 1-d chain of points 1.0 apart: with eps=1.1 / minpts=2 the whole
@@ -803,100 +598,28 @@ mod tests {
         rows
     }
 
-    fn run_kernel(
-        tree: &KdTree,
-        params: DbscanParams,
-        ranges: &PartitionRanges,
-        part: usize,
-        policy: SeedPolicy,
-        kernel: KernelConfig,
-    ) -> LocalClustering {
-        let data = tree.dataset().clone();
-        let mut scratch = ExecutorScratch::new();
-        let mut source = |q: u32, out: &mut Vec<PointId>| {
-            tree.range_into(data.point(PointId(q)), params.eps, out)
-        };
-        local_partial_clusters_source(
-            &mut source,
-            params,
-            ranges,
-            part,
-            policy,
-            &mut scratch,
-            kernel,
-        )
-    }
-
-    #[test]
-    fn batched_frontier_is_identical_to_scalar_for_every_chunk_size() {
-        let datasets = [chain_tree(37), KdTree::build(Arc::new(Dataset::from_rows(blob_rows())))];
-        for tree in &datasets {
-            let n = tree.dataset().len();
-            let params = DbscanParams::new(1.1, 3).unwrap();
-            for parts in [1usize, 3] {
-                let ranges = PartitionRanges::new(n, parts);
-                for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
-                    for part in 0..parts {
-                        let scalar = run(tree, params, &ranges, part, policy);
-                        for batch in [1usize, 2, 3, 7, 64] {
-                            let kernel = KernelConfig::default().with_batch(batch);
-                            let batched = run_kernel(tree, params, &ranges, part, policy, kernel);
-                            assert_eq!(
-                                scalar, batched,
-                                "batch={batch} part={part}/{parts} {policy:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn count_fast_path_is_identical_to_scalar() {
-        // closure sources answer count_up_to with a full materialized
-        // query, so the fast path must reproduce the scalar stats and
-        // clustering exactly — alone and combined with batching
-        let tree = KdTree::build(Arc::new(Dataset::from_rows(blob_rows())));
-        let n = tree.dataset().len();
-        let params = DbscanParams::new(1.1, 4).unwrap();
-        let ranges = PartitionRanges::new(n, 2);
-        for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
-            for part in 0..2 {
-                let scalar = run(&tree, params, &ranges, part, policy);
-                for batch in [0usize, 3] {
-                    let kernel =
-                        KernelConfig::default().with_batch(batch).with_count_fast_path(true);
-                    let fast = run_kernel(&tree, params, &ranges, part, policy, kernel);
-                    assert_eq!(scalar, fast, "batch={batch} part={part} {policy:?}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn tree_neighbor_source_matches_closure_source() {
-        // the real executor-side source (BkdTree + QueryScratch, batched
-        // leaf scans, early-exit counting) against a plain closure over
-        // the same tree — neighbor order, hence member order, must match
+        // the real executor-side source (BkdTree + QueryScratch) under
+        // both leaf layouts against a plain closure over the
+        // scalar-layout tree — neighbor order, hence member order, must
+        // match
         let ds = Arc::new(Dataset::from_rows(blob_rows()));
         // 16-point leaves: the 37 points span several leaves
-        let bkd = BkdTree::build_with(ds.clone(), Metric::Euclidean, 16);
+        let build = |kernel| {
+            let cfg = BuildConfig::default().with_bucket_size(16).with_kernel(kernel);
+            BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg)
+        };
+        let scalar = build(KernelConfig::scalar());
         let n = ds.len();
         let params = DbscanParams::new(1.1, 3).unwrap();
         let ranges = PartitionRanges::new(n, 3);
-        let configs = [
-            KernelConfig::default(),
-            KernelConfig::default().with_batch(4),
-            KernelConfig::default().with_count_fast_path(true),
-            KernelConfig::default().with_batch(4).with_count_fast_path(true),
-        ];
         for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
             for part in 0..3 {
                 let mut base_scratch = QueryScratch::new();
                 let baseline = local_partial_clusters(
                     |q, out| {
-                        bkd.range_into_scratch(
+                        scalar.range_into_scratch(
                             ds.point(PointId(q)),
                             params.eps,
                             &mut base_scratch,
@@ -908,7 +631,8 @@ mod tests {
                     part,
                     policy,
                 );
-                for kernel in configs {
+                for kernel in [KernelConfig::default(), KernelConfig::scalar()] {
+                    let bkd = build(kernel);
                     let mut qscratch = QueryScratch::new();
                     let mut source = TreeNeighborSource::new(
                         &bkd,
@@ -930,18 +654,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn without_kernel_clears_only_kernel_counters() {
-        let stats = ExecutorStats {
-            neighbor_queries: 7,
-            kernel: KernelCounters { rows_scanned: 99, ..Default::default() },
-            ..Default::default()
-        };
-        let cleared = stats.without_kernel();
-        assert_eq!(cleared.neighbor_queries, 7);
-        assert!(cleared.kernel.is_zero());
     }
 
     /// Algorithms 2 and 3 transcribed directly, with SEEDs placed when
@@ -1051,21 +763,17 @@ mod tests {
                     for part in 0..parts {
                         let want = reference(&tree, params, &ranges, part, policy);
                         seeds_seen += want.stats.seeds_placed;
-                        for batch in [0usize, 3] {
-                            let kernel = KernelConfig::default().with_batch(batch);
-                            let got = run_kernel(&tree, params, &ranges, part, policy, kernel);
-                            let tag =
-                                format!("trial {trial} batch={batch} {part}/{parts} {policy:?}");
-                            assert_eq!(got.clusters.len(), want.clusters.len(), "{tag}");
-                            for (g, w) in got.clusters.iter().zip(&want.clusters) {
-                                assert_eq!((g.owner, g.range), (w.owner, w.range), "{tag}");
-                                assert_eq!(g.members[0], w.members[0], "{tag}");
-                                assert!(g.regulars().eq(w.regulars()), "{tag}: regulars");
-                                assert!(g.seeds().eq(w.seeds()), "{tag}: seeds");
-                            }
-                            assert_eq!(got.core_points, want.core_points, "{tag}");
-                            assert_eq!(got.stats, want.stats, "{tag}");
+                        let got = run(&tree, params, &ranges, part, policy);
+                        let tag = format!("trial {trial} {part}/{parts} {policy:?}");
+                        assert_eq!(got.clusters.len(), want.clusters.len(), "{tag}");
+                        for (g, w) in got.clusters.iter().zip(&want.clusters) {
+                            assert_eq!((g.owner, g.range), (w.owner, w.range), "{tag}");
+                            assert_eq!(g.members[0], w.members[0], "{tag}");
+                            assert!(g.regulars().eq(w.regulars()), "{tag}: regulars");
+                            assert!(g.seeds().eq(w.seeds()), "{tag}: seeds");
                         }
+                        assert_eq!(got.core_points, want.core_points, "{tag}");
+                        assert_eq!(got.stats, want.stats, "{tag}");
                     }
                 }
             }

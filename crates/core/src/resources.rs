@@ -14,8 +14,6 @@
 //! | `DBSCAN_BUILD_THREADS` | `build.threads` | kd-tree build worker count (`0` = auto) |
 //! | `DBSCAN_MEM_BUDGET` | `memory` | per-executor byte budget (unset = unbounded) |
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
-//! | `DBSCAN_QUERY_BATCH` | `build.kernel.batch` | frontier chunk size (`0` = per-query) |
-//! | `DBSCAN_COUNT_FAST_PATH` | `build.kernel.count_fast_path` | `min_pts` early-exit counting |
 //!
 //! Every field is benign to vary: clustering labels are identical for
 //! any `Resources` value (budgets spill, never drop data; thread counts
@@ -62,10 +60,10 @@ impl Resources {
 
     /// Defaults overlaid with the environment: `DBSCAN_BUILD_THREADS`
     /// sets the build worker count, `DBSCAN_MEM_BUDGET` (bytes) sets a
-    /// bounded per-executor memory budget, and the `DBSCAN_KERNEL*` /
-    /// `DBSCAN_QUERY_BATCH` / `DBSCAN_COUNT_FAST_PATH` family (parsed by
-    /// [`dbscan_spatial::KernelConfig::from_env`]) selects the leaf-scan
-    /// kernel. Unset or unparsable variables leave the default in place.
+    /// bounded per-executor memory budget, and `DBSCAN_KERNEL` (parsed
+    /// by [`dbscan_spatial::KernelConfig::from_env`]) selects the
+    /// leaf-scan layout. Unset or unparsable variables leave the
+    /// default in place.
     pub fn from_env() -> Self {
         let mut r = Self::from_env_values(
             std::env::var("DBSCAN_BUILD_THREADS").ok().as_deref(),
@@ -220,7 +218,7 @@ mod tests {
     #[test]
     fn kernel_config_rides_the_build_config() {
         use dbscan_spatial::{KernelConfig, KernelLayout};
-        let k = KernelConfig::scalar().with_batch(16);
+        let k = KernelConfig::default().with_layout(KernelLayout::Scalar);
         let r = Resources::new().with_build(BuildConfig::default().with_kernel(k));
         assert_eq!(r.build.kernel, k);
         assert_eq!(r.build.kernel.layout, KernelLayout::Scalar);

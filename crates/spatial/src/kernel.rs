@@ -10,8 +10,8 @@
 //! dispatches **once per block scan** on `Dataset::dim`, so the per-row
 //! work is a fixed-trip-count, bounds-check-free loop.
 //!
-//! On top of the row-major kernels sit the **lane-blocked SoA kernels**
-//! ([`scan_block_soa`], [`count_block_soa`]): they scan a leaf block
+//! On top of the row-major kernels sits the **lane-blocked SoA kernel**
+//! ([`scan_block_soa`]): it scans a leaf block
 //! stored dimension-major (all `x`s, then all `y`s, …), sixteen points
 //! at a time into a `[f64; 16]` stack buffer that LLVM vectorizes. The
 //! group distances are compiled twice, for the build target and with
@@ -24,7 +24,7 @@
 //! branch-free pass packing hit indices left, so dense and sparse
 //! blocks cost the same per row.
 //!
-//! Three invariants make the kernels safe to wire everywhere:
+//! Two invariants make the kernels safe to wire everywhere:
 //!
 //! * **Bit-identical results.** Fixed-`D`, generic and lane-blocked
 //!   paths accumulate in the same coordinate order, so every distance
@@ -37,12 +37,8 @@
 //! * **Same early-exit semantics.** [`scan_block`] and
 //!   [`scan_block_soa`] report matches through a callback that can stop
 //!   the scan, row by row in row order, so pruned queries
-//!   (`max_neighbors`) and `count_at_least` behave exactly like the
-//!   generic traversal they replace.
-//! * **Count exactness below the cap.** [`count_block_soa`] early-exits
-//!   at lane-group granularity only once the cap is reached, so any
-//!   returned count *below* the cap is exact — the contract the
-//!   executor's `min_pts` fast path relies on.
+//!   (`max_neighbors`) behave exactly like the generic traversal they
+//!   replace.
 //!
 //! Callers: [`crate::BkdTree`] leaf scans, [`crate::BruteForceIndex`]
 //! whole-matrix scans, and [`crate::Metric::reduced_distance`] (single
@@ -73,35 +69,25 @@ pub enum KernelLayout {
 }
 
 /// Query-kernel configuration threaded through the resource bundle:
-/// data layout, frontier batching and the `min_pts` count-only fast
-/// path. Labels are byte-identical for every value —
-/// [`KernelConfig::count_fast_path`] additionally leaves every
-/// executor stat untouched and only changes the *kernel counters*
-/// (fewer rows scanned).
+/// the leaf-block layout. Labels, executor stats and kernel counters
+/// are byte-identical for every value; only throughput changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Leaf-block layout and scan strategy.
     pub layout: KernelLayout,
-    /// Executor frontier chunk size for batched `query_batch`
-    /// expansion; `0` disables batching (one query at a time).
-    pub batch: usize,
-    /// Decide core-point status with an early-exit count before paying
-    /// for the full neighbor list of non-core points.
-    pub count_fast_path: bool,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
-        KernelConfig { layout: KernelLayout::Lanes, batch: 0, count_fast_path: false }
+        KernelConfig { layout: KernelLayout::Lanes }
     }
 }
 
 impl KernelConfig {
-    /// The seed-path configuration: row-major scalar scans, no
-    /// batching, no fast path — the arm every other configuration is
-    /// checked byte-identical against.
+    /// The seed-path configuration: row-major scalar scans — the arm
+    /// the lane-blocked layout is checked byte-identical against.
     pub fn scalar() -> Self {
-        KernelConfig { layout: KernelLayout::Scalar, ..Self::default() }
+        KernelConfig { layout: KernelLayout::Scalar }
     }
 
     /// Set the leaf-block layout.
@@ -110,50 +96,22 @@ impl KernelConfig {
         self
     }
 
-    /// Set the executor frontier batch size (`0` = off).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Enable or disable the `min_pts` count-only fast path.
-    pub fn with_count_fast_path(mut self, on: bool) -> Self {
-        self.count_fast_path = on;
-        self
-    }
-
     /// Defaults overlaid with the environment: `DBSCAN_KERNEL`
-    /// (`scalar`/`lanes`), `DBSCAN_QUERY_BATCH` (frontier chunk, `0` =
-    /// off) and `DBSCAN_COUNT_FAST_PATH` (`1`/`true`). Unset or
-    /// unparsable variables leave the default in place.
+    /// (`scalar`/`lanes`). Unset or unparsable values leave the default
+    /// in place.
     pub fn from_env() -> Self {
-        Self::from_env_values(
-            std::env::var("DBSCAN_KERNEL").ok().as_deref(),
-            std::env::var("DBSCAN_QUERY_BATCH").ok().as_deref(),
-            std::env::var("DBSCAN_COUNT_FAST_PATH").ok().as_deref(),
-        )
+        Self::from_env_values(std::env::var("DBSCAN_KERNEL").ok().as_deref())
     }
 
     /// The pure core of [`KernelConfig::from_env`], taking the raw
-    /// variable values so tests can exercise the parsing contract
+    /// variable value so tests can exercise the parsing contract
     /// without touching the process environment. Never panics, never
-    /// errors: junk keeps the default for that knob.
-    pub fn from_env_values(layout: Option<&str>, batch: Option<&str>, fast: Option<&str>) -> Self {
-        let mut cfg = Self::default();
+    /// errors: junk keeps the default.
+    pub fn from_env_values(layout: Option<&str>) -> Self {
         match layout.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-            Some("scalar") => cfg.layout = KernelLayout::Scalar,
-            Some("lanes") => cfg.layout = KernelLayout::Lanes,
-            _ => {}
+            Some("scalar") => Self::scalar(),
+            _ => Self::default(),
         }
-        if let Some(b) = batch.and_then(|v| v.trim().parse::<usize>().ok()) {
-            cfg.batch = b;
-        }
-        match fast.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-            Some("1") | Some("true") => cfg.count_fast_path = true,
-            Some("0") | Some("false") => cfg.count_fast_path = false,
-            _ => {}
-        }
-        cfg
     }
 }
 
@@ -161,9 +119,8 @@ impl KernelConfig {
 /// [`crate::QueryScratch`] and surfaced on the executor stats. The
 /// counters are defined over *visited* leaves — blocks touched by the
 /// traversal and the rows those blocks hold — so they are invariant
-/// across scalar, lane-blocked and batched configurations (which visit
-/// the same leaves in the same order). Only the count fast path, which
-/// genuinely prunes traversal, moves them.
+/// across the scalar and lane-blocked layouts, which visit the same
+/// leaves in the same order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Leaf blocks scanned (one per leaf per query touching it).
@@ -172,8 +129,8 @@ pub struct KernelCounters {
     pub rows_scanned: u64,
     /// Rows reported within the query threshold.
     pub range_hits: u64,
-    /// Scans stopped before their last block (count caps reached,
-    /// pruning budgets exhausted).
+    /// Scans stopped before their last block (pruning budgets
+    /// exhausted).
     pub early_exits: u64,
 }
 
@@ -317,32 +274,6 @@ pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     let block = SoaBlock { metric, query: &query[..dim], soa, rows, thr };
     // SAFETY: `Body::detect` only returns a body this CPU can run.
     unsafe { Body::detect().scan(&block, on_match) }
-}
-
-/// Count the rows of a dimension-major block within `thr`, adding to
-/// `*count` and stopping (at lane-group granularity) once
-/// `*count >= cap`. Returns `true` iff the cap was reached. Any final
-/// `*count` **below** `cap` is the exact block count — early exit can
-/// only fire at or past the cap.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn count_block_soa(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    assert_eq!(soa.len(), rows * dim, "a dimension-major block holds rows * dim values");
-    if rows == 0 || dim == 0 {
-        return *count >= cap;
-    }
-    let block = SoaBlock { metric, query: &query[..dim], soa, rows, thr };
-    // SAFETY: `Body::detect` only returns a body this CPU can run.
-    unsafe { Body::detect().count(&block, cap, count) }
 }
 
 /// One SoA leaf scan: `query` (one coordinate per dimension) against
@@ -490,21 +421,6 @@ impl Body {
             Body::Avx2 => unsafe { scan_avx2(block, on_match) },
         }
     }
-
-    /// [`count_block_soa`] through this body.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support the body's instruction set.
-    #[inline]
-    unsafe fn count(self, block: &SoaBlock, cap: usize, count: &mut usize) -> bool {
-        match self {
-            Body::Portable => count_groups(block, threshold, cap, count),
-            // SAFETY: the caller guarantees the CPU has AVX2.
-            #[cfg(target_arch = "x86_64")]
-            Body::Avx2 => unsafe { count_avx2(block, cap, count) },
-        }
-    }
 }
 
 /// Report the rows of `block` within its threshold in row order: whole
@@ -538,47 +454,12 @@ fn scan_groups<T: Fn(&[f64; LANES], f64) -> u32, F: FnMut(usize) -> bool>(
     true
 }
 
-/// Count the rows of `block` within its threshold into `*count`, lane
-/// group by lane group through `threshold`, stopping once the count
-/// reaches `cap`. Returns `true` iff it did.
-#[inline(always)]
-fn count_groups<T: Fn(&[f64; LANES], f64) -> u32>(
-    block: &SoaBlock,
-    threshold: T,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    let mut base = 0usize;
-    while base + LANES <= block.rows {
-        *count += threshold(&block.distances(base), block.thr).count_ones() as usize;
-        if *count >= cap {
-            return true;
-        }
-        base += LANES;
-    }
-    for i in base..block.rows {
-        *count += (block.distance(i) <= block.thr) as usize;
-        if *count >= cap {
-            return true;
-        }
-    }
-    false
-}
-
 /// [`scan_groups`] compiled with AVX2 enabled, through
 /// [`threshold_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
     scan_groups(block, |acc, thr| threshold_avx2(acc, thr), on_match)
-}
-
-/// [`count_groups`] compiled with AVX2 enabled, through
-/// [`threshold_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn count_avx2(block: &SoaBlock, cap: usize, count: &mut usize) -> bool {
-    count_groups(block, |acc, thr| threshold_avx2(acc, thr), cap, count)
 }
 
 /// [`threshold`] with AVX2: one `vcmppd LE_OQ` + `vmovmskpd` per four
@@ -779,10 +660,6 @@ mod tests {
                             };
                             assert!(done);
                             assert_eq!(row_major, lane, "rows={rows} dim={dim} {m:?} {body:?}");
-                            let mut n = 0usize;
-                            // SAFETY: as above.
-                            assert!(!unsafe { body.count(&sb, usize::MAX, &mut n) });
-                            assert_eq!(n, row_major.len(), "rows={rows} dim={dim} {m:?} {body:?}");
                         }
                     }
                 }
@@ -819,32 +696,6 @@ mod tests {
                     })
                 };
                 assert_eq!((done, &hits), (want_done, &want), "cap={cap} {body:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn count_soa_is_exact_below_cap_and_stops_at_cap() {
-        let data = block(2, 77);
-        let soa = soa_of(&data, 2);
-        let q = [1.0, -2.0];
-        for m in METRICS {
-            for thr in [0.0, 25.0, 1e6] {
-                let mut exact = 0usize;
-                scan_block(m, 2, &q, &data, thr, |_| {
-                    exact += 1;
-                    true
-                });
-                // cap above the block count: exact count, no exit
-                let mut n = 0usize;
-                assert!(!count_block_soa(m, 2, &q, &soa, 77, thr, exact + 1, &mut n));
-                assert_eq!(n, exact, "metric={m:?} thr={thr}");
-                // cap at/below the count: must report reached
-                if exact > 0 {
-                    let mut n = 0usize;
-                    assert!(count_block_soa(m, 2, &q, &soa, 77, thr, exact, &mut n));
-                    assert!(n >= exact);
-                }
             }
         }
     }
@@ -895,16 +746,11 @@ mod tests {
     fn kernel_config_env_parsing_contract() {
         let d = KernelConfig::default();
         assert_eq!(d.layout, KernelLayout::Lanes);
-        assert_eq!(d.batch, 0);
-        assert!(!d.count_fast_path);
-        assert_eq!(KernelConfig::from_env_values(None, None, None), d);
-        let c = KernelConfig::from_env_values(Some(" SCALAR "), Some("32"), Some("true"));
-        assert_eq!(c.layout, KernelLayout::Scalar);
-        assert_eq!(c.batch, 32);
-        assert!(c.count_fast_path);
-        // junk keeps defaults per knob
-        let j = KernelConfig::from_env_values(Some("simd"), Some("-1"), Some("yep"));
-        assert_eq!(j, d);
+        assert_eq!(KernelConfig::from_env_values(None), d);
+        assert_eq!(KernelConfig::from_env_values(Some(" SCALAR ")), KernelConfig::scalar());
+        assert_eq!(KernelConfig::from_env_values(Some("lanes")), d);
+        // junk keeps the default
+        assert_eq!(KernelConfig::from_env_values(Some("simd")), d);
         assert_eq!(KernelConfig::scalar().layout, KernelLayout::Scalar);
     }
 

@@ -10,8 +10,8 @@
 //! * [`BkdTree`] — the **default index**: a leaf-bucketed kd-tree whose
 //!   points are permuted into tree order at build, so each leaf scans a
 //!   contiguous coordinate block linearly. Queries are iterative over a
-//!   reusable [`QueryScratch`] (zero allocation in steady state) and
-//!   include `count_at_least` early-exit counting.
+//!   reusable [`QueryScratch`] (zero allocation in steady state), and
+//!   leaves are scanned by the lane-blocked kernels of [`kernel`].
 //! * [`KdTree`] — the classic node-per-point kd-tree supporting exact
 //!   eps range queries, counted queries, and nearest-neighbour search.
 //!   Kept as the A2 ablation arm the bucketed tree is measured against.
@@ -48,8 +48,8 @@ pub use grid::GridIndex;
 pub use index::SpatialIndex;
 pub use kdtree::{KdTree, PruneConfig};
 pub use kernel::{
-    count_block_soa, metric_kernel, scan_block, scan_block_generic, scan_block_soa,
-    transpose_block, KernelConfig, KernelCounters, KernelLayout, SPECIALIZED_DIMS,
+    metric_kernel, scan_block, scan_block_generic, scan_block_soa, transpose_block, KernelConfig,
+    KernelCounters, KernelLayout, SPECIALIZED_DIMS,
 };
 pub use metric::{chebyshev, euclidean, manhattan, squared_euclidean, Metric};
 pub use point::PointId;

@@ -352,17 +352,13 @@ fn chaos_tight_budget_matches_unbudgeted() {
 }
 
 #[test]
-fn chaos_batched_kernels_match_clean_under_every_plan() {
-    // batched frontier expansion and the min_pts count fast path reuse
-    // per-worker scratch across task attempts — retries, stragglers and
-    // executor kills must never leak a stale epoch, queue chunk or
-    // counter into the labels: every kernel cell under every fault plan
-    // reproduces the clean default-kernel run byte for byte
-    let kernels = [
-        KernelConfig::default().with_batch(16),
-        KernelConfig::default().with_batch(16).with_count_fast_path(true),
-        KernelConfig::scalar().with_batch(3),
-    ];
+fn chaos_scalar_kernel_matches_clean_under_every_plan() {
+    // the executor reuses per-worker scratch across task attempts —
+    // retries, stragglers and executor kills must never leak a stale
+    // epoch, queued point or counter into the labels: the scalar-layout
+    // cell under every fault plan reproduces the clean default-kernel
+    // run byte for byte
+    let kernel = KernelConfig::scalar();
     for seed in SEEDS {
         let (data, params) = dataset(seed);
 
@@ -374,24 +370,17 @@ fn chaos_batched_kernels_match_clean_under_every_plan() {
             .canonicalize();
 
         for (plan_name, plan) in plans() {
-            for kernel in kernels {
-                let tag = format!(
-                    "seed={seed} plan={plan_name} runner=spark-kernel-b{}{}",
-                    kernel.batch,
-                    if kernel.count_fast_path { "-fast" } else { "" }
-                );
-                let ctx = Context::new(chaos_config(seed, &plan));
-                let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
-                let out =
-                    SparkDbscan::new(params).exact().resources(res).run(&ctx, Arc::clone(&data));
-                let trace = ctx.trace().snapshot();
-                if out.clustering.canonicalize().labels != reference.labels {
-                    fail(&tag, Some(&trace), "batched-kernel labels differ from clean run");
-                }
-                let (lost, recomputed) = lost_and_recomputed(&trace);
-                if !recomputed.is_subset(&lost) {
-                    fail(&tag, Some(&trace), "recomputed a map output that was never lost");
-                }
+            let tag = format!("seed={seed} plan={plan_name} runner=spark-kernel-scalar");
+            let ctx = Context::new(chaos_config(seed, &plan));
+            let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
+            let out = SparkDbscan::new(params).exact().resources(res).run(&ctx, Arc::clone(&data));
+            let trace = ctx.trace().snapshot();
+            if out.clustering.canonicalize().labels != reference.labels {
+                fail(&tag, Some(&trace), "scalar-kernel labels differ from clean run");
+            }
+            let (lost, recomputed) = lost_and_recomputed(&trace);
+            if !recomputed.is_subset(&lost) {
+                fail(&tag, Some(&trace), "recomputed a map output that was never lost");
             }
         }
     }

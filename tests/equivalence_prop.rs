@@ -2,12 +2,14 @@
 //! sequential DBSCAN on core points for *arbitrary* data, parameters
 //! and partition counts; the paper-literal configuration is equivalent
 //! whenever clusters span at most two partitions and close to it
-//! otherwise (checked via ARI). Both exact entry points are also
-//! checked against an independent O(n²) all-pairs oracle ([`oracle`]).
+//! otherwise (checked via ARI). Every `DbscanRunner` entry point is
+//! also checked against an independent O(n²) all-pairs oracle
+//! ([`oracle`]).
 
 use proptest::prelude::*;
 use scalable_dbscan::dbscan::{
-    core_labels_equivalent, DbscanParams, SequentialDbscan, SparkDbscan,
+    core_labels_equivalent, DbscanParams, MrDbscanIterative, SequentialDbscan, ShuffleDbscan,
+    SparkDbscan,
 };
 use scalable_dbscan::prelude::*;
 use std::sync::Arc;
@@ -403,9 +405,11 @@ mod oracle {
 }
 
 /// Check `SequentialDbscan` and `SparkDbscan::exact()` against the
-/// all-pairs oracle, under both leaf kernel layouts and the batched
-/// expansion loop. Under the same kernels, the paper's one SEED per
-/// partition, with either merge, must keep the heuristic's invariants.
+/// all-pairs oracle, under both leaf kernel layouts. Under the same
+/// kernels, the paper's one SEED per partition, with either merge, must
+/// keep the heuristic's invariants. The other runners go through the
+/// `DbscanRunner` facade: the exact ones must match the oracle, the
+/// paper-mode MapReduce baseline must keep the heuristic's invariants.
 fn check_against_oracle(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partitions: usize) {
     let oracle = oracle::Oracle::new(&rows, eps, min_pts);
     let data = Arc::new(Dataset::from_rows(rows));
@@ -415,12 +419,8 @@ fn check_against_oracle(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partition
     let seq = SequentialDbscan::new(params).run(Arc::clone(&data));
     oracle.check(&seq).unwrap_or_else(|e| panic!("{tag}: sequential: {e}"));
     let ctx = Context::new(ClusterConfig::local(2));
-    let kernels = [
-        KernelConfig::default().with_layout(KernelLayout::Scalar),
-        KernelConfig::default().with_layout(KernelLayout::Lanes),
-        KernelConfig::default().with_batch(4),
-    ];
-    for kernel in kernels {
+    for layout in [KernelLayout::Scalar, KernelLayout::Lanes] {
+        let kernel = KernelConfig::default().with_layout(layout);
         let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
         let job = SparkDbscan::new(params).partitions(partitions).resources(res);
         let par = job.clone().exact().run(&ctx, Arc::clone(&data));
@@ -431,6 +431,22 @@ fn check_against_oracle(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partition
             oracle.check_paper(&out).unwrap_or_else(|e| panic!("{tag}: one SEED, {merge}: {e}"));
         }
     }
+    let env = RunEnv::engine(&ctx);
+    let run = |runner: &dyn DbscanRunner| {
+        let out = runner.run_dbscan(&env, Arc::clone(&data));
+        out.unwrap_or_else(|e| panic!("{tag}: {}: {e}", runner.name())).clustering
+    };
+    let exact: [&dyn DbscanRunner; 3] = [
+        &ShuffleDbscan::new(params).partitions(partitions),
+        &MrDbscan::new(params, partitions).exact(),
+        &MrDbscanIterative::new(params, partitions),
+    ];
+    for runner in exact {
+        let name = runner.name();
+        oracle.check(&run(runner)).unwrap_or_else(|e| panic!("{tag}: {name}: {e}"));
+    }
+    let paper = run(&MrDbscan::new(params, partitions));
+    oracle.check_paper(&paper).unwrap_or_else(|e| panic!("{tag}: paper mapreduce: {e}"));
 }
 
 /// Clumpy rows in `1..=7` dimensions around four far-apart centres;

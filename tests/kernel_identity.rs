@@ -1,11 +1,9 @@
 //! Kernel-configuration identity, end to end: the data layout
-//! (row-major scalar vs dimension-major SoA lanes) and batched frontier
-//! expansion are pure *speed* knobs — labels, per-partition executor
-//! stats and the full event trace must be byte-identical across every
-//! configuration at every build/worker thread count, at a given leaf
-//! size. The `min_pts` early-exit fast path legitimately changes the
-//! kernel counters (it scans less), so it is compared modulo the
-//! zero-tick `TaskKernel` events, and those alone.
+//! (row-major scalar vs dimension-major SoA lanes) is a pure *speed*
+//! knob — labels, per-partition executor stats (kernel counters
+//! included) and the full event trace must be byte-identical across
+//! both layouts at every build/worker thread count, at a given leaf
+//! size.
 
 use scalable_dbscan::datagen::{SkewedGenerator, SkewedParams};
 use scalable_dbscan::dbscan::{ExecutorStats, SparkDbscan};
@@ -25,8 +23,8 @@ fn random_dataset() -> (Arc<Dataset>, DbscanParams) {
 }
 
 /// Hotspot-skewed workload: dense Gaussian core plus uniform
-/// background, the worst case for batched expansion (huge frontiers in
-/// the hotspot, tiny ones outside).
+/// background: huge expansion frontiers in the hotspot, tiny ones
+/// outside.
 fn skewed_dataset() -> (Arc<Dataset>, DbscanParams) {
     let (data, _) = SkewedGenerator::new(SkewedParams::new(600, 3, SEED)).generate();
     (Arc::new(data), DbscanParams::new(25.0, 5).unwrap())
@@ -81,16 +79,17 @@ fn run_build(
 
 #[test]
 fn every_kernel_configuration_is_byte_identical_to_scalar() {
-    // (kernel, leaf size, build threads, worker threads): layouts and
-    // batch sizes crossed with thread counts, on the default leaves and
-    // on 16-point leaves (many leaves, mostly remainder rows)
+    // (kernel, leaf size, build threads, worker threads): layouts
+    // crossed with thread counts, on the default leaves and on 16-point
+    // leaves (many leaves, mostly remainder rows)
     let arms = [
         (KernelConfig::default(), None, 2, 2),
         (KernelConfig::default(), Some(16), 8, 8),
-        (KernelConfig::default().with_batch(32), Some(16), 1, 1),
-        (KernelConfig::default().with_batch(1), None, 2, 1),
-        (KernelConfig::default().with_batch(32), None, 1, 8),
-        (KernelConfig::scalar().with_batch(7), None, 2, 2),
+        (KernelConfig::default(), Some(16), 1, 1),
+        (KernelConfig::default(), None, 2, 1),
+        (KernelConfig::default(), None, 1, 8),
+        (KernelConfig::scalar(), None, 2, 2),
+        (KernelConfig::scalar(), Some(16), 8, 8),
     ];
     let build = |kernel: KernelConfig, bucket: Option<usize>| {
         let b = BuildConfig::default().with_kernel(kernel);
@@ -120,43 +119,6 @@ fn every_kernel_configuration_is_byte_identical_to_scalar() {
             assert_eq!(
                 got.trace.events, reference.trace.events,
                 "{name}: trace differs for {kernel:?} bucket={bucket:?} build={bt} workers={wt}"
-            );
-        }
-    }
-}
-
-#[test]
-fn count_fast_path_matches_modulo_kernel_counters() {
-    for (name, (data, params)) in [("random", random_dataset()), ("skewed", skewed_dataset())] {
-        let full = run_config(&data, params, KernelConfig::default(), 2, 2);
-        for kernel in [
-            KernelConfig::default().with_count_fast_path(true),
-            KernelConfig::default().with_batch(16).with_count_fast_path(true),
-        ] {
-            let fast = run_config(&data, params, kernel, 2, 2);
-            assert_eq!(fast.labels, full.labels, "{name}: labels differ for {kernel:?}");
-            let strip = |s: &[(u32, ExecutorStats)]| -> Vec<(u32, ExecutorStats)> {
-                s.iter().map(|&(p, st)| (p, st.without_kernel())).collect()
-            };
-            assert_eq!(
-                strip(&fast.stats),
-                strip(&full.stats),
-                "{name}: non-kernel stats differ for {kernel:?}"
-            );
-            assert_eq!(
-                fast.trace.without_kernel().events,
-                full.trace.without_kernel().events,
-                "{name}: trace modulo TaskKernel differs for {kernel:?}"
-            );
-            // the fast path must actually engage: core-point probes cap
-            // out at min_pts, which exact full scans never do
-            let exits = |s: &[(u32, ExecutorStats)]| -> u64 {
-                s.iter().map(|(_, st)| st.kernel.early_exits).sum()
-            };
-            assert_eq!(exits(&full.stats), 0, "{name}: exact full scans never cap");
-            assert!(
-                exits(&fast.stats) > 0,
-                "{name}: no count probe ever reached min_pts for {kernel:?}"
             );
         }
     }
