@@ -104,8 +104,8 @@ pub struct SparkDbscanResult {
     /// [`Balance::Cost`]); compare against `executor_stats` to judge
     /// prediction quality.
     pub predicted_cost: Option<Vec<f64>>,
-    /// Shard/critical-path decomposition of the kd-tree build (feeds
-    /// the driver-phase Amdahl model in the perf suite).
+    /// Shard decomposition of the kd-tree build, also recorded as
+    /// `BuildShard` trace events.
     pub build: BuildReport,
     /// Engine memory-ledger counters as of run end (cumulative for the
     /// context: peaks, spilled/evicted bytes, backpressure waits).

@@ -20,8 +20,8 @@
 //!   (see [`crate::storage::CacheManager`], [`crate::spill::SpillStore`]).
 //!
 //! Accounting is always on — an unbounded manager still tracks peaks,
-//! which is how the perf suite measures the unbounded high-water mark to
-//! derive a budget from — but `MemoryAction` trace events are recorded
+//! which is how the budget-identity tests measure the unbounded
+//! high-water mark to derive a budget from — but `MemoryAction` trace events are recorded
 //! only when the budget is bounded, so traces of unbudgeted runs are
 //! byte-identical to pre-budget traces.
 

@@ -60,29 +60,6 @@ impl StageMetrics {
     pub fn simulated_makespan(&self, p: usize) -> Duration {
         lpt_makespan(self.tasks.iter().map(|t| t.busy), p)
     }
-
-    /// Longest single task (the stage's critical path with unlimited
-    /// executors).
-    pub fn max_task(&self) -> Duration {
-        self.tasks.iter().map(|t| t.busy).max().unwrap_or(Duration::ZERO)
-    }
-
-    /// Max-over-mean of task busy times — the stage's load-balance
-    /// number. `1.0` means perfectly even tasks; the stage's wall clock
-    /// is roughly `mean x ratio` once executors outnumber tasks, so the
-    /// ratio is exactly what cost-balanced partitioning tries to pull
-    /// down. Returns `1.0` for an empty or zero-time stage.
-    pub fn max_mean_ratio(&self) -> f64 {
-        if self.tasks.is_empty() {
-            return 1.0;
-        }
-        let total: Duration = self.tasks.iter().map(|t| t.busy).sum();
-        let mean = total.as_secs_f64() / self.tasks.len() as f64;
-        if mean <= 0.0 {
-            return 1.0;
-        }
-        self.max_task().as_secs_f64() / mean
-    }
 }
 
 /// Measurements for one job (one action).
@@ -163,17 +140,6 @@ mod tests {
     fn executor_busy_sums_tasks() {
         let s = stage(vec![task(0, 10), task(1, 20), task(2, 30)]);
         assert_eq!(s.executor_busy(), Duration::from_millis(60));
-        assert_eq!(s.max_task(), Duration::from_millis(30));
-    }
-
-    #[test]
-    fn max_mean_ratio_measures_imbalance() {
-        let even = stage(vec![task(0, 10), task(1, 10), task(2, 10)]);
-        assert!((even.max_mean_ratio() - 1.0).abs() < 1e-12);
-        let skewed = stage(vec![task(0, 10), task(1, 10), task(2, 40)]);
-        assert!((skewed.max_mean_ratio() - 2.0).abs() < 1e-12);
-        assert_eq!(stage(vec![]).max_mean_ratio(), 1.0);
-        assert_eq!(stage(vec![task(0, 0)]).max_mean_ratio(), 1.0);
     }
 
     #[test]
@@ -184,7 +150,7 @@ mod tests {
         let m8 = s.simulated_makespan(8);
         assert!(m1 >= m2 && m2 >= m8);
         assert_eq!(m1, s.executor_busy());
-        assert_eq!(m8, s.max_task());
+        assert_eq!(m8, Duration::from_millis(17), "8 cores: the longest task");
     }
 
     #[test]

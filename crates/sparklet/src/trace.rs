@@ -329,7 +329,7 @@ impl Trace {
     /// The trace with all `MemoryAction` events removed. Memory events
     /// consume zero virtual ticks, so this is exactly the trace an
     /// unbudgeted run of the same workload produces — the invariant the
-    /// budget-identity tests and `perf_suite` experiment 4 assert.
+    /// budget-identity tests assert.
     pub fn without_memory(&self) -> Trace {
         Trace {
             events: self

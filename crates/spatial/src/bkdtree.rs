@@ -35,7 +35,6 @@ use crate::metric::Metric;
 use crate::point::PointId;
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Leaf capacity used by [`BkdTree::build`]. Median splits leave
 /// 32–64-row leaves, two to four whole 16-lane groups of the SoA
@@ -134,64 +133,15 @@ pub struct BuildShard {
     pub offset: usize,
     /// Points in the shard.
     pub len: usize,
-    /// Measured wall time of the shard's sequential build.
-    pub nanos: u64,
 }
 
-/// Instrumentation of one bulk build: the thread-count-independent
-/// shard decomposition plus measured per-phase times, enough to model
-/// the fork-join makespan at any worker count from a 1-thread run.
-#[derive(Debug, Clone, Default)]
+/// The shard decomposition of one bulk build. It depends only on the
+/// data and [`BuildConfig::par_cutoff`], never on `threads`, so reports
+/// of builds at different thread counts compare equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BuildReport {
-    /// Worker threads the build actually used.
-    pub threads: usize,
     /// Sequentially-built shards, in tree order (left to right).
     pub shards: Vec<BuildShard>,
-    /// Split work (axis selection + median partition) of internal nodes
-    /// above the cutoff, summed per recursion depth; depth `d` has at
-    /// most `2^d` such nodes running concurrently.
-    pub internal_nanos_by_depth: Vec<u64>,
-    /// Tree-order coordinate materialization (embarrassingly parallel).
-    pub coords_nanos: u64,
-    /// Dimension-major (SoA) leaf-block materialization — `0` under
-    /// [`KernelLayout::Scalar`]. Measured separately from
-    /// `coords_nanos` and excluded from
-    /// [`BuildReport::modeled_makespan_nanos`], which models the
-    /// layout-independent part of the build.
-    pub soa_nanos: u64,
-    /// Whole build.
-    pub total_nanos: u64,
-}
-
-impl BuildReport {
-    /// Total measured shard time.
-    pub fn shard_total_nanos(&self) -> u64 {
-        self.shards.iter().map(|s| s.nanos).sum()
-    }
-
-    /// Total measured internal (above-cutoff split) time.
-    pub fn internal_total_nanos(&self) -> u64 {
-        self.internal_nanos_by_depth.iter().sum()
-    }
-
-    /// Critical-path makespan of this build on `k` workers, modeled
-    /// from per-phase measurements: internal levels run at the lesser
-    /// of their fan-out and `k`, shards are LPT-scheduled onto `k`
-    /// workers, and the coordinate gather divides evenly. With `k = 1`
-    /// this reproduces the measured total; the level-barrier assumption
-    /// makes larger `k` conservative (real fork-join overlaps levels).
-    pub fn modeled_makespan_nanos(&self, k: usize) -> u64 {
-        let k = k.max(1);
-        let internal: u64 = self
-            .internal_nanos_by_depth
-            .iter()
-            .enumerate()
-            .map(|(d, &ns)| ns / (1u64 << d.min(62)).min(k as u64))
-            .sum();
-        internal
-            + lpt_makespan_nanos(self.shards.iter().map(|s| s.nanos), k)
-            + self.coords_nanos / k as u64
-    }
 }
 
 /// Longest-processing-time-first schedule length of `durs` on `k`
@@ -312,28 +262,25 @@ impl BkdTree {
     }
 
     /// Build under an explicit [`BuildConfig`] and return the
-    /// [`BuildReport`] instrumentation alongside the tree.
+    /// [`BuildReport`] shard decomposition alongside the tree.
     pub fn build_with_report(
         dataset: Arc<Dataset>,
         metric: Metric,
         cfg: BuildConfig,
     ) -> (Self, BuildReport) {
-        let total = Instant::now();
         let bucket_size = cfg.bucket_size.max(1);
         let cutoff = cfg.par_cutoff.max(1);
         let threads = cfg.effective_threads().max(1);
         let n = dataset.len();
         let d = dataset.dim();
         let mut ids: Vec<u32> = (0..n as u32).collect();
-        let (nodes, mut report) = if n == 0 {
+        let (nodes, report) = if n == 0 {
             (Vec::new(), BuildReport::default())
         } else {
-            build_rec(&dataset, &mut ids, 0, 0, bucket_size, cutoff, cfg.fork_budget())
+            build_rec(&dataset, &mut ids, 0, bucket_size, cutoff, cfg.fork_budget())
         };
-        report.threads = threads;
         // materialize the permuted coordinate blocks the leaves scan;
         // each worker gathers a disjoint contiguous chunk
-        let t = Instant::now();
         let mut coords = vec![0.0f64; n * d];
         if n > 0 && d > 0 {
             let chunk = n.div_ceil(threads);
@@ -347,18 +294,14 @@ impl BkdTree {
                 });
             }
         }
-        report.coords_nanos = t.elapsed().as_nanos() as u64;
         // materialize the dimension-major leaf blocks the lane-blocked
         // kernels scan; per-leaf transposes over disjoint ranges, so the
         // leaf list chunks across the same workers
-        let t = Instant::now();
         let soa = if cfg.kernel.layout == KernelLayout::Lanes && n > 0 && d > 0 {
             build_soa(&nodes, &coords, d, threads)
         } else {
             Vec::new()
         };
-        report.soa_nanos = t.elapsed().as_nanos() as u64;
-        report.total_nanos = total.elapsed().as_nanos() as u64;
         (
             BkdTree { dataset, nodes, coords, soa, ids, metric, bucket_size, kernel: cfg.kernel },
             report,
@@ -408,30 +351,6 @@ impl BkdTree {
     /// The kernel configuration this tree was built for.
     pub fn kernel_config(&self) -> KernelConfig {
         self.kernel
-    }
-
-    /// The `[start, end)` tree-order point range of every leaf, in flat
-    /// node order (which tiles `[0, len)` ascending). Exposed for the
-    /// perf suite's leaf-scan microbenchmarks and the layout property
-    /// tests.
-    pub fn leaf_ranges(&self) -> Vec<(usize, usize)> {
-        self.nodes.iter().filter(|n| n.is_leaf()).map(|n| (n.a as usize, n.b as usize)).collect()
-    }
-
-    /// Row-major coordinate block of leaf `[start, end)`.
-    pub fn leaf_coords(&self, start: usize, end: usize) -> &[f64] {
-        let d = self.dataset.dim().max(1);
-        &self.coords[start * d..end * d]
-    }
-
-    /// Dimension-major (SoA) coordinate block of leaf `[start, end)`;
-    /// `None` under [`KernelLayout::Scalar`], which keeps no SoA mirror.
-    pub fn leaf_soa(&self, start: usize, end: usize) -> Option<&[f64]> {
-        if self.soa.is_empty() {
-            return None;
-        }
-        let d = self.dataset.dim().max(1);
-        Some(&self.soa[start * d..end * d])
     }
 
     /// The build permutation: `tree_order()[pos]` is the original id of
@@ -756,32 +675,27 @@ fn transpose_leaves(
 /// Build the subtree over `ids` (a sub-slice of the global permutation,
 /// starting at tree-order position `off`). Returns nodes with indices
 /// relative to the returned vec (leaf point ranges are absolute) plus
-/// the shard/internal instrumentation of this subtree.
+/// the shard decomposition of this subtree.
 ///
 /// Subtrees below `cutoff` are **shards**: built sequentially in one
-/// timed unit. Nodes at or above `cutoff` are **internal**: their split
-/// work is timed per recursion depth, and the recursion forks onto a
-/// scoped thread while `par > 0`. The node layout is identical either
-/// way — `select_nth_unstable_by` is deterministic for a given input
-/// slice, and both children see the exact slices the sequential
-/// recursion would, so the thread count can never change the tree.
+/// unit. Above `cutoff` the recursion forks onto a scoped thread while
+/// `par > 0`. The node layout is identical either way —
+/// `select_nth_unstable_by` is deterministic for a given input slice,
+/// and both children see the exact slices the sequential recursion
+/// would, so the thread count can never change the tree.
 fn build_rec(
     ds: &Dataset,
     ids: &mut [u32],
     off: usize,
-    depth: usize,
     bucket: usize,
     cutoff: usize,
     par: usize,
 ) -> (Vec<BNode>, BuildReport) {
     let len = ids.len();
     if len < cutoff || len <= bucket {
-        let t = Instant::now();
         let nodes = build_seq(ds, ids, off, bucket);
-        let shard = BuildShard { offset: off, len, nanos: t.elapsed().as_nanos() as u64 };
-        return (nodes, BuildReport { shards: vec![shard], ..BuildReport::default() });
+        return (nodes, BuildReport { shards: vec![BuildShard { offset: off, len }] });
     }
-    let t = Instant::now();
     let axis = widest_axis(ds, ids);
     let mid = len / 2;
     ids.select_nth_unstable_by(mid, |&p, &q| {
@@ -790,24 +704,24 @@ fn build_rec(
         vp.total_cmp(&vq)
     });
     let split = ds.row(ids[mid] as usize)[axis];
-    let split_nanos = t.elapsed().as_nanos() as u64;
     // left gets [0, mid) with values <= split, right gets [mid, len)
     // with values >= split; both strictly shrink, so the build
     // terminates even when every coordinate is identical
     let (lo, hi) = ids.split_at_mut(mid);
-    let ((left, lrep), (mut right, rrep)) = if par > 0 {
+    let ((left, mut report), (mut right, rrep)) = if par > 0 {
         std::thread::scope(|s| {
-            let lh = s.spawn(|| build_rec(ds, lo, off, depth + 1, bucket, cutoff, par - 1));
-            let r = build_rec(ds, hi, off + mid, depth + 1, bucket, cutoff, par - 1);
+            let lh = s.spawn(|| build_rec(ds, lo, off, bucket, cutoff, par - 1));
+            let r = build_rec(ds, hi, off + mid, bucket, cutoff, par - 1);
             (lh.join().expect("subtree builder"), r)
         })
     } else {
         (
-            build_rec(ds, lo, off, depth + 1, bucket, cutoff, par),
-            build_rec(ds, hi, off + mid, depth + 1, bucket, cutoff, par),
+            build_rec(ds, lo, off, bucket, cutoff, par),
+            build_rec(ds, hi, off + mid, bucket, cutoff, par),
         )
     };
-    let report = merge_reports(depth, split_nanos, lrep, rrep);
+    // shards stay in tree order, left before right
+    report.shards.extend(rrep.shards);
 
     let mut nodes = Vec::with_capacity(1 + left.len() + right.len());
     let right_at = 1 + left.len() as u32;
@@ -827,28 +741,6 @@ fn build_rec(
     }
     nodes.extend(right);
     (nodes, report)
-}
-
-/// Combine child reports under an internal node: shards stay in tree
-/// order (left before right), per-depth internal times add up.
-fn merge_reports(
-    depth: usize,
-    split_nanos: u64,
-    mut l: BuildReport,
-    r: BuildReport,
-) -> BuildReport {
-    if l.internal_nanos_by_depth.len() < r.internal_nanos_by_depth.len() {
-        l.internal_nanos_by_depth.resize(r.internal_nanos_by_depth.len(), 0);
-    }
-    for (a, b) in l.internal_nanos_by_depth.iter_mut().zip(&r.internal_nanos_by_depth) {
-        *a += b;
-    }
-    if l.internal_nanos_by_depth.len() <= depth {
-        l.internal_nanos_by_depth.resize(depth + 1, 0);
-    }
-    l.internal_nanos_by_depth[depth] += split_nanos;
-    l.shards.extend(r.shards);
-    l
 }
 
 /// The plain sequential recursion (subtrees below the cutoff).
@@ -914,6 +806,36 @@ fn widest_axis(ds: &Dataset, ids: &[u32]) -> usize {
 mod tests {
     use super::*;
     use crate::bruteforce::BruteForceIndex;
+
+    /// The leaf-level accessors the layout tests and the leaf-scan
+    /// throughput floor sweep.
+    impl BkdTree {
+        /// The `[start, end)` tree-order point range of every leaf, in
+        /// flat node order (which tiles `[0, len)` ascending).
+        fn leaf_ranges(&self) -> Vec<(usize, usize)> {
+            self.nodes
+                .iter()
+                .filter(|n| n.is_leaf())
+                .map(|n| (n.a as usize, n.b as usize))
+                .collect()
+        }
+
+        /// Row-major coordinate block of leaf `[start, end)`.
+        fn leaf_coords(&self, start: usize, end: usize) -> &[f64] {
+            let d = self.dataset.dim().max(1);
+            &self.coords[start * d..end * d]
+        }
+
+        /// Dimension-major (SoA) coordinate block of leaf `[start, end)`;
+        /// `None` under [`KernelLayout::Scalar`], which keeps no SoA mirror.
+        fn leaf_soa(&self, start: usize, end: usize) -> Option<&[f64]> {
+            if self.soa.is_empty() {
+                return None;
+            }
+            let d = self.dataset.dim().max(1);
+            Some(&self.soa[start * d..end * d])
+        }
+    }
 
     /// Tree-order range under node `at`, checking on the way that every
     /// internal node splits its points at `split` in `f64::total_cmp` order.
@@ -1200,17 +1122,11 @@ mod tests {
         }
         assert_eq!(at, ds.len());
         assert!(rep.shards.len() > 1, "n=2000 cutoff=128 must split into many shards");
-        assert!(!rep.internal_nanos_by_depth.is_empty(), "internal depths must be timed");
-        // the modeled makespan at k=1 is the full serial critical path,
-        // monotonically non-increasing in k
-        let m1 = rep.modeled_makespan_nanos(1);
-        assert_eq!(m1, rep.internal_total_nanos() + rep.shard_total_nanos() + rep.coords_nanos);
-        assert!(rep.modeled_makespan_nanos(8) <= m1);
         assert!(t.len() == ds.len());
     }
 
     #[test]
-    fn build_config_from_env_parses_threads() {
+    fn build_config_default_threads_and_fork_budgets() {
         // no env set in tests: default is auto
         assert_eq!(BuildConfig::default().threads, 0);
         assert!(BuildConfig::default().effective_threads() >= 1);
@@ -1309,5 +1225,87 @@ mod tests {
             early_exits: 0,
         };
         assert_eq!(s.counters, doubled, "a reused scratch accumulates, never resets");
+    }
+
+    /// Leaf-scan throughput floor: every query swept over every leaf of a
+    /// tree with the default build geometry, once through the row-major
+    /// scalar scan and once through the dimension-major SoA lane kernel.
+    /// Queries sit on data points, so every dimension times the
+    /// hit-emission path; the equal hit counts cross-check the two paths
+    /// and keep the scans from being optimized away.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "throughput floor is measured in release")]
+    fn soa_leaf_scan_is_at_least_1_5x_scalar_at_d2_to_4() {
+        use crate::kernel::{scan_block, scan_block_soa};
+        use std::time::Instant;
+        let (n, queries) = (16_384, 192);
+        let thr = Metric::Euclidean.threshold(50.0);
+        let mut min_speedup_d2_4 = f64::INFINITY;
+        for dim in 2..=6 {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..dim).map(|k| (((i * dim + k) as f64) * 0.711).sin() * 500.0).collect())
+                .collect();
+            let ds = Arc::new(Dataset::from_rows(rows));
+            let t =
+                BkdTree::build_with_config(ds.clone(), Metric::Euclidean, BuildConfig::default());
+            let leaves = t.leaf_ranges();
+            let qs: Vec<&[f64]> = (0..queries).map(|q| ds.row(q * 7919 % n)).collect();
+            let scalar_pass = || {
+                let mut hits = 0u64;
+                let start = Instant::now();
+                for q in &qs {
+                    for &(s, e) in &leaves {
+                        scan_block(Metric::Euclidean, dim, q, t.leaf_coords(s, e), thr, |_| {
+                            hits += 1;
+                            true
+                        });
+                    }
+                }
+                (start.elapsed().as_secs_f64(), hits)
+            };
+            let soa_pass = || {
+                let mut hits = 0u64;
+                let start = Instant::now();
+                for q in &qs {
+                    for &(s, e) in &leaves {
+                        let soa = t.leaf_soa(s, e).expect("lanes layout builds the SoA mirror");
+                        scan_block_soa(Metric::Euclidean, dim, q, soa, e - s, thr, |_| {
+                            hits += 1;
+                            true
+                        });
+                    }
+                }
+                (start.elapsed().as_secs_f64(), hits)
+            };
+            // one warm-up pass per path, then interleaved best-of-5: any
+            // single pass can be descheduled on a shared CPU, so the
+            // minimum over alternating passes is the stable estimate
+            let _ = (scalar_pass(), soa_pass());
+            let (mut scalar_s, mut soa_s) = (f64::INFINITY, f64::INFINITY);
+            let (mut scalar_hits, mut soa_hits) = (0, 0);
+            for _ in 0..5 {
+                let (secs, hits) = scalar_pass();
+                (scalar_s, scalar_hits) = (scalar_s.min(secs), hits);
+                let (secs, hits) = soa_pass();
+                (soa_s, soa_hits) = (soa_s.min(secs), hits);
+            }
+            assert_eq!(scalar_hits, soa_hits, "leaf-scan paths disagree at dim {dim}");
+            assert!(scalar_hits > 0, "the leaf scan found no hit at dim {dim}");
+            let touched = (queries * n) as f64;
+            let speedup = scalar_s / soa_s;
+            println!(
+                "leaf scan dim={dim}: scalar {:.1} Mrows/s, soa {:.1} Mrows/s ({speedup:.2}x, {} leaves)",
+                touched / scalar_s / 1e6,
+                touched / soa_s / 1e6,
+                leaves.len()
+            );
+            if dim <= 4 {
+                min_speedup_d2_4 = min_speedup_d2_4.min(speedup);
+            }
+        }
+        assert!(
+            min_speedup_d2_4 >= 1.5,
+            "SoA leaf-scan speedup {min_speedup_d2_4:.2}x at d in {{2,3,4}} is below the 1.5x floor"
+        );
     }
 }

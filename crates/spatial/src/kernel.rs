@@ -178,8 +178,8 @@ pub fn scan_block<F: FnMut(usize) -> bool>(
 }
 
 /// The dynamic-length scan [`scan_block`] falls back to — public so the
-/// perf suite and the differential property tests can pit the two paths
-/// against each other on the same data. The metric's kernel function is
+/// differential property tests can pit the two paths against each other
+/// on the same data. The metric's kernel function is
 /// resolved once per scan, never once per row.
 #[inline]
 pub fn scan_block_generic<F: FnMut(usize) -> bool>(

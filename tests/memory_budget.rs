@@ -208,6 +208,7 @@ fn tight_budget_spark_dbscan_labels_and_trace_are_byte_identical() {
         stats.spilled_bytes > 0 || stats.backpressure_waits > 0 || stats.evictions > 0,
         "a 25% budget must actually engage the ladder, got {stats:?}"
     );
+    assert!(stats.spilled_bytes > 0, "a 25% budget must spill, not only backpressure: {stats:?}");
     assert!(
         stats.max_lane_peak <= budget,
         "accounted peak {} exceeds budget {budget}",

@@ -28,9 +28,10 @@ fn dataset(seed_scale: u32) -> (Arc<Dataset>, DbscanParams) {
 fn parallel_build_is_byte_identical_across_thread_counts() {
     for trial in 0..4 {
         let (data, params) = dataset(trial);
-        let serial = BkdTree::build_with_config(Arc::clone(&data), Metric::Euclidean, small_cfg(1));
+        let (serial, serial_report) =
+            BkdTree::build_with_report(Arc::clone(&data), Metric::Euclidean, small_cfg(1));
         for threads in [2, 3, 8] {
-            let par = BkdTree::build_with_config(
+            let (par, report) = BkdTree::build_with_report(
                 Arc::clone(&data),
                 Metric::Euclidean,
                 small_cfg(threads),
@@ -38,6 +39,10 @@ fn parallel_build_is_byte_identical_across_thread_counts() {
             assert!(
                 serial.same_structure(&par),
                 "trial {trial}: {threads}-thread build diverged from sequential"
+            );
+            assert_eq!(
+                serial_report, report,
+                "trial {trial}: shards diverged at {threads} threads"
             );
             // and the trees answer queries identically (sorted: query
             // order within a leaf is an implementation detail)
@@ -70,10 +75,6 @@ fn spark_dbscan_output_is_thread_count_invariant() {
         assert_eq!(base.clustering.labels, r.clustering.labels, "labels diverged at {threads}");
         assert_eq!(base.num_partial_clusters, r.num_partial_clusters);
         assert_eq!(base.merge_ops, r.merge_ops);
-        assert_eq!(
-            base.build.shards.iter().map(|s| (s.offset, s.len)).collect::<Vec<_>>(),
-            r.build.shards.iter().map(|s| (s.offset, s.len)).collect::<Vec<_>>(),
-            "shard decomposition must not depend on thread count"
-        );
+        assert_eq!(base.build, r.build, "shard decomposition must not depend on thread count");
     }
 }
