@@ -34,10 +34,8 @@
 //! [`MergeStrategy::UnionFind`] is provably equivalent to sequential
 //! DBSCAN on core points (property-tested in `tests/`).
 
-pub mod estimate;
 pub mod explore;
 pub mod filter;
-pub mod incremental;
 pub mod label;
 pub mod model;
 pub mod mr;
@@ -52,10 +50,8 @@ pub mod shuffle_baseline;
 pub mod unionfind;
 pub mod validate;
 
-pub use estimate::{k_distances, knee_index, suggest_eps};
 pub use explore::{clustering_fingerprint, DbscanExploreJob};
 pub use filter::filter_small_partials;
-pub use incremental::IncrementalDbscan;
 pub use label::{Clustering, Label};
 pub use model::{PartialCluster, PartitionRanges};
 pub use mr::{MrDbscan, MrDbscanResult};

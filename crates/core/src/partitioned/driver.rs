@@ -740,7 +740,7 @@ mod tests {
         let data = blobs(2, 40, 80.0);
         let params = DbscanParams::new(0.5, 3).unwrap();
         let cfg = ClusterConfig::local(4)
-            .with_fault(sparklet::FaultConfig::always_first(1))
+            .with_fault(sparklet::FaultPlan::tasks(sparklet::FaultRule::always_first(1)))
             .with_max_attempts(3);
         let ctx = Context::new(cfg);
         let r = SparkDbscan::new(params).run(&ctx, Arc::clone(&data));

@@ -97,11 +97,9 @@ impl ClusterConfig {
         ClusterConfig { worker_threads: host, ..ClusterConfig::local(n) }
     }
 
-    /// Builder-style: set the fault schedule. Accepts a full
-    /// [`FaultPlan`] or a legacy [`crate::FaultConfig`] (which injects
-    /// task failures only).
-    pub fn with_fault(mut self, fault: impl Into<FaultPlan>) -> Self {
-        self.fault = fault.into();
+    /// Builder-style: set the fault schedule.
+    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
+        self.fault = fault;
         self
     }
 
@@ -187,8 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_builder_accepts_legacy_config_and_full_plan() {
-        let c = ClusterConfig::local(2).with_fault(crate::fault::FaultConfig::always_first(2));
+    fn fault_builder_sets_task_and_fetch_rules() {
+        let c = ClusterConfig::local(2)
+            .with_fault(FaultPlan::tasks(crate::fault::FaultRule::always_first(2)));
         assert_eq!(c.fault.task_failure.max_per_task, 2);
         let plan = FaultPlan::none().with_fetch_failures(crate::fault::FaultRule::always_first(1));
         let c = ClusterConfig::local(2).with_fault(plan).with_max_stage_retries(0);

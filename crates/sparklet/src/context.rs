@@ -84,7 +84,6 @@ impl Context {
             config.fault.fetch_failure,
             config.seed,
             Arc::clone(&memory),
-            Arc::clone(&spill),
             Arc::clone(&config.schedule),
         ));
         let cache = Arc::new(CacheManager::new(CacheConfig {
@@ -318,6 +317,7 @@ pub struct KillReport {
 mod tests {
     use super::*;
     use crate::error::SparkError;
+    use crate::fault::{FaultPlan, FaultRule};
 
     fn ctx() -> Context {
         Context::new(ClusterConfig::local(4))
@@ -380,15 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_with_index_is_global() {
-        let c = ctx();
-        let rdd = c.parallelize(vec!["a", "b", "c", "d", "e"], 3);
-        let z = rdd.zip_with_index().unwrap().collect().unwrap();
-        let idx: Vec<u64> = z.iter().map(|(_, i)| *i).collect();
-        assert_eq!(idx, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn take_returns_prefix() {
         let c = ctx();
         let rdd = c.parallelize((0..50i32).collect(), 5);
@@ -416,15 +407,6 @@ mod tests {
         out.sort_by_key(|(k, _)| *k);
         out[0].1.sort_unstable();
         assert_eq!(out, vec![(1, vec!['a', 'c']), (2, vec!['b'])]);
-    }
-
-    #[test]
-    fn count_by_key_counts() {
-        let c = ctx();
-        let rdd = c.parallelize(vec![("x", 1), ("y", 1), ("x", 1)], 2);
-        let counts = rdd.count_by_key().unwrap();
-        assert_eq!(counts["x"], 2);
-        assert_eq!(counts["y"], 1);
     }
 
     #[test]
@@ -529,7 +511,7 @@ mod tests {
     #[test]
     fn fault_injection_is_retried_transparently() {
         let cfg = ClusterConfig::local(2)
-            .with_fault(crate::fault::FaultConfig::always_first(2))
+            .with_fault(FaultPlan::tasks(FaultRule::always_first(2)))
             .with_max_attempts(4);
         let c = Context::new(cfg);
         let acc = c.accumulator(0u64);
@@ -549,7 +531,7 @@ mod tests {
     #[test]
     fn exhausted_retries_fail_the_job() {
         let cfg = ClusterConfig::local(1)
-            .with_fault(crate::fault::FaultConfig::always_first(10))
+            .with_fault(FaultPlan::tasks(FaultRule::always_first(10)))
             .with_max_attempts(2);
         let c = Context::new(cfg);
         let err = c.parallelize(vec![1], 1).collect().unwrap_err();
@@ -591,7 +573,7 @@ mod tests {
 
     #[test]
     fn executor_kill_mid_map_stage_recovers_via_lineage() {
-        use crate::fault::{ExecutorKillAt, FaultPlan};
+        use crate::fault::ExecutorKillAt;
         use crate::trace::EventKind;
         let clean: Vec<(u32, u64)> = {
             let c = Context::new(ClusterConfig::local(1));
@@ -636,7 +618,7 @@ mod tests {
 
     #[test]
     fn executor_kill_mid_result_stage_requeues_in_flight_tasks() {
-        use crate::fault::{ExecutorKillAt, FaultPlan};
+        use crate::fault::ExecutorKillAt;
         // the kill lands in the result stage: completed results are
         // kept, in-flight attempts are requeued (stale replies and
         // their accumulator updates dropped), and the reduce tasks that
@@ -689,140 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn debug_lineage_shows_ops_and_shuffles() {
-        let c = ctx();
-        let rdd = c
-            .parallelize((0..10u32).collect(), 2)
-            .map(|x| (x % 2, x))
-            .reduce_by_key(2, |a, b| a + b)
-            .filter(|_| true);
-        let s = rdd.debug_lineage();
-        assert!(s.contains("filter"), "{s}");
-        assert!(s.contains("shuffled"), "{s}");
-        assert!(s.contains("+-shuffle"), "{s}");
-        assert!(s.contains("map"), "{s}");
-        assert!(s.contains("parallelize"), "{s}");
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_roughly_proportional() {
-        let c = ctx();
-        let rdd = c.parallelize((0..10_000i64).collect(), 4);
-        let a = rdd.sample(0.3, 7).count().unwrap();
-        let b = rdd.sample(0.3, 7).count().unwrap();
-        assert_eq!(a, b, "same seed, same sample");
-        assert!((2500..3500).contains(&a), "sampled {a} of 10000 at 0.3");
-        let other = rdd.sample(0.3, 8).collect().unwrap();
-        let first = rdd.sample(0.3, 7).collect().unwrap();
-        assert_ne!(first, other, "different seeds differ");
-        assert_eq!(rdd.sample(0.0, 1).count().unwrap(), 0);
-        assert_eq!(rdd.sample(1.0, 1).count().unwrap(), 10_000);
-    }
-
-    #[test]
-    fn distinct_dedups_across_partitions() {
-        let c = ctx();
-        let rdd = c.parallelize(vec![3, 1, 3, 2, 1, 1, 2], 3);
-        let mut out = rdd.distinct(2).collect().unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn repartition_balances_and_preserves_elements() {
-        let c = ctx();
-        // badly skewed source: everything in one partition
-        let rdd = c.parallelize((0..90i32).collect(), 1);
-        let re = rdd.repartition(3).unwrap();
-        assert_eq!(re.num_partitions(), 3);
-        let sizes = re.partition_sizes().unwrap();
-        assert_eq!(sizes.iter().sum::<usize>(), 90);
-        assert!(sizes.iter().all(|&s| s == 30), "balanced: {sizes:?}");
-        let mut all = re.collect().unwrap();
-        all.sort_unstable();
-        assert_eq!(all, (0..90).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cogroup_aligns_both_sides() {
-        let c = ctx();
-        let l = c.parallelize(vec![(1u8, 'a'), (2, 'b'), (1, 'c')], 2);
-        let r = c.parallelize(vec![(1u8, 10i32), (3, 30)], 2);
-        let mut out = l.cogroup(&r, 2).collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out.len(), 3);
-        let (k1, (mut vs, ws)) = out[0].clone();
-        vs.sort_unstable();
-        assert_eq!((k1, vs, ws), (1, vec!['a', 'c'], vec![10]));
-        assert_eq!(out[1], (2, (vec!['b'], vec![])));
-        assert_eq!(out[2], (3, (vec![], vec![30])));
-    }
-
-    #[test]
-    fn join_is_inner_and_cartesian_per_key() {
-        let c = ctx();
-        let l = c.parallelize(vec![(1u8, 'a'), (1, 'b'), (2, 'x')], 2);
-        let r = c.parallelize(vec![(1u8, 10i32), (1, 20), (9, 90)], 2);
-        let mut out = l.join(&r, 2).collect().unwrap();
-        out.sort_by_key(|(k, (v, w))| (*k, *v, *w));
-        assert_eq!(out, vec![(1, ('a', 10)), (1, ('a', 20)), (1, ('b', 10)), (1, ('b', 20))]);
-    }
-
-    #[test]
-    fn subtract_by_key_removes_matched_keys() {
-        let c = ctx();
-        let l = c.parallelize(vec![(1u8, 'a'), (2, 'b'), (3, 'c')], 2);
-        let r = c.parallelize(vec![(2u8, ())], 1);
-        let mut out = l.subtract_by_key(&r, 2).collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out, vec![(1, 'a'), (3, 'c')]);
-    }
-
-    #[test]
-    fn save_as_text_file_roundtrips() {
-        let dfs = Arc::new(DfsCluster::single_node());
-        let c = ctx();
-        let rdd = c.parallelize((0..25i32).collect(), 3).map(|x| x * 2);
-        rdd.save_as_text_file(Arc::clone(&dfs), "/out").unwrap();
-        assert_eq!(dfs.list("/out/").len(), 3);
-        let back: Vec<i32> = c
-            .text_file(Arc::clone(&dfs), "/out/part-00001")
-            .unwrap()
-            .map(|l| l.parse::<i32>().unwrap())
-            .collect()
-            .unwrap();
-        assert!(!back.is_empty());
-        // all partitions together reproduce the dataset
-        let mut all: Vec<i32> = dfs
-            .list("/out/")
-            .iter()
-            .flat_map(|p| {
-                String::from_utf8(dfs.read_file(p).unwrap())
-                    .unwrap()
-                    .lines()
-                    .map(|l| l.parse::<i32>().unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..25).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn save_as_text_file_survives_task_retry() {
-        let dfs = Arc::new(DfsCluster::single_node());
-        let cfg = ClusterConfig::local(2)
-            .with_fault(crate::fault::FaultConfig::always_first(1))
-            .with_max_attempts(3);
-        let c = Context::new(cfg);
-        // the injected failure happens before user code runs, so the
-        // retry exercises the create-after-exists path only when a prior
-        // attempt got far enough; either way the job must succeed
-        c.parallelize(vec![1, 2, 3, 4], 2).save_as_text_file(Arc::clone(&dfs), "/retry").unwrap();
-        assert_eq!(dfs.list("/retry/").len(), 2);
-    }
-
-    #[test]
     fn text_file_roundtrip_through_dfs() {
         let dfs = Arc::new(DfsCluster::single_node());
         dfs.write_file("/data.txt", b"1,2\n3,4\n5,6\n").unwrap();
@@ -843,7 +691,7 @@ mod tests {
         let c = Context::new(
             ClusterConfig::local(2)
                 .with_tracing()
-                .with_fault(crate::fault::FaultConfig::always_first(1))
+                .with_fault(FaultPlan::tasks(FaultRule::always_first(1)))
                 .with_max_attempts(3),
         );
         let dfs = Arc::new(DfsCluster::single_node());

@@ -207,7 +207,7 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultConfig, FaultRule};
+    use crate::fault::{FaultPlan, FaultRule};
     use crate::task::{TaskOutput, TaskWork};
     use std::sync::Arc;
 
@@ -267,7 +267,7 @@ mod tests {
     fn injects_failures_per_config() {
         let pool = start_fifo(
             1,
-            FaultConfig::always_first(1).into(),
+            FaultPlan::tasks(FaultRule::always_first(1)),
             7,
             TraceCollector::disabled(),
             MemoryManager::unbounded(),
@@ -328,7 +328,7 @@ mod tests {
         let tracer = Arc::new(TraceCollector::new(crate::config::TraceConfig::enabled()));
         let pool = start_fifo(
             1,
-            FaultConfig::always_first(1).into(),
+            FaultPlan::tasks(FaultRule::always_first(1)),
             0,
             Arc::clone(&tracer),
             MemoryManager::unbounded(),

@@ -10,8 +10,8 @@
 //!
 //! A [`FaultPlan`] describes *which* faults a run injects:
 //!
-//! * **task attempt failures** (the classic [`FaultConfig`] knob): the
-//!   attempt dies before user code runs; the scheduler retries it.
+//! * **task attempt failures**: the attempt dies before user code runs;
+//!   the scheduler retries it.
 //! * **shuffle fetch failures**: a reduce-side fetch fails and one of the
 //!   parent map outputs is marked lost, forcing the scheduler down the
 //!   lineage-recomputation path (recompute only the missing map
@@ -29,44 +29,6 @@
 //! seed and the full task identity, each field mixed *separately* (a
 //! plain bit-pack like `partition << 20 | attempt` would alias distinct
 //! pairs), so rules are independent of each other and of the workload.
-
-/// Injected task-attempt-failure model (the original, narrow knob).
-/// Converts into a [`FaultPlan`] that injects only task failures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    /// Probability that any given task *attempt* fails.
-    pub task_failure_prob: f64,
-    /// Attempts that may be failed per task. Keeping this below the
-    /// scheduler's `max_task_attempts` guarantees eventual success.
-    pub max_injected_failures_per_task: usize,
-}
-
-impl FaultConfig {
-    /// No injected faults.
-    pub const NONE: FaultConfig =
-        FaultConfig { task_failure_prob: 0.0, max_injected_failures_per_task: 0 };
-
-    /// Fail every task's first `n` attempts — the harshest deterministic
-    /// model, for tests.
-    pub fn always_first(n: usize) -> Self {
-        FaultConfig { task_failure_prob: 1.0, max_injected_failures_per_task: n }
-    }
-
-    /// Should the given attempt be failed?
-    pub fn should_fail(&self, seed: u64, stage: usize, partition: usize, attempt: usize) -> bool {
-        FaultRule {
-            prob: self.task_failure_prob,
-            max_per_task: self.max_injected_failures_per_task,
-        }
-        .should_fire(seed, TASK_SALT, stage, partition, attempt)
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig::NONE
-    }
-}
 
 /// splitmix64 finalizer — a cheap, well-distributed hash for injection
 /// decisions and straggler sampling.
@@ -238,48 +200,42 @@ impl FaultPlan {
     }
 }
 
-impl From<FaultConfig> for FaultPlan {
-    fn from(f: FaultConfig) -> Self {
-        FaultPlan::tasks(FaultRule {
-            prob: f.task_failure_prob,
-            max_per_task: f.max_injected_failures_per_task,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn none_never_fails() {
-        let f = FaultConfig::NONE;
+        let f = FaultRule::NONE;
         for a in 0..10 {
-            assert!(!f.should_fail(1, 2, 3, a));
+            assert!(!f.should_fire(1, TASK_SALT, 2, 3, a));
         }
     }
 
     #[test]
     fn always_first_fails_exactly_n_attempts() {
-        let f = FaultConfig::always_first(2);
-        assert!(f.should_fail(0, 0, 0, 0));
-        assert!(f.should_fail(0, 0, 0, 1));
-        assert!(!f.should_fail(0, 0, 0, 2));
+        let f = FaultRule::always_first(2);
+        assert!(f.should_fire(0, TASK_SALT, 0, 0, 0));
+        assert!(f.should_fire(0, TASK_SALT, 0, 0, 1));
+        assert!(!f.should_fire(0, TASK_SALT, 0, 0, 2));
     }
 
     #[test]
     fn decisions_are_deterministic() {
-        let f = FaultConfig { task_failure_prob: 0.5, max_injected_failures_per_task: 1 };
+        let f = FaultRule::with_prob(0.5, 1);
         for part in 0..50 {
-            assert_eq!(f.should_fail(7, 1, part, 0), f.should_fail(7, 1, part, 0));
+            assert_eq!(
+                f.should_fire(7, TASK_SALT, 1, part, 0),
+                f.should_fire(7, TASK_SALT, 1, part, 0)
+            );
         }
     }
 
     #[test]
     fn probability_is_roughly_respected() {
-        let f = FaultConfig { task_failure_prob: 0.3, max_injected_failures_per_task: 1 };
+        let f = FaultRule::with_prob(0.3, 1);
         let n = 10_000;
-        let fails = (0..n).filter(|&p| f.should_fail(42, 0, p, 0)).count();
+        let fails = (0..n).filter(|&p| f.should_fire(42, TASK_SALT, 0, p, 0)).count();
         let rate = fails as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.05, "observed failure rate {rate}");
     }
@@ -349,8 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn fault_config_converts_to_task_only_plan() {
-        let plan: FaultPlan = FaultConfig::always_first(3).into();
+    fn tasks_plan_injects_only_task_failures() {
+        let plan = FaultPlan::tasks(FaultRule::always_first(3));
         assert_eq!(plan.task_failure, FaultRule::always_first(3));
         assert!(!plan.fetch_failure.is_active());
         assert!(!plan.dfs_read_failure.is_active());

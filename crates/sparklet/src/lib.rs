@@ -6,10 +6,10 @@
 //! reproduce the paper without Spark, this crate implements that model:
 //!
 //! * **Typed, lazy RDDs** ([`Rdd`]) with narrow transformations (`map`,
-//!   `filter`, `flat_map`, `map_partitions`, `union`, `zip_with_index`)
-//!   and wide ones (`reduce_by_key`, `group_by_key`) that introduce a
-//!   real hash **shuffle** with byte/record accounting — so "our DBSCAN
-//!   performs zero shuffles" is a measured property.
+//!   `filter`, `flat_map`, `map_partitions`, `union`) and wide ones
+//!   (`reduce_by_key`, `group_by_key`) that introduce a real hash
+//!   **shuffle** with byte/record accounting — so "our DBSCAN performs
+//!   zero shuffles" is a measured property.
 //! * **DAG scheduling**: jobs are split into stages at shuffle
 //!   boundaries; missing shuffle outputs are (re)computed from lineage.
 //! * **Executors**: a worker thread pool executing tasks; every task's
@@ -56,14 +56,14 @@ pub use config::{ClusterConfig, TraceConfig};
 pub use context::{Context, KillReport};
 pub use error::{SparkError, SparkResult};
 pub use explore::{ExploreJob, ExploreReport, Explorer, JobArtifacts, MergeOnceCheck, Violation};
-pub use fault::{ExecutorKillAt, FaultConfig, FaultPlan, FaultRule};
+pub use fault::{ExecutorKillAt, FaultPlan, FaultRule};
 pub use memory::{MemoryBudget, MemoryManager, MemoryStats, DRIVER_LANE};
 pub use metrics::{JobMetrics, StageKind, StageMetrics, TaskMetrics};
 pub use oracle::{
     default_oracles, InvariantOracle, LabelIdentity, LedgerConservation, MergeOnce, RunObservation,
     TraceWellFormed,
 };
-pub use rdd::{CoGrouped, Rdd};
+pub use rdd::Rdd;
 pub use schedule::{DecisionPoint, Fifo, Replay, ReplayToken, SchedulePolicy, Seeded};
 pub use sim::{lpt_makespan, VirtualScheduler};
 pub use spill::{SpillError, SpillHandle, SpillStore, Spillable};

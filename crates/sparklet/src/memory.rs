@@ -15,9 +15,10 @@
 //!   a single reservation larger than the whole budget is an error
 //!   ([`crate::SparkError::OutOfMemory`]).
 //! * **Storage charges** (cache, shuffle): resident cached partitions
-//!   and shuffle map-output buffers charge their lane; when a charge
-//!   would exceed the budget the owner first evicts or spills
-//!   (see [`crate::storage::CacheManager`], [`crate::spill::SpillStore`]).
+//!   and shuffle map-output buffers charge their lane. When a cache
+//!   charge would exceed the budget the cache first evicts or spills
+//!   (see [`crate::storage::CacheManager`], [`crate::spill::SpillStore`]);
+//!   shuffle map outputs are force-charged and stay resident.
 //!
 //! Accounting is always on — an unbounded manager still tracks peaks,
 //! which is how the budget-identity tests measure the unbounded
@@ -261,8 +262,8 @@ impl MemoryManager {
     }
 
     /// Charge storage bytes unconditionally (used after spilling made
-    /// room, or when no spill codec exists and correctness requires the
-    /// bytes to stay resident).
+    /// room, or when correctness requires the bytes to stay resident,
+    /// as for shuffle map outputs).
     pub fn force_charge(&self, lane: usize, bytes: u64) {
         Self::charge_locked(&mut self.inner.lock(), lane, bytes);
     }

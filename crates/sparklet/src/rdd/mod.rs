@@ -49,10 +49,6 @@ pub(crate) trait AnyRdd: Send + Sync {
     fn num_partitions(&self) -> usize;
     /// Lineage edges.
     fn parents(&self) -> Vec<Parent>;
-    /// Operator name for lineage rendering.
-    fn op_name(&self) -> &'static str {
-        "rdd"
-    }
     /// Declared working-set bytes of one partition's task, reserved on
     /// the executor's memory lane before the task is submitted. Zero
     /// (the default) means "no reservation". Set via [`Rdd::mem_hints`];
@@ -72,9 +68,6 @@ pub(crate) trait RddNode: AnyRdd {
     /// failures via lineage recomputation.
     fn compute(&self, part: usize) -> Result<Vec<Self::Item>, crate::task::TaskError>;
 }
-
-/// Result type of [`Rdd::cogroup`]: per key, the values of both sides.
-pub type CoGrouped<K, V, W> = Rdd<(K, (Vec<V>, Vec<W>))>;
 
 /// A lazy distributed collection of `T`.
 pub struct Rdd<T: Data> {
@@ -101,35 +94,6 @@ impl<T: Data> Rdd<T> {
     /// The owning context.
     pub fn context(&self) -> &Context {
         &self.ctx
-    }
-
-    /// Render the lineage graph (Spark's `toDebugString`): one line per
-    /// ancestor, indented by depth, `+-shuffle->` marking stage
-    /// boundaries.
-    pub fn debug_lineage(&self) -> String {
-        fn walk(node: &Arc<dyn AnyRdd>, depth: usize, out: &mut String) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!(
-                "({}) {} [{} partitions]\n",
-                node.rdd_id(),
-                node.op_name(),
-                node.num_partitions()
-            ));
-            for p in node.parents() {
-                match p {
-                    Parent::Narrow(n) => walk(&n, depth + 1, out),
-                    Parent::Shuffle(dep) => {
-                        out.push_str(&"  ".repeat(depth + 1));
-                        out.push_str(&format!("+-shuffle {}->\n", dep.shuffle_id()));
-                        walk(&dep.parent_node(), depth + 2, out);
-                    }
-                }
-            }
-        }
-        let mut out = String::new();
-        let any: Arc<dyn AnyRdd> = Arc::clone(&self.node) as Arc<dyn AnyRdd>;
-        walk(&any, 0, &mut out);
-        out
     }
 
     // ---- transformations (lazy) -------------------------------------
@@ -188,11 +152,6 @@ impl<T: Data> Rdd<T> {
         Rdd::new(node, self.ctx.clone())
     }
 
-    /// Pair every element with a key.
-    pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Rdd<(K, T)> {
-        self.map(move |t| (f(&t), t))
-    }
-
     /// Mark this RDD's partitions for in-memory caching: the first
     /// action materializes them, later actions reuse them. Without a
     /// byte codec the cache can only *evict* these partitions under
@@ -244,24 +203,6 @@ impl<T: Data> Rdd<T> {
     /// Only meaningful on a handle returned by [`Rdd::cache`].
     pub fn unpersist(&self) -> usize {
         self.ctx.inner.cache.unpersist(self.node.rdd_id())
-    }
-
-    /// Pair each element with its global index (requires a job to count
-    /// partition sizes, like Spark's `zipWithIndex`).
-    pub fn zip_with_index(&self) -> SparkResult<Rdd<(T, u64)>> {
-        let sizes = self.partition_sizes()?;
-        let mut offsets = Vec::with_capacity(sizes.len());
-        let mut acc = 0u64;
-        for s in sizes {
-            offsets.push(acc);
-            acc += s as u64;
-        }
-        let node = Arc::new(ops::ZipWithIndexRdd {
-            id: self.ctx.inner.next_rdd_id(),
-            prev: Arc::clone(&self.node),
-            offsets: Arc::new(offsets),
-        });
-        Ok(Rdd::new(node, self.ctx.clone()))
     }
 
     // ---- actions (eager) --------------------------------------------
@@ -331,70 +272,6 @@ impl<T: Data> Rdd<T> {
         )?;
         Ok(())
     }
-
-    /// Keep each element with probability `fraction`, deterministically
-    /// in `seed` (hash-based Bernoulli sampling, Spark's `sample`
-    /// without replacement).
-    pub fn sample(&self, fraction: f64, seed: u64) -> Rdd<T>
-    where
-        T: std::hash::Hash,
-    {
-        let fraction = fraction.clamp(0.0, 1.0);
-        self.filter(move |t| {
-            use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
-            let h = BuildHasherDefault::<DefaultHasher>::default().hash_one((seed, t));
-            (h as f64 / u64::MAX as f64) < fraction
-        })
-    }
-
-    /// Unique elements (wide — shuffles one record per distinct value).
-    pub fn distinct(&self, num_partitions: usize) -> Rdd<T>
-    where
-        T: std::hash::Hash + Eq,
-    {
-        self.map(|t| (t, ())).reduce_by_key(num_partitions, |a, _| a).map(|(t, ())| t)
-    }
-
-    /// Redistribute elements into `num_partitions` balanced partitions
-    /// (wide — a full shuffle with an explicit partitioner, Spark's
-    /// `repartition`). Requires a job to index elements first.
-    pub fn repartition(&self, num_partitions: usize) -> SparkResult<Rdd<T>> {
-        let p = num_partitions.max(1);
-        let indexed = self.zip_with_index()?;
-        let keyed = indexed.map(move |(t, i)| (i % p as u64, t));
-        let node = shuffled::ShuffledRdd::create_with_partitioner(
-            &self.ctx,
-            Arc::clone(&keyed.node),
-            p,
-            Arc::new(|k: &u64, parts: usize| (*k % parts as u64) as usize),
-            |v: T| vec![v],
-            |acc: &mut Vec<T>, v| acc.push(v),
-            |acc: &mut Vec<T>, mut o| acc.append(&mut o),
-        );
-        Ok(Rdd::new(node, self.ctx.clone()).flat_map(|(_, vs)| vs))
-    }
-
-    /// Write each partition as `dir/part-NNNNN` into the DFS (Spark's
-    /// `saveAsTextFile`), one line per element. Tasks write their own
-    /// files, so a retried task simply overwrites its previous attempt.
-    pub fn save_as_text_file(&self, dfs: Arc<minidfs::DfsCluster>, dir: &str) -> SparkResult<()>
-    where
-        T: std::fmt::Display,
-    {
-        let dir = dir.trim_end_matches('/').to_string();
-        self.foreach_partition(move |p, data| {
-            use std::io::Write;
-            let path = format!("{dir}/part-{p:05}");
-            if dfs.exists(&path) {
-                dfs.delete(&path).expect("replace earlier attempt's file");
-            }
-            let mut w = dfs.create(&path).expect("create part file");
-            for item in data {
-                writeln!(w, "{item}").expect("write part file");
-            }
-            w.close().expect("close part file");
-        })
-    }
 }
 
 impl<K, V> Rdd<(K, V)>
@@ -411,32 +288,6 @@ where
         merge_combiners: impl Fn(&mut C, C) + Send + Sync + 'static,
     ) -> Rdd<(K, C)> {
         let node = shuffled::ShuffledRdd::create(
-            &self.ctx,
-            Arc::clone(&self.node),
-            num_partitions,
-            create,
-            merge_value,
-            merge_combiners,
-        );
-        Rdd::new(node, self.ctx.clone())
-    }
-
-    /// [`Rdd::combine_by_key`] with a spillable map-output buffer: when
-    /// a bounded memory budget cannot keep a map task's shuffle buckets
-    /// resident, they are encoded with the [`crate::spill::Spillable`]
-    /// codec and parked on disk until the reduce side fetches them.
-    pub fn combine_by_key_spillable<C>(
-        &self,
-        num_partitions: usize,
-        create: impl Fn(V) -> C + Send + Sync + 'static,
-        merge_value: impl Fn(&mut C, V) + Send + Sync + 'static,
-        merge_combiners: impl Fn(&mut C, C) + Send + Sync + 'static,
-    ) -> Rdd<(K, C)>
-    where
-        K: crate::spill::Spillable,
-        C: Data + crate::spill::Spillable,
-    {
-        let node = shuffled::ShuffledRdd::create_spillable(
             &self.ctx,
             Arc::clone(&self.node),
             num_partitions,
@@ -470,33 +321,6 @@ where
         )
     }
 
-    /// [`Rdd::reduce_by_key`] with a spillable map-output buffer; see
-    /// [`Rdd::combine_by_key_spillable`].
-    pub fn reduce_by_key_spillable(
-        &self,
-        num_partitions: usize,
-        f: impl Fn(V, V) -> V + Send + Sync + 'static,
-    ) -> Rdd<(K, V)>
-    where
-        K: crate::spill::Spillable,
-        V: crate::spill::Spillable,
-    {
-        let f = Arc::new(f);
-        let f2 = Arc::clone(&f);
-        self.combine_by_key_spillable(
-            num_partitions,
-            |v| v,
-            move |c, v| {
-                let old = c.clone();
-                *c = f(old, v);
-            },
-            move |c, v| {
-                let old = c.clone();
-                *c = f2(old, v);
-            },
-        )
-    }
-
     /// Group all values per key (wide — incurs a shuffle).
     pub fn group_by_key(&self, num_partitions: usize) -> Rdd<(K, Vec<V>)> {
         self.combine_by_key(
@@ -505,74 +329,5 @@ where
             |c, v| c.push(v),
             |c, mut v| c.append(&mut v),
         )
-    }
-
-    /// Count occurrences per key, collected on the driver.
-    pub fn count_by_key(&self) -> SparkResult<std::collections::HashMap<K, usize>> {
-        let counted = self
-            .map(|(k, _)| (k, 1usize))
-            .reduce_by_key(self.num_partitions().max(1), |a, b| a + b);
-        Ok(counted.collect()?.into_iter().collect())
-    }
-
-    /// Group both sides by key (Spark's `cogroup`): for every key, the
-    /// values from `self` and from `other`. Keys present on one side
-    /// only appear with an empty vector on the other.
-    pub fn cogroup<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> CoGrouped<K, V, W> {
-        #[derive(Clone)]
-        enum Side<V, W> {
-            L(V),
-            R(W),
-        }
-        let left: Rdd<(K, Side<V, W>)> = self.map(|(k, v)| (k, Side::L(v)));
-        let right: Rdd<(K, Side<V, W>)> = other.map(|(k, w)| (k, Side::R(w)));
-        left.union(&right).combine_by_key(
-            num_partitions,
-            |s| match s {
-                Side::L(v) => (vec![v], Vec::new()),
-                Side::R(w) => (Vec::new(), vec![w]),
-            },
-            |acc, s| match s {
-                Side::L(v) => acc.0.push(v),
-                Side::R(w) => acc.1.push(w),
-            },
-            |acc, mut other| {
-                acc.0.append(&mut other.0);
-                acc.1.append(&mut other.1);
-            },
-        )
-    }
-
-    /// Inner join on key (wide — built on [`Rdd::cogroup`]).
-    pub fn join<W: Data>(&self, other: &Rdd<(K, W)>, num_partitions: usize) -> Rdd<(K, (V, W))> {
-        self.cogroup(other, num_partitions).flat_map(|(k, (vs, ws))| {
-            let mut out = Vec::with_capacity(vs.len() * ws.len());
-            for v in &vs {
-                for w in &ws {
-                    out.push((k.clone(), (v.clone(), w.clone())));
-                }
-            }
-            out
-        })
-    }
-
-    /// Keys whose pairs appear in `self` but not in `other` (left
-    /// anti-join on keys).
-    pub fn subtract_by_key<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> Rdd<(K, V)> {
-        self.cogroup(other, num_partitions).flat_map(|(k, (vs, ws))| {
-            if ws.is_empty() {
-                vs.into_iter().map(|v| (k.clone(), v)).collect()
-            } else {
-                Vec::new()
-            }
-        })
     }
 }

@@ -31,10 +31,6 @@ impl<T: Data> AnyRdd for ParallelRdd<T> {
         self.id
     }
 
-    fn op_name(&self) -> &'static str {
-        "parallelize"
-    }
-
     fn num_partitions(&self) -> usize {
         self.num_partitions
     }
@@ -65,10 +61,6 @@ pub(crate) struct RangeRdd {
 impl AnyRdd for RangeRdd {
     fn rdd_id(&self) -> usize {
         self.id
-    }
-
-    fn op_name(&self) -> &'static str {
-        "range"
     }
 
     fn num_partitions(&self) -> usize {
@@ -104,10 +96,6 @@ impl<T: Data, U: Data> AnyRdd for MapRdd<T, U> {
         self.id
     }
 
-    fn op_name(&self) -> &'static str {
-        "map"
-    }
-
     fn num_partitions(&self) -> usize {
         self.prev.num_partitions()
     }
@@ -135,10 +123,6 @@ pub(crate) struct FilterRdd<T> {
 impl<T: Data> AnyRdd for FilterRdd<T> {
     fn rdd_id(&self) -> usize {
         self.id
-    }
-
-    fn op_name(&self) -> &'static str {
-        "filter"
     }
 
     fn num_partitions(&self) -> usize {
@@ -170,10 +154,6 @@ impl<T: Data, U: Data> AnyRdd for FlatMapRdd<T, U> {
         self.id
     }
 
-    fn op_name(&self) -> &'static str {
-        "flat_map"
-    }
-
     fn num_partitions(&self) -> usize {
         self.prev.num_partitions()
     }
@@ -201,10 +181,6 @@ pub(crate) struct MapPartitionsRdd<T, U> {
 impl<T: Data, U: Data> AnyRdd for MapPartitionsRdd<T, U> {
     fn rdd_id(&self) -> usize {
         self.id
-    }
-
-    fn op_name(&self) -> &'static str {
-        "map_partitions"
     }
 
     fn num_partitions(&self) -> usize {
@@ -236,10 +212,6 @@ impl<T: Data> AnyRdd for UnionRdd<T> {
         self.id
     }
 
-    fn op_name(&self) -> &'static str {
-        "union"
-    }
-
     fn num_partitions(&self) -> usize {
         self.first.num_partitions() + self.second.num_partitions()
     }
@@ -262,47 +234,6 @@ impl<T: Data> RddNode for UnionRdd<T> {
     }
 }
 
-/// `zip_with_index` node; `offsets[p]` is the global index of the first
-/// element of partition `p` (computed eagerly by a counting job).
-pub(crate) struct ZipWithIndexRdd<T> {
-    pub id: usize,
-    pub prev: Arc<dyn RddNode<Item = T>>,
-    pub offsets: Arc<Vec<u64>>,
-}
-
-impl<T: Data> AnyRdd for ZipWithIndexRdd<T> {
-    fn rdd_id(&self) -> usize {
-        self.id
-    }
-
-    fn op_name(&self) -> &'static str {
-        "zip_with_index"
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.prev.num_partitions()
-    }
-
-    fn parents(&self) -> Vec<Parent> {
-        vec![Parent::Narrow(self.prev.clone())]
-    }
-}
-
-impl<T: Data> RddNode for ZipWithIndexRdd<T> {
-    type Item = (T, u64);
-
-    fn compute(&self, part: usize) -> Result<Vec<(T, u64)>, crate::task::TaskError> {
-        let base = self.offsets[part];
-        Ok(self
-            .prev
-            .compute(part)?
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (t, base + i as u64))
-            .collect())
-    }
-}
-
 /// Pass-through node carrying per-partition working-set hints for the
 /// scheduler's memory reservations (see [`super::Rdd::mem_hints`]).
 pub(crate) struct MemHintRdd<T> {
@@ -314,10 +245,6 @@ pub(crate) struct MemHintRdd<T> {
 impl<T: Data> AnyRdd for MemHintRdd<T> {
     fn rdd_id(&self) -> usize {
         self.id
-    }
-
-    fn op_name(&self) -> &'static str {
-        "mem_hint"
     }
 
     fn num_partitions(&self) -> usize {
@@ -377,10 +304,6 @@ pub(crate) struct CachedRdd<T> {
 impl<T: Data> AnyRdd for CachedRdd<T> {
     fn rdd_id(&self) -> usize {
         self.id
-    }
-
-    fn op_name(&self) -> &'static str {
-        "cached"
     }
 
     fn num_partitions(&self) -> usize {
@@ -495,12 +418,5 @@ mod tests {
         assert_eq!(h.mem_hint(1), 128);
         // partitions past the hint vector reserve nothing
         assert_eq!(h.mem_hint(2), 0);
-    }
-
-    #[test]
-    fn zip_with_index_uses_offsets() {
-        let base = parallel(vec![10, 20, 30, 40], 2);
-        let z = ZipWithIndexRdd { id: 4, prev: base, offsets: Arc::new(vec![0, 2]) };
-        assert_eq!(z.compute(1).unwrap(), vec![(30, 2), (40, 3)]);
     }
 }

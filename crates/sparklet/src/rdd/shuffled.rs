@@ -10,8 +10,7 @@
 
 use super::{AnyRdd, Parent, RddNode, ShuffleDepObj};
 use crate::context::Context;
-use crate::shuffle::{Bucket, BucketCodec, ShuffleManager};
-use crate::spill::Spillable;
+use crate::shuffle::{Bucket, ShuffleManager};
 use crate::task::{TaskOutput, TaskWork};
 use crate::Data;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
@@ -36,9 +35,6 @@ pub(crate) fn hash_partition<K: Hash>(key: &K, num_partitions: usize) -> usize {
     (h % num_partitions as u64) as usize
 }
 
-/// Key -> reduce-partition routing function.
-pub(crate) type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
-
 /// The post-shuffle RDD node.
 pub(crate) struct ShuffledRdd<K, V, C> {
     id: usize,
@@ -46,25 +42,7 @@ pub(crate) struct ShuffledRdd<K, V, C> {
     parent: Arc<dyn RddNode<Item = (K, V)>>,
     num_reduces: usize,
     agg: Arc<Aggregator<K, V, C>>,
-    partitioner: Partitioner<K>,
     shuffles: Arc<ShuffleManager>,
-    /// Byte codec letting over-budget map outputs spill to disk (set by
-    /// the `*_spillable` transformations; `None` keeps buckets resident).
-    codec: Option<BucketCodec>,
-}
-
-/// Type-erased codec over a `Vec<(K, C)>` bucket.
-fn bucket_codec<K, C>() -> BucketCodec
-where
-    K: Data + Spillable,
-    C: Data + Spillable,
-{
-    BucketCodec {
-        encode: Arc::new(|b: &Bucket| b.downcast_ref::<Vec<(K, C)>>().map(crate::spill::encode)),
-        decode: Arc::new(|bytes: &[u8]| {
-            crate::spill::decode::<Vec<(K, C)>>(bytes).map(|v| Arc::new(v) as Bucket)
-        }),
-    }
 }
 
 impl<K, V, C> ShuffledRdd<K, V, C>
@@ -73,54 +51,12 @@ where
     V: Data,
     C: Data,
 {
-    /// Build the node (and implicitly its shuffle dependency) with the
-    /// default hash partitioner.
+    /// Build the node (and implicitly its shuffle dependency); keys are
+    /// routed by [`hash_partition`].
     pub(crate) fn create(
         ctx: &Context,
         parent: Arc<dyn RddNode<Item = (K, V)>>,
         num_reduces: usize,
-        create: impl Fn(V) -> C + Send + Sync + 'static,
-        merge_value: impl Fn(&mut C, V) + Send + Sync + 'static,
-        merge_combiners: impl Fn(&mut C, C) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::create_with_partitioner(
-            ctx,
-            parent,
-            num_reduces,
-            Arc::new(|k: &K, p: usize| hash_partition(k, p)),
-            create,
-            merge_value,
-            merge_combiners,
-        )
-    }
-
-    /// [`ShuffledRdd::create`] with a [`Spillable`]-derived bucket codec
-    /// so over-budget map outputs can park on disk.
-    pub(crate) fn create_spillable(
-        ctx: &Context,
-        parent: Arc<dyn RddNode<Item = (K, V)>>,
-        num_reduces: usize,
-        create: impl Fn(V) -> C + Send + Sync + 'static,
-        merge_value: impl Fn(&mut C, V) + Send + Sync + 'static,
-        merge_combiners: impl Fn(&mut C, C) + Send + Sync + 'static,
-    ) -> Arc<Self>
-    where
-        K: Spillable,
-        C: Spillable,
-    {
-        let node = Self::create(ctx, parent, num_reduces, create, merge_value, merge_combiners);
-        let mut node = Arc::into_inner(node).expect("fresh node has no other handles");
-        node.codec = Some(bucket_codec::<K, C>());
-        Arc::new(node)
-    }
-
-    /// Build with an explicit key -> partition routing function
-    /// (Spark's custom `Partitioner`).
-    pub(crate) fn create_with_partitioner(
-        ctx: &Context,
-        parent: Arc<dyn RddNode<Item = (K, V)>>,
-        num_reduces: usize,
-        partitioner: Partitioner<K>,
         create: impl Fn(V) -> C + Send + Sync + 'static,
         merge_value: impl Fn(&mut C, V) + Send + Sync + 'static,
         merge_combiners: impl Fn(&mut C, C) + Send + Sync + 'static,
@@ -137,9 +73,7 @@ where
                 merge_combiners: Box::new(merge_combiners),
                 _pd: std::marker::PhantomData,
             }),
-            partitioner,
             shuffles: Arc::clone(&ctx.inner.shuffles),
-            codec: None,
         })
     }
 }
@@ -154,10 +88,6 @@ where
         self.id
     }
 
-    fn op_name(&self) -> &'static str {
-        "shuffled"
-    }
-
     fn num_partitions(&self) -> usize {
         self.num_reduces
     }
@@ -168,9 +98,7 @@ where
             parent: self.parent.clone(),
             num_reduces: self.num_reduces,
             agg: Arc::clone(&self.agg),
-            partitioner: Arc::clone(&self.partitioner),
             shuffles: Arc::clone(&self.shuffles),
-            codec: self.codec.clone(),
         }))]
     }
 }
@@ -232,9 +160,7 @@ struct ShuffleDepImpl<K, V, C> {
     parent: Arc<dyn RddNode<Item = (K, V)>>,
     num_reduces: usize,
     agg: Arc<Aggregator<K, V, C>>,
-    partitioner: Partitioner<K>,
     shuffles: Arc<ShuffleManager>,
-    codec: Option<BucketCodec>,
 }
 
 impl<K, V, C> ShuffleDepObj for ShuffleDepImpl<K, V, C>
@@ -263,10 +189,8 @@ where
         let parent = self.parent.clone();
         let shuffles = Arc::clone(&self.shuffles);
         let agg = Arc::clone(&self.agg);
-        let partitioner = Arc::clone(&self.partitioner);
         let shuffle_id = self.shuffle_id;
         let num_reduces = self.num_reduces;
-        let codec = self.codec.clone();
         Arc::new(move || {
             let data = parent.compute(part)?;
             // map-side combine: one combiner per key in this partition
@@ -285,19 +209,10 @@ where
             let bytes = records * std::mem::size_of::<(K, C)>() as u64;
             let mut buckets: Vec<Vec<(K, C)>> = vec![Vec::new(); num_reduces];
             for (k, c) in combined {
-                let b = partitioner(&k, num_reduces).min(num_reduces - 1);
-                buckets[b].push((k, c));
+                buckets[hash_partition(&k, num_reduces)].push((k, c));
             }
             let buckets: Vec<Bucket> = buckets.into_iter().map(|b| Arc::new(b) as Bucket).collect();
-            shuffles.put_map_output_spillable(
-                shuffle_id,
-                part,
-                executor,
-                buckets,
-                records,
-                bytes,
-                codec.clone(),
-            );
+            shuffles.put_map_output(shuffle_id, part, executor, buckets, records, bytes);
             Ok(TaskOutput::Unit)
         })
     }

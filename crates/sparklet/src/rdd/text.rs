@@ -37,10 +37,6 @@ impl AnyRdd for TextFileRdd {
         self.id
     }
 
-    fn op_name(&self) -> &'static str {
-        "text_file"
-    }
-
     fn num_partitions(&self) -> usize {
         self.blocks.len().max(1)
     }

@@ -20,7 +20,6 @@
 use crate::fault::{decision_hash, FaultRule, EXPLORE_FETCH_SALT, FETCH_SALT, VICTIM_SALT};
 use crate::memory::MemoryManager;
 use crate::schedule::{Fifo, SchedulePolicy};
-use crate::spill::{SpillHandle, SpillStore};
 use crate::task::TaskError;
 use crate::trace::{self, EventKind, TraceCollector};
 use parking_lot::Mutex;
@@ -32,39 +31,14 @@ use std::sync::Arc;
 /// A type-erased map-output bucket (`Vec<(K, V)>` behind `Any`).
 pub(crate) type Bucket = Arc<dyn Any + Send + Sync>;
 
-/// Type-erased bucket encoder (`None` on downcast mismatch).
-pub(crate) type BucketEncodeFn = Arc<dyn Fn(&Bucket) -> Option<Vec<u8>> + Send + Sync>;
-
-/// Type-erased bucket decoder (`None` on malformed bytes).
-pub(crate) type BucketDecodeFn = Arc<dyn Fn(&[u8]) -> Option<Bucket> + Send + Sync>;
-
-/// Byte codec for spillable shuffle buckets, attached by the spillable
-/// pair transformations (`reduce_by_key_spillable` etc.). Type-erased so
-/// the manager stays untyped.
-#[derive(Clone)]
-pub(crate) struct BucketCodec {
-    /// Encode one bucket to bytes (`None` on type mismatch).
-    pub encode: BucketEncodeFn,
-    /// Decode bytes back to a bucket.
-    pub decode: BucketDecodeFn,
-}
-
-#[derive(Clone)]
-enum MapData {
-    /// One bucket per reduce partition, resident in memory.
-    Resident(Vec<Bucket>),
-    /// Buckets parked in the spill tier, one blob per reduce partition,
-    /// read back (checksum-verified) on fetch.
-    Spilled { handles: Vec<SpillHandle>, decode: BucketDecodeFn },
-}
-
 #[derive(Clone)]
 struct MapOutput {
     /// Virtual executor that produced this output (lost with it).
     executor: usize,
-    /// Accounted bytes (released when the output is dropped or spilled).
+    /// Accounted bytes (released when the output is dropped).
     bytes: u64,
-    data: MapData,
+    /// One bucket per reduce partition.
+    buckets: Vec<Bucket>,
 }
 
 struct ShuffleState {
@@ -89,8 +63,6 @@ pub struct ShuffleManager {
     /// Ledger buffers are accounted against (map outputs charge their
     /// producing executor's lane).
     memory: Arc<MemoryManager>,
-    /// Disk tier for over-budget spillable map outputs.
-    spill: Arc<SpillStore>,
     /// Schedule policy: an exploring policy's keyed seed permutes the
     /// per-fetch bucket order (see [`crate::schedule`]).
     schedule: Arc<dyn SchedulePolicy>,
@@ -115,19 +87,17 @@ impl ShuffleManager {
             FaultRule::NONE,
             0,
             MemoryManager::unbounded(),
-            Arc::new(SpillStore::new().expect("create spill dir")),
             Arc::new(Fifo),
         )
     }
 
     /// Fresh manager with fetch-failure injection under `fetch_fault`,
-    /// accounting buffers against `memory` and spilling into `spill`.
+    /// accounting buffers against `memory`.
     pub(crate) fn with_tracer_and_faults(
         tracer: Arc<TraceCollector>,
         fetch_fault: FaultRule,
         seed: u64,
         memory: Arc<MemoryManager>,
-        spill: Arc<SpillStore>,
         schedule: Arc<dyn SchedulePolicy>,
     ) -> Self {
         ShuffleManager {
@@ -138,7 +108,6 @@ impl ShuffleManager {
             fetch_fault,
             seed,
             memory,
-            spill,
             schedule,
         }
     }
@@ -157,10 +126,9 @@ impl ShuffleManager {
     /// Store the output of map task `map_part`, overwriting any previous
     /// attempt's output (task retries are idempotent). If the partition
     /// had been marked lost, this is its recomputation and the matching
-    /// `MapOutputRecomputed` event is recorded. Without a codec the
-    /// buffer is force-charged even over budget (it must stay resident
-    /// for correctness); see [`ShuffleManager::put_map_output_spillable`].
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// `MapOutputRecomputed` event is recorded. The buffer charges the
+    /// producing executor's lane, force-charged even over budget: it must
+    /// stay resident until the reduce side fetches it.
     pub(crate) fn put_map_output(
         &self,
         shuffle_id: usize,
@@ -170,75 +138,16 @@ impl ShuffleManager {
         records: u64,
         bytes: u64,
     ) {
-        self.put_map_output_spillable(shuffle_id, map_part, executor, buckets, records, bytes, None)
-    }
-
-    /// Release a dropped output's accounting: ledger bytes for resident
-    /// data, spill files for spilled data.
-    fn release_output(&self, out: MapOutput) {
-        match out.data {
-            MapData::Resident(_) => self.memory.uncharge(out.executor, out.bytes),
-            MapData::Spilled { handles, .. } => {
-                for h in handles {
-                    self.spill.remove(h);
-                }
-            }
-        }
-    }
-
-    /// [`ShuffleManager::put_map_output`] with an optional bucket codec.
-    /// The buffer charges the producing executor's lane; when the charge
-    /// does not fit a bounded budget and a codec is available, the
-    /// buckets are spilled to disk instead of staying resident.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn put_map_output_spillable(
-        &self,
-        shuffle_id: usize,
-        map_part: usize,
-        executor: usize,
-        buckets: Vec<Bucket>,
-        records: u64,
-        bytes: u64,
-        codec: Option<BucketCodec>,
-    ) {
-        // the buckets existed in memory while the map task built them,
-        // so the transient charge is real either way; a spill then moves
-        // them out of the ledger
-        let fits = self.memory.try_charge(executor, bytes);
-        if !fits {
-            self.memory.force_charge(executor, bytes);
-        }
-        let data = if fits {
-            MapData::Resident(buckets)
-        } else if let Some(c) = &codec {
-            match buckets.iter().map(|b| (c.encode)(b)).collect::<Option<Vec<_>>>() {
-                Some(blobs) => {
-                    let handles: Vec<SpillHandle> = blobs
-                        .iter()
-                        .map(|blob| self.spill.spill(blob).expect("spill tier writable"))
-                        .collect();
-                    self.memory.note_spill(executor, bytes);
-                    MapData::Spilled { handles, decode: Arc::clone(&c.decode) }
-                }
-                // encode refused (type mismatch) — stay resident
-                None => MapData::Resident(buckets),
-            }
-        } else {
-            MapData::Resident(buckets)
-        };
+        self.memory.force_charge(executor, bytes);
         let mut s = self.shuffles.lock();
         let st = s.get_mut(&shuffle_id).expect("shuffle registered before map output");
         assert!(map_part < st.num_maps, "map partition out of range");
-        let n = match &data {
-            MapData::Resident(b) => b.len(),
-            MapData::Spilled { handles, .. } => handles.len(),
-        };
-        assert_eq!(n, st.num_reduces, "bucket count mismatch");
-        let old = st.outputs[map_part].replace(MapOutput { executor, bytes, data });
+        assert_eq!(buckets.len(), st.num_reduces, "bucket count mismatch");
+        let old = st.outputs[map_part].replace(MapOutput { executor, bytes, buckets });
         let recomputed = st.lost.remove(&map_part);
         drop(s);
         if let Some(old) = old {
-            self.release_output(old);
+            self.memory.uncharge(old.executor, old.bytes);
         }
         self.records.fetch_add(records, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -275,60 +184,31 @@ impl ShuffleManager {
     /// Fetch the bucket column for `reduce_part`: one bucket per map
     /// partition. `None` if any map output is missing.
     ///
-    /// Resident buckets are stored behind [`Arc`], so fetching one is a
-    /// refcount bump per map output — no record data is copied
+    /// Buckets are stored behind [`Arc`], so fetching one is a refcount
+    /// bump per map output — no record data is copied
     /// (regression-tested by `fetch_is_refcount_bump_not_deep_clone`).
-    /// Spilled buckets are read back from disk and checksum-verified.
     /// Logical shuffle records/bytes are accounted at write and read
     /// time regardless, since they model what a real cluster would move.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn fetch(&self, shuffle_id: usize, reduce_part: usize) -> Option<Vec<Bucket>> {
-        self.fetch_impl(shuffle_id, reduce_part).ok().flatten()
-    }
-
-    /// `Ok(None)` = some map output missing (lineage recomputes);
-    /// `Err` = a spilled bucket failed verification or decode.
-    fn fetch_impl(
-        &self,
-        shuffle_id: usize,
-        reduce_part: usize,
-    ) -> Result<Option<Vec<Bucket>>, TaskError> {
-        // collect what each fetch needs under the lock, read spilled
-        // blobs outside it
-        enum Slot {
-            Ready(Bucket),
-            OnDisk(SpillHandle, BucketDecodeFn, usize),
-        }
-        let slots: Vec<Slot> = {
+        let col: Vec<Bucket> = {
             let s = self.shuffles.lock();
-            let Some(st) = s.get(&shuffle_id) else { return Ok(None) };
-            let mut slots = Vec::with_capacity(st.num_maps);
-            for o in &st.outputs {
-                let Some(o) = o.as_ref() else { return Ok(None) };
-                match &o.data {
-                    MapData::Resident(buckets) => {
-                        let Some(b) = buckets.get(reduce_part) else { return Ok(None) };
-                        slots.push(Slot::Ready(b.clone()));
-                    }
-                    MapData::Spilled { handles, decode } => {
-                        let Some(h) = handles.get(reduce_part) else { return Ok(None) };
-                        slots.push(Slot::OnDisk(*h, Arc::clone(decode), o.executor));
-                    }
-                }
-            }
-            slots
+            let st = s.get(&shuffle_id)?;
+            st.outputs
+                .iter()
+                .map(|o| o.as_ref()?.buckets.get(reduce_part).cloned())
+                .collect::<Option<_>>()?
         };
         // schedule exploration: an exploring policy's keyed seed ranks
         // the buckets per (shuffle, reduce, map) identity, so the reduce
-        // task walks (and disk-reads) them in a replayable permuted
-        // order instead of map order. Buckets form one merged column;
-        // no consumer may assume positional alignment with map indices.
-        let slots = match self.schedule.keyed_seed() {
-            Some(ks) if slots.len() > 1 => {
-                let mut ranked: Vec<(u64, Slot)> = slots
+        // task walks them in a replayable permuted order instead of map
+        // order. Buckets form one merged column; no consumer may assume
+        // positional alignment with map indices.
+        match self.schedule.keyed_seed() {
+            Some(ks) if col.len() > 1 => {
+                let mut ranked: Vec<(u64, Bucket)> = col
                     .into_iter()
                     .enumerate()
-                    .map(|(m, s)| {
+                    .map(|(m, b)| {
                         let rank = decision_hash(
                             ks,
                             EXPLORE_FETCH_SALT,
@@ -336,35 +216,14 @@ impl ShuffleManager {
                             reduce_part as u64,
                             m as u64,
                         );
-                        (rank, s)
+                        (rank, b)
                     })
                     .collect();
                 ranked.sort_by_key(|(rank, _)| *rank);
-                ranked.into_iter().map(|(_, s)| s).collect()
+                Some(ranked.into_iter().map(|(_, b)| b).collect())
             }
-            _ => slots,
-        };
-        let mut col = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Slot::Ready(b) => col.push(b),
-                Slot::OnDisk(h, decode, executor) => {
-                    let blob = self.spill.read(h).map_err(|e| {
-                        TaskError::storage(format!(
-                            "shuffle {shuffle_id} reduce {reduce_part}: spilled bucket lost: {e}"
-                        ))
-                    })?;
-                    self.memory.note_spill_read(executor, blob.len() as u64);
-                    let b = decode(&blob).ok_or_else(|| {
-                        TaskError::storage(format!(
-                            "shuffle {shuffle_id} reduce {reduce_part}: spilled bucket failed to decode"
-                        ))
-                    })?;
-                    col.push(b);
-                }
-            }
+            _ => Some(col),
         }
-        Ok(Some(col))
     }
 
     /// Fetch with fault injection and typed errors: under an active
@@ -401,7 +260,7 @@ impl ShuffleManager {
                 }
             }
         }
-        self.fetch_impl(shuffle_id, reduce_part)?.ok_or_else(|| {
+        self.fetch(shuffle_id, reduce_part).ok_or_else(|| {
             TaskError::fetch_failed(
                 shuffle_id,
                 format!("outputs missing for reduce partition {reduce_part}"),
@@ -457,7 +316,7 @@ impl ShuffleManager {
         drop(s);
         // reconcile accounting for everything the executor held
         for out in dropped {
-            self.release_output(out);
+            self.memory.uncharge(out.executor, out.bytes);
         }
         lost.sort_unstable();
         for &(sid, i) in &lost {
@@ -554,6 +413,34 @@ mod tests {
     }
 
     #[test]
+    fn over_budget_map_output_is_force_charged_and_stays_resident() {
+        let memory = Arc::new(MemoryManager::new(
+            crate::memory::MemoryBudget::per_executor(1),
+            TraceCollector::disabled(),
+        ));
+        let m = ShuffleManager::with_tracer_and_faults(
+            TraceCollector::disabled(),
+            FaultRule::NONE,
+            0,
+            Arc::clone(&memory),
+            Arc::new(Fifo),
+        );
+        m.register(0, 1, 1);
+        m.put_map_output(0, 0, 2, vec![bucket(vec![(1, 1)])], 1, 64);
+        assert_eq!(memory.lane_used(2), 64, "charged in full despite the 1-byte budget");
+        assert_eq!(memory.stats().spilled_bytes, 0, "map outputs never spill");
+        assert!(m.fetch(0, 0).is_some());
+        // a retried put replaces the output and its charge
+        m.put_map_output(0, 0, 2, vec![bucket(vec![(9, 9)])], 1, 64);
+        assert_eq!(memory.lane_used(2), 64);
+        let col = m.fetch(0, 0).unwrap();
+        let b: &Vec<(u32, u32)> = col[0].downcast_ref().unwrap();
+        assert_eq!(b, &vec![(9, 9)]);
+        assert_eq!(m.kill_executor(2), 1);
+        assert_eq!(memory.lane_used(2), 0, "the lost output returns its charge");
+    }
+
+    #[test]
     fn unknown_shuffle_fetch_is_none() {
         let m = ShuffleManager::new();
         assert!(m.fetch(99, 0).is_none());
@@ -579,7 +466,6 @@ mod tests {
             FaultRule::always_first(1),
             42,
             MemoryManager::unbounded(),
-            Arc::new(SpillStore::new().unwrap()),
             Arc::new(Fifo),
         );
         m.register(3, 2, 1);

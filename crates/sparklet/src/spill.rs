@@ -1,8 +1,8 @@
 //! The disk spill tier: checksummed scratch files in local tmp.
 //!
 //! When the [`crate::memory::MemoryManager`] cannot keep a cached
-//! partition or a shuffle map-output buffer resident, the owning
-//! component encodes it to bytes and parks it here. Files carry a
+//! partition resident, the owning component encodes it to bytes and
+//! parks it here. Files carry a
 //! self-describing header (magic, payload length, FNV-1a checksum) so a
 //! read-back is verified byte-identical to what was written — torn or
 //! corrupted files surface as a typed [`SpillError`] instead of decoded
@@ -11,10 +11,10 @@
 //! Spilling requires a byte representation. The engine does not assume
 //! serde: the [`Spillable`] trait is a minimal fixed-layout codec
 //! (little-endian scalars, length-prefixed sequences) implemented for
-//! the primitive types, tuples and `Vec`s that flow through shuffles and
-//! caches; user types opt in by implementing it. Components fall back to
-//! eviction-with-lineage-recompute (cache) or force-charging (shuffle)
-//! when no codec is available.
+//! the primitive types, tuples and `Vec`s that flow through the engine;
+//! user types opt in by implementing it. Cache entries without a codec
+//! fall back to eviction-with-lineage-recompute. Shuffle map outputs
+//! never spill: they are force-charged and stay resident.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

@@ -84,7 +84,7 @@ pub enum EventKind {
     TaskSuccess,
     /// A task attempt failed.
     TaskFailure {
-        /// Whether the failure was injected by [`crate::FaultConfig`]
+        /// Whether the failure was injected by the [`crate::FaultPlan`]
         /// (as opposed to a panic/error in task code).
         injected: bool,
     },
@@ -253,7 +253,7 @@ pub enum MemOp {
 }
 
 impl EventKind {
-    /// Coarse category, used by exporters and the CI smoke validator.
+    /// Coarse category, used by exporters and [`validate_chrome_trace`].
     pub fn category(&self) -> &'static str {
         match self {
             EventKind::JobSubmit { .. } | EventKind::JobEnd { .. } => "job",

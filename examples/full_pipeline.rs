@@ -17,6 +17,7 @@
 use scalable_dbscan::datagen::{self, StandardDataset};
 use scalable_dbscan::dbscan::{core_labels_equivalent, MrDbscan};
 use scalable_dbscan::dfs::{DfsCluster, DfsConfig};
+use scalable_dbscan::engine::{FaultPlan, FaultRule};
 use scalable_dbscan::prelude::*;
 use std::sync::Arc;
 
@@ -62,10 +63,7 @@ fn main() {
     // ---- 4. chaos run ----------------------------------------------
     dfs.kill_datanode(0).expect("kill datanode");
     let chaos_cfg = ClusterConfig::local(4)
-        .with_fault(scalable_dbscan::engine::FaultConfig {
-            task_failure_prob: 0.5,
-            max_injected_failures_per_task: 2,
-        })
+        .with_fault(FaultPlan::tasks(FaultRule::with_prob(0.5, 2)))
         .with_max_attempts(4);
     let chaos_ctx = Context::new(chaos_cfg);
     let lines = chaos_ctx.text_file(Arc::clone(&dfs), "/data/c10k.csv").expect("reopen");

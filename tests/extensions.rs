@@ -1,11 +1,8 @@
-//! Integration tests for the beyond-the-paper extensions: parameter
-//! estimation, incremental maintenance, spatial pre-partitioning, and
-//! the packed R-tree — all exercised through the public facade.
+//! Integration tests for the beyond-the-paper extensions that back an
+//! ablation: Z-order spatial pre-partitioning (A4) and the packed R-tree
+//! (A2), both exercised through the public facade.
 
 use scalable_dbscan::datagen::StandardDataset;
-use scalable_dbscan::dbscan::{
-    core_labels_equivalent, suggest_eps, IncrementalDbscan, SequentialDbscan,
-};
 use scalable_dbscan::prelude::*;
 use scalable_dbscan::spatial::{RTree, SpatialIndex};
 use std::sync::Arc;
@@ -14,33 +11,6 @@ fn catalog_data() -> (Arc<Dataset>, DbscanParams) {
     let spec = StandardDataset::C10k.scaled_spec(16);
     let (data, _) = spec.generate();
     (Arc::new(data), DbscanParams::new(spec.eps, spec.min_pts).unwrap())
-}
-
-#[test]
-fn estimated_eps_recovers_catalog_structure() {
-    let (data, table1) = catalog_data();
-    // pretend we don't know Table I's eps; estimate it from the data
-    let eps = suggest_eps(&data, table1.min_pts).expect("estimable");
-    let est = SequentialDbscan::new(DbscanParams::new(eps, table1.min_pts).unwrap())
-        .run(Arc::clone(&data));
-    let official = SequentialDbscan::new(table1).run(Arc::clone(&data));
-    assert_eq!(
-        est.num_clusters(),
-        official.num_clusters(),
-        "estimated eps {eps} finds the same clusters as Table I's 25"
-    );
-}
-
-#[test]
-fn incremental_matches_batch_on_catalog_data() {
-    let (data, params) = catalog_data();
-    let mut inc = IncrementalDbscan::new(params, data.dim());
-    for (_, row) in data.iter() {
-        inc.insert(row);
-    }
-    let incremental = inc.clustering();
-    let batch = SequentialDbscan::new(params).run(Arc::clone(&data));
-    assert!(core_labels_equivalent(&incremental, &batch));
 }
 
 #[test]

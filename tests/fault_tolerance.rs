@@ -4,7 +4,7 @@
 
 use scalable_dbscan::datagen::StandardDataset;
 use scalable_dbscan::dbscan::{MrDbscan, ShuffleDbscan};
-use scalable_dbscan::engine::{FaultConfig, FaultPlan, FaultRule, SparkError};
+use scalable_dbscan::engine::{FaultPlan, FaultRule, SparkError};
 use scalable_dbscan::prelude::*;
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ fn task_failures_do_not_change_the_clustering() {
 
     for prob in [0.3, 1.0] {
         let cfg = ClusterConfig::local(4)
-            .with_fault(FaultConfig { task_failure_prob: prob, max_injected_failures_per_task: 2 })
+            .with_fault(FaultPlan::tasks(FaultRule::with_prob(prob, 2)))
             .with_max_attempts(5);
         let ctx = Context::new(cfg);
         let faulty = SparkDbscan::new(params).run(&ctx, Arc::clone(&data));

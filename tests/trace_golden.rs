@@ -5,7 +5,7 @@
 
 use scalable_dbscan::dbscan::ShuffleDbscan;
 use scalable_dbscan::engine::{
-    chrome_trace_json, validate_chrome_trace, EventKind, FaultConfig, FaultPlan, FaultRule, Trace,
+    chrome_trace_json, validate_chrome_trace, EventKind, FaultPlan, FaultRule, Trace,
 };
 use scalable_dbscan::prelude::*;
 use std::collections::HashSet;
@@ -20,7 +20,7 @@ fn traced_run() -> Trace {
     let params = DbscanParams::new(spec.eps, spec.min_pts).unwrap();
     let cfg = ClusterConfig::local(2)
         .with_tracing()
-        .with_fault(FaultConfig::always_first(1))
+        .with_fault(FaultPlan::tasks(FaultRule::always_first(1)))
         .with_max_attempts(3);
     let ctx = Context::new(cfg);
     let r = SparkDbscan::new(params).partitions(2).run(&ctx, Arc::clone(&data));
