@@ -63,7 +63,8 @@ pub use partitioned::executor_side::{
     ExecutorScratch, ExecutorStats, LocalClustering, TreeNeighborSource,
 };
 pub use partitioned::merge::{
-    extract_seed_edges, merge_partial_clusters, merge_with_edges, MergeOutcome, MergeStrategy,
+    extract_seed_edges, merge_partial_clusters, merge_union_find, merge_with_edges, MergeOutcome,
+    MergeStrategy,
 };
 pub use partitioned::planner::{plan_partitions, Balance, CostPlan};
 pub use partitioned::SeedPolicy;

@@ -14,7 +14,7 @@ use crate::label::Clustering;
 use crate::model::{PartialCluster, PartitionRanges};
 use crate::params::DbscanParams;
 use crate::partitioned::executor_side::local_partial_clusters;
-use crate::partitioned::merge::{merge_partial_clusters, MergeStrategy};
+use crate::partitioned::merge::{merge_partial_clusters, merge_union_find, MergeStrategy};
 use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{Dataset, KdTree, PointId, SpatialIndex};
 use mapred::{Counters, Emitter, JobConfig, MapReduceJob, Mapper, MrResult, PhaseMetrics, Reducer};
@@ -113,7 +113,18 @@ impl MrDbscan {
         }
         let num_partial_clusters = partials.len();
         let t = Instant::now();
-        let outcome = merge_partial_clusters(n, &partials, self.merge_strategy, &core_flags);
+        let outcome = match self.merge_strategy {
+            // the reducers query the KdTree exactly, so under
+            // PerBoundaryEdge every core–core boundary edge is recorded
+            // from both ends and forward unions suffice (see merge docs)
+            MergeStrategy::UnionFind => merge_union_find(
+                n,
+                &partials,
+                &core_flags,
+                self.seed_policy == SeedPolicy::PerBoundaryEdge,
+            ),
+            s => merge_partial_clusters(n, &partials, s, &core_flags),
+        };
         let merge = t.elapsed();
         let mut clustering = outcome.clustering;
         clustering.core = core_flags;

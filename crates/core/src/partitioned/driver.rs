@@ -15,9 +15,7 @@ use crate::params::DbscanParams;
 use crate::partitioned::executor_side::{
     local_partial_clusters_scratch, ExecutorScratch, ExecutorStats, TreeNeighborSource,
 };
-use crate::partitioned::merge::{
-    extract_seed_edges, merge_partial_clusters, merge_with_edges, MergeStrategy,
-};
+use crate::partitioned::merge::{fill_owner, merge_partial_clusters, union_seeds, MergeStrategy};
 use crate::partitioned::planner::{plan_partitions, Balance};
 use crate::partitioned::SeedPolicy;
 use crate::reorder::{apply_permutation, zorder_permutation};
@@ -68,11 +66,11 @@ pub struct Timings {
     /// Driver: merging partial clusters (the growing component in
     /// Fig. 6).
     pub merge: Duration,
-    /// Merge sub-phase: SEED-edge extraction (owner index + edge scan);
+    /// Merge sub-phase: the owner fill (each point's regular partial);
     /// zero for the paper-literal merge strategies.
     pub merge_extract: Duration,
-    /// Merge sub-phase: union-find + relabel; zero for the
-    /// paper-literal merge strategies.
+    /// Merge sub-phase: the core-SEED scan with its unions, plus the
+    /// relabel; zero for the paper-literal merge strategies.
     pub merge_union: Duration,
     /// Whole run.
     pub total: Duration,
@@ -423,14 +421,19 @@ impl SparkDbscan {
         trace.phase_start("merge");
         let (outcome, merge_extract, merge_union) = match self.merge_strategy {
             MergeStrategy::UnionFind => {
+                // exact queries under PerBoundaryEdge record every
+                // core–core boundary edge from both ends, so forward
+                // unions suffice (see merge docs)
+                let symmetric = self.seed_policy == SeedPolicy::PerBoundaryEdge
+                    && self.prune == PruneConfig::EXACT;
                 let tx = Instant::now();
                 trace.phase_start("merge_extract");
-                let edges = extract_seed_edges(n, &partials, &core, 1);
+                let owner = fill_owner(n, &partials);
                 trace.phase_end("merge_extract");
                 let merge_extract = tx.elapsed();
                 let tu = Instant::now();
                 trace.phase_start("merge_union");
-                let outcome = merge_with_edges(n, &partials, &edges, 1);
+                let outcome = union_seeds(n, &partials, &core, &owner, symmetric);
                 trace.phase_end("merge_union");
                 (outcome, merge_extract, tu.elapsed())
             }

@@ -19,12 +19,33 @@
 //! core endpoint is always recorded as a SEED. Non-core SEEDs still
 //! receive the seeding cluster's label (ordinary border assignment).
 //!
-//! **Union-find merge**: four sequential loops — owner fill, core-SEED
-//! edges in partial order, one union per edge, canonical relabel. The
-//! edge list keeps duplicates: a union-find ignores them, so neither
-//! the components nor the merge-op count (partials minus components)
-//! depend on edge order or multiplicity. Every strategy ends in the
-//! same relabel, which names each group by its smallest partial index.
+//! **Union-find merge**: three sequential loops and no edge list —
+//! owner fill; one pass over each partial's core SEEDs that unions
+//! partial `i` with the master `j = owner[s]` of each SEED `s` as it is
+//! met; the canonical relabel. A union-find ignores repeated and
+//! already-joined pairs, so neither the components nor the merge-op
+//! count (partials minus components) depend on edge order or
+//! multiplicity. Every strategy ends in the same relabel, which names
+//! each group by its smallest partial index.
+//!
+//! **Forward-only unions.** When the caller knows the SEED edges are
+//! symmetric — every `(i, j)` has its reverse `(j, i)` — the scan
+//! unions only when `j > i`, which keeps every connection with half the
+//! union calls. That holds for exact queries under
+//! [`SeedPolicy::PerBoundaryEdge`]: take core `p` regular in partial
+//! `i`, core `s` regular in partial `j` and `dist(p, s) ≤ ε`. Every core
+//! point is queried once and admitted into the partial that claims it,
+//! and the distance is bitwise symmetric (`fl(a−b) = −fl(b−a)`, both
+//! sides summed in the same coordinate order), so `i` records `s` and
+//! `j` records `p`. Dropping whole partials (`min_partial_size`)
+//! removes both directions at once. It fails under
+//! [`SeedPolicy::OnePerPartition`] (one SEED per foreign partition) and
+//! under pruned queries (a capped query can see `p → s` but not
+//! `s → p`); callers derive the flag from the run's configuration and
+//! union every edge in those cases.
+//!
+//! [`SeedPolicy::PerBoundaryEdge`]: crate::SeedPolicy::PerBoundaryEdge
+//! [`SeedPolicy::OnePerPartition`]: crate::SeedPolicy::OnePerPartition
 
 use crate::label::{Clustering, Label};
 use crate::model::PartialCluster;
@@ -70,7 +91,7 @@ pub struct MergeOutcome {
 /// point `p` as a *regular* element (unique by construction — one
 /// assignment per point per partition, ranges disjoint), `UNOWNED`
 /// otherwise.
-fn fill_owner(n: usize, partials: &[PartialCluster]) -> Vec<u32> {
+pub(crate) fn fill_owner(n: usize, partials: &[PartialCluster]) -> Vec<u32> {
     let mut owner = vec![UNOWNED; n];
     for (i, c) in partials.iter().enumerate() {
         for r in c.regulars() {
@@ -84,12 +105,59 @@ fn fill_owner(n: usize, partials: &[PartialCluster]) -> Vec<u32> {
     owner
 }
 
-/// Extract the core SEED → master edges that drive the union-find, in
-/// partial order: `(i, master)` for every core SEED of partial `i` that
-/// some partial holds as a regular element. Duplicates (several SEEDs
-/// of one partial landing in the same master, as under
-/// [`SeedPolicy::PerBoundaryEdge`]) are kept. `_threads` is ignored: the
-/// pass is sequential.
+/// The union-find merge over `n` points: owner fill, SEED scan with
+/// unions, relabel. `symmetric_seeds` turns on forward-only unions and
+/// is sound only when every core-SEED edge has its reverse (see the
+/// module docs); with `false` every edge is unioned, which is exact for
+/// any input.
+pub fn merge_union_find(
+    n: usize,
+    partials: &[PartialCluster],
+    core: &[bool],
+    symmetric_seeds: bool,
+) -> MergeOutcome {
+    assert_eq!(core.len(), n, "core flags must cover every point");
+    let owner = fill_owner(n, partials);
+    union_seeds(n, partials, core, &owner, symmetric_seeds)
+}
+
+/// Loops 2 and 3 of the union-find merge over a filled `owner` index:
+/// union each partial with the master of every core SEED as the scan
+/// meets it (only masters after it when `symmetric_seeds`), then
+/// relabel. `merge_ops` counts the unions that join two components.
+pub(crate) fn union_seeds(
+    n: usize,
+    partials: &[PartialCluster],
+    core: &[bool],
+    owner: &[u32],
+    symmetric_seeds: bool,
+) -> MergeOutcome {
+    let mut dsu = DisjointSet::new(partials.len());
+    let mut merge_ops = 0usize;
+    for (i, c) in partials.iter().enumerate() {
+        // the smallest master index this partial unions with
+        let first = if symmetric_seeds { i as u32 + 1 } else { 0 };
+        for s in c.seeds() {
+            let j = owner[s as usize];
+            if j != UNOWNED && j >= first && core[s as usize] && dsu.union(i, j as usize) {
+                merge_ops += 1;
+            }
+        }
+    }
+    relabel(n, partials, &component_keys(&mut dsu), merge_ops, 1)
+}
+
+/// Extract the core SEED → master edges in partial order: `(i, master)`
+/// for every core SEED of partial `i` that some partial holds as a
+/// regular element. Duplicates (several SEEDs of one partial landing in
+/// the same master, as under [`SeedPolicy::PerBoundaryEdge`]) are kept.
+/// `_threads` is ignored: the pass is sequential.
+///
+/// The driver no longer builds this list — [`merge_union_find`] unions
+/// the edges as it scans them. This two-call path
+/// (`extract_seed_edges` + [`merge_with_edges`]) serves only the
+/// benchmark's per-layer pass and the merge reference tests, and goes
+/// once the benchmark reads the run report instead.
 ///
 /// [`SeedPolicy::PerBoundaryEdge`]: crate::SeedPolicy::PerBoundaryEdge
 pub fn extract_seed_edges(
@@ -112,22 +180,27 @@ pub fn extract_seed_edges(
     edges
 }
 
-/// Union the extracted SEED edges and relabel. `merge_ops` counts the
-/// unions that join two components. `_threads` is ignored: the pass is
-/// sequential.
+/// Union the edges of [`extract_seed_edges`] and relabel. `merge_ops`
+/// counts the unions that join two components. `_threads` is ignored:
+/// the pass is sequential. Like `extract_seed_edges`, this serves only
+/// the benchmark's per-layer pass and the merge reference tests.
 pub fn merge_with_edges(
     n: usize,
     partials: &[PartialCluster],
     edges: &[(u32, u32)],
     _threads: usize,
 ) -> MergeOutcome {
-    let m = partials.len();
-    let mut dsu = DisjointSet::new(m);
+    let mut dsu = DisjointSet::new(partials.len());
     let merge_ops = edges.iter().filter(|&&(a, b)| dsu.union(a as usize, b as usize)).count();
-    // a component's key is its smallest partial index: the first one
-    // met in index order
+    relabel(n, partials, &component_keys(&mut dsu), merge_ops, 1)
+}
+
+/// Each partial's group key: the smallest partial index of its
+/// union-find component, which is the first one met in index order.
+fn component_keys(dsu: &mut DisjointSet) -> Vec<u32> {
+    let m = dsu.len();
     let mut key_of_root = vec![UNOWNED; m];
-    let keys: Vec<u32> = (0..m)
+    (0..m)
         .map(|i| {
             let key = &mut key_of_root[dsu.find(i)];
             if *key == UNOWNED {
@@ -135,8 +208,7 @@ pub fn merge_with_edges(
             }
             *key
         })
-        .collect();
-    relabel(n, partials, &keys, merge_ops, 1)
+        .collect()
 }
 
 /// Canonical relabel. `keys[i]` names partial `i`'s group by the
@@ -194,10 +266,8 @@ pub fn merge_partial_clusters(
 ) -> MergeOutcome {
     assert_eq!(core.len(), n, "core flags must cover every point");
     let fixpoint = match strategy {
-        MergeStrategy::UnionFind => {
-            let edges = extract_seed_edges(n, partials, core, 1);
-            return merge_with_edges(n, partials, &edges, 1);
-        }
+        // the SEED policy is unknown here, so every edge is unioned
+        MergeStrategy::UnionFind => return merge_union_find(n, partials, core, false),
         MergeStrategy::PaperSinglePass => false,
         MergeStrategy::PaperFixpoint => true,
     };

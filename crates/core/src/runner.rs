@@ -87,11 +87,11 @@ pub struct RunTimings {
     pub executor: Duration,
     /// Driver-side merge of partial results.
     pub merge: Duration,
-    /// Merge sub-phase: SEED-edge extraction (zero when the runner does
-    /// not decompose its merge).
+    /// Merge sub-phase: the owner fill, each point's regular partial
+    /// (zero when the runner does not decompose its merge).
     pub merge_extract: Duration,
-    /// Merge sub-phase: union + label assembly (zero when the runner
-    /// does not decompose its merge).
+    /// Merge sub-phase: the core-SEED scan with its unions, plus the
+    /// relabel (zero when the runner does not decompose its merge).
     pub merge_union: Duration,
     /// Peak accounted engine-memory bytes (zero for engine-less runners).
     pub peak_memory_bytes: u64,

@@ -8,9 +8,13 @@
 //!   `label-identity` oracle and its failing schedule shrunk to a short
 //!   replayable token.
 //!
-//! The full 256-seed campaign runs in release mode via the
-//! `schedule_fuzz` bench bin; these tests keep debug-mode counts small.
+//! Debug builds keep the schedule counts small. The full 256-schedule
+//! campaign and the 64-schedule detector self-check run in release
+//! builds only (`cargo test --release --test schedule_explore`); a
+//! campaign violation writes its shrunk replay token to
+//! `results/failing_token.txt`.
 
+use scalable_dbscan::datagen::StandardDataset;
 use scalable_dbscan::dbscan::DbscanExploreJob;
 use scalable_dbscan::engine::{
     Context, ExecutorKillAt, Explorer, FaultPlan, FaultRule, JobArtifacts, Replay, ReplayToken,
@@ -18,6 +22,7 @@ use scalable_dbscan::engine::{
 };
 use scalable_dbscan::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 
 const PARTITIONS: usize = 4;
 
@@ -163,4 +168,61 @@ fn shuffle_fetch_order_exploration_is_clean() {
         .explore_or_panic(&shuffle_job);
     assert!(report.ok());
     assert_eq!(report.schedules_run, 8);
+}
+
+/// The release-mode campaign: 256 seeded schedules of the full
+/// exact-mode job on the seeded c10k/32 dataset, split across the
+/// fault-free plan and both fault plans with disjoint seed ranges
+/// (`seed0 = plan index × per-plan count`). Every schedule must pass
+/// the invariant-oracle set; a violation's shrunk replay token goes to
+/// `results/failing_token.txt`.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn campaign_256_schedules_over_three_fault_plans_is_clean() {
+    let mut spec = StandardDataset::C10k.scaled_spec(32);
+    spec.params.seed = 1000;
+    let (data, _) = spec.generate();
+    let params = DbscanParams::new(spec.eps, spec.min_pts).unwrap();
+    let job = DbscanExploreJob::new(Arc::new(data), params, PARTITIONS);
+    let mut plans = vec![("none", FaultPlan::none())];
+    plans.extend(fault_plans());
+    let per_plan = 256usize.div_ceil(plans.len());
+
+    let t0 = Instant::now();
+    let mut failures = String::new();
+    for (i, (name, plan)) in plans.into_iter().enumerate() {
+        let report = Explorer::new(cluster_with(plan))
+            .with_schedules(per_plan)
+            .with_seed0((i * per_plan) as u64)
+            .explore(&job)
+            .unwrap_or_else(|e| panic!("plan {name}: baseline schedule errored: {e}"));
+        match report.violation {
+            None => assert_eq!(report.schedules_run, per_plan, "plan {name}"),
+            Some(v) => failures.push_str(&format!("plan={name}\n{}\n", v.report())),
+        }
+    }
+    println!("campaign: {} schedules in {:.2?}", 3 * per_plan, t0.elapsed());
+    if !failures.is_empty() {
+        std::fs::create_dir_all("results").expect("create results/");
+        std::fs::write("results/failing_token.txt", &failures).expect("write failing token");
+        panic!(
+            "schedule campaign found violations (token in results/failing_token.txt):\n{failures}"
+        );
+    }
+}
+
+/// The detector self-check at campaign scale: within 64 schedules the
+/// planted ordering bug is caught by the `label-identity` oracle and
+/// shrunk to at most 20 decisions.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn planted_ordering_bug_is_caught_within_64_schedules() {
+    let report = Explorer::new(ClusterConfig::local(PARTITIONS))
+        .with_schedules(64)
+        .explore(&order_sensitive_job)
+        .expect("baseline must run");
+    let v = report.violation.expect("the planted ordering bug must be found");
+    assert_eq!(v.oracle, "label-identity", "wrong oracle fired: {}", v.report());
+    assert!(v.shrunk.decisions() <= 20, "shrunk token too long: {}", v.report());
+    println!("self-check: caught after {} schedules, token {}", report.schedules_run, v.shrunk);
 }
