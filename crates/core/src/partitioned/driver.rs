@@ -23,7 +23,7 @@ use crate::resources::Resources;
 use dbscan_spatial::{
     BkdTree, BuildReport, Dataset, KernelCounters, Metric, PruneConfig, QueryScratch,
 };
-use sparklet::{Context, JobMetrics, MemoryStats, SpillHandle, DRIVER_LANE};
+use sparklet::{Context, JobMetrics, MemoryStats};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,12 +32,6 @@ use std::time::{Duration, Instant};
 /// queue slot, membership entry, core flag, accumulator staging) —
 /// declared to the scheduler as each task's memory reservation.
 const POINT_WORKING_BYTES: u64 = 48;
-
-/// Ledger bytes attributed to one collected partial cluster on the
-/// driver lane (struct header + one `u32` per member).
-fn partial_bytes(c: &PartialCluster) -> u64 {
-    (std::mem::size_of::<PartialCluster>() + c.members.len() * std::mem::size_of::<u32>()) as u64
-}
 
 thread_local! {
     /// Per-worker reusable scratch: the kd-query traversal stack plus
@@ -106,7 +100,7 @@ pub struct SparkDbscanResult {
     /// `BuildShard` trace events.
     pub build: BuildReport,
     /// Engine memory-ledger counters as of run end (cumulative for the
-    /// context: peaks, spilled/evicted bytes, backpressure waits).
+    /// context: peaks, evicted bytes, backpressure waits).
     pub memory: MemoryStats,
 }
 
@@ -127,8 +121,10 @@ impl SparkDbscan {
     /// Default configuration: paper-literal SEED policy and merge, one
     /// partition per executor, exact kd-tree queries, no filtering.
     /// Resource knobs come from [`Resources::from_env`]
-    /// (`DBSCAN_BUILD_THREADS`, `DBSCAN_MEM_BUDGET`; auto/unbounded when
+    /// (`DBSCAN_BUILD_THREADS`, `DBSCAN_KERNEL`; library defaults when
     /// unset) — the result is byte-identical for any `Resources` value.
+    /// The memory budget belongs to the engine: set it on the context
+    /// with [`sparklet::ClusterConfig::with_memory_budget`].
     pub fn new(params: DbscanParams) -> Self {
         SparkDbscan {
             params,
@@ -143,7 +139,7 @@ impl SparkDbscan {
     }
 
     /// Replace the whole execution-resource bundle (partition balance,
-    /// kd-tree build configuration, memory budget) in one call.
+    /// kd-tree build configuration) in one call.
     pub fn resources(mut self, res: Resources) -> Self {
         self.res = res;
         self
@@ -213,9 +209,6 @@ impl SparkDbscan {
     pub fn run(&self, ctx: &Context, data: Arc<Dataset>) -> SparkDbscanResult {
         let total_start = Instant::now();
         let trace = ctx.trace();
-        if self.res.memory.is_bounded() {
-            ctx.set_memory_budget(self.res.memory);
-        }
 
         // optional future-work feature: spatially coherent partitions
         let (data, inverse, reorder) = if self.spatial_partitioning {
@@ -285,42 +278,13 @@ impl SparkDbscan {
         // extraction reads — prep work overlapped with the tasks still
         // running, instead of deferred behind a full-stage barrier.
         // Exactly-once holds because folds only apply on task success.
-        // Collected partials charge the driver's ledger lane; when a
-        // bounded budget cannot hold the next one, the buffered batch is
-        // parked in the spill tier and read back just before the merge.
-        let memory = ctx.memory_manager();
-        let spill = ctx.spill_store();
-        let fold_memory = Arc::clone(&memory);
-        let fold_spill = Arc::clone(&spill);
+        // Collected partials are the merge's input, part of the driver's
+        // own working set: like the merge, they sit outside the
+        // executors' memory ledger.
         let collected_acc =
             ctx.accumulator_with(Collected::default(), move |state: &mut Collected, feed: Feed| {
                 match feed {
-                    Feed::Partials(partials) => {
-                        for c in partials {
-                            let bytes = partial_bytes(&c);
-                            if !fold_memory.try_charge(DRIVER_LANE, bytes) {
-                                if !state.partials.is_empty() {
-                                    let batch: Vec<(u32, (u32, u32), Vec<u32>)> = state
-                                        .partials
-                                        .drain(..)
-                                        .map(|p| (p.owner, p.range, p.members))
-                                        .collect();
-                                    let blob = sparklet::spill::encode(&batch);
-                                    let h = fold_spill
-                                        .spill(&blob)
-                                        .expect("driver spill tier writable");
-                                    state.spilled.push(h);
-                                    fold_memory.note_spill(DRIVER_LANE, state.charged);
-                                    state.charged = 0;
-                                }
-                                // the newcomer itself may exceed the lane
-                                // budget alone; it must be buffered anyway
-                                fold_memory.force_charge(DRIVER_LANE, bytes);
-                            }
-                            state.charged += bytes;
-                            state.partials.push(c);
-                        }
-                    }
+                    Feed::Partials(partials) => state.partials.extend(partials),
                     Feed::Cores(cs) => {
                         if state.core.len() < n {
                             state.core.resize(n, false);
@@ -385,23 +349,7 @@ impl SparkDbscan {
         let job = ctx.last_job().expect("job metrics recorded");
 
         // ---- driver: merge (Algorithm 4) ----
-        let Collected { mut partials, spilled, charged, mut core, stats: mut executor_stats } =
-            collected_acc.take();
-        // re-admit spilled batches (checksum-verified) and settle the
-        // driver lane: the merge working set is outside the budget domain
-        for h in spilled {
-            let blob = spill.read(h).expect("driver spill read-back");
-            memory.note_spill_read(DRIVER_LANE, blob.len() as u64);
-            spill.remove(h);
-            let batch: Vec<(u32, (u32, u32), Vec<u32>)> =
-                sparklet::spill::decode(&blob).expect("driver spill decode");
-            partials.extend(batch.into_iter().map(|(owner, range, members)| PartialCluster {
-                owner,
-                range,
-                members,
-            }));
-        }
-        memory.uncharge(DRIVER_LANE, charged);
+        let Collected { mut partials, mut core, stats: mut executor_stats } = collected_acc.take();
         // core flags gate the merge (only core SEEDs may weld clusters
         // together — see merge docs); empty partitions may leave the
         // lazily-sized array short
@@ -500,18 +448,13 @@ struct SharedInfo {
 #[derive(Default)]
 struct Collected {
     partials: Vec<PartialCluster>,
-    /// Batches of partials parked in the spill tier by the fold when the
-    /// driver lane ran out of budget, in spill order.
-    spilled: Vec<SpillHandle>,
-    /// Ledger bytes currently charged for `partials`.
-    charged: u64,
     core: Vec<bool>,
     stats: Vec<(u32, ExecutorStats)>,
 }
 
 /// One streamed fragment of an executor's result.
 enum Feed {
-    /// One task's partial clusters, folded one by one.
+    /// One task's partial clusters.
     Partials(Vec<PartialCluster>),
     Cores(Vec<u32>),
     Stats(u32, ExecutorStats),

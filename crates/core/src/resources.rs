@@ -1,9 +1,8 @@
 //! One typed bundle for every resource knob.
 //!
-//! [`Resources`] holds the partition balance, the driver-side kd-tree
+//! [`Resources`] holds the partition balance and the driver-side kd-tree
 //! build configuration (seeded from the `DBSCAN_BUILD_THREADS`
-//! environment variable) and the per-executor memory budget in one
-//! `#[non_exhaustive]` value. It is the one
+//! environment variable) in one `#[non_exhaustive]` value. It is the one
 //! way to set them: [`SparkDbscan::resources`] and
 //! [`crate::runner::RunEnv::with_resources`] both accept it, and
 //! [`Resources::from_env`] is the single documented place environment
@@ -12,19 +11,19 @@
 //! | variable | field | meaning |
 //! |---|---|---|
 //! | `DBSCAN_BUILD_THREADS` | `build.threads` | kd-tree build worker count (`0` = auto) |
-//! | `DBSCAN_MEM_BUDGET` | `memory` | per-executor byte budget (unset = unbounded) |
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
 //!
 //! Every field is benign to vary: clustering labels are identical for
-//! any `Resources` value (budgets spill, never drop data; thread counts
-//! are byte-deterministic by construction), only speed and memory
-//! footprint change.
+//! any `Resources` value (thread counts and leaf layouts are
+//! byte-deterministic by construction), only speed changes. The memory
+//! budget is not a `Resources` knob: the engine owns the ledger, so it
+//! is set once per context with
+//! [`sparklet::ClusterConfig::with_memory_budget`].
 //!
 //! [`SparkDbscan::resources`]: crate::partitioned::driver::SparkDbscan::resources
 
 use crate::partitioned::planner::Balance;
 use dbscan_spatial::BuildConfig;
-use sparklet::MemoryBudget;
 
 /// Execution-resource configuration shared by the driver builders and
 /// the [`crate::runner::RunEnv`] facade. Construct with
@@ -42,64 +41,46 @@ pub struct Resources {
     /// Driver-side kd-tree bulk-build configuration (worker count,
     /// bucket size, parallel cutoff, leaf kernel).
     pub build: BuildConfig,
-    /// Per-executor engine memory budget (unbounded by default). Applied
-    /// to the engine context at run start when bounded.
-    pub memory: MemoryBudget,
 }
 
 impl Resources {
-    /// Library defaults: equal-count balance, auto build threads,
-    /// unbounded memory.
+    /// Library defaults: equal-count balance, auto build threads.
     pub fn new() -> Self {
-        Resources {
-            balance: Balance::Count,
-            build: BuildConfig::default(),
-            memory: MemoryBudget::UNBOUNDED,
-        }
+        Resources { balance: Balance::Count, build: BuildConfig::default() }
     }
 
     /// Defaults overlaid with the environment: `DBSCAN_BUILD_THREADS`
-    /// sets the build worker count, `DBSCAN_MEM_BUDGET` (bytes) sets a
-    /// bounded per-executor memory budget, and `DBSCAN_KERNEL` (parsed
-    /// by [`dbscan_spatial::KernelConfig::from_env`]) selects the
-    /// leaf-scan layout. Unset or unparsable variables leave the
-    /// default in place.
+    /// sets the build worker count and `DBSCAN_KERNEL` (parsed by
+    /// [`dbscan_spatial::KernelConfig::from_env`]) selects the leaf-scan
+    /// layout. Unset or unparsable variables leave the default in place.
     pub fn from_env() -> Self {
-        let mut r = Self::from_env_values(
-            std::env::var("DBSCAN_BUILD_THREADS").ok().as_deref(),
-            std::env::var("DBSCAN_MEM_BUDGET").ok().as_deref(),
-        );
+        let mut r = Self::from_env_values(std::env::var("DBSCAN_BUILD_THREADS").ok().as_deref());
         r.build = r.build.with_kernel(dbscan_spatial::KernelConfig::from_env());
         r
     }
 
     /// The pure core of [`Resources::from_env`], taking the raw variable
-    /// values so tests can exercise the parsing contract without touching
+    /// value so tests can exercise the parsing contract without touching
     /// the process environment (`std::env::set_var` is unsound under
     /// threaded test runners).
     ///
     /// The contract, for any input including junk, overflow and empty
     /// strings — this function never panics and never errors:
     ///
-    /// * `build_threads`: whitespace-trimmed string of ASCII digits
-    ///   parsed as `usize`, else the default (`0` = auto). `0` is a
-    ///   *valid* value meaning auto.
-    /// * `mem_budget`: whitespace-trimmed string of ASCII digits parsed
-    ///   as a `u64` byte count, else the default (unbounded). A parsed
-    ///   `0` clamps to a 1-byte bounded budget
-    ///   ([`MemoryBudget::per_executor`] keeps budgets non-zero).
+    /// `build_threads` is a whitespace-trimmed string of ASCII digits
+    /// parsed as `usize`, else the default (`0` = auto). `0` is a
+    /// *valid* value meaning auto.
     ///
     /// Parsing is strictly digit-only: unlike Rust's integer `FromStr`,
     /// a leading `+` (or any other non-digit) rejects the value. An
     /// environment variable carrying `+8` is far likelier a templating
     /// bug than an intentional sign, and silently accepting it would
     /// make the contract depend on `FromStr` quirks.
-    pub fn from_env_values(build_threads: Option<&str>, mem_budget: Option<&str>) -> Self {
+    pub fn from_env_values(build_threads: Option<&str>) -> Self {
         let mut r = Resources::new();
         if let Some(t) = build_threads.and_then(parse_env_uint::<usize>) {
             r.build = r.build.with_threads(t);
         }
-        r.memory = parse_mem_budget(mem_budget);
         r
     }
 
@@ -119,17 +100,6 @@ impl Resources {
     /// count. Kept so existing callers still compile.
     pub fn with_merge_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// Set the engine memory budget.
-    pub fn with_memory(mut self, memory: MemoryBudget) -> Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Set a bounded per-executor memory budget in bytes.
-    pub fn with_memory_budget(self, bytes: u64) -> Self {
-        self.with_memory(MemoryBudget::per_executor(bytes))
     }
 
     /// Whether this is exactly the library default ([`Resources::new`]).
@@ -158,15 +128,6 @@ fn parse_env_uint<T: std::str::FromStr>(v: &str) -> Option<T> {
     t.parse::<T>().ok()
 }
 
-/// `DBSCAN_MEM_BUDGET` parser: a byte count bounds the budget; unset or
-/// unparsable leaves it unbounded.
-fn parse_mem_budget(var: Option<&str>) -> MemoryBudget {
-    match var.and_then(parse_env_uint::<u64>) {
-        Some(bytes) => MemoryBudget::per_executor(bytes),
-        None => MemoryBudget::UNBOUNDED,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +137,6 @@ mod tests {
         let r = Resources::new();
         assert!(r.is_default());
         assert_eq!(r.balance, Balance::Count);
-        assert!(!r.memory.is_bounded());
         assert_eq!(r, Resources::default());
     }
 
@@ -184,35 +144,20 @@ mod tests {
     fn builders_compose() {
         let r = Resources::new()
             .with_balance(Balance::Cost)
-            .with_memory_budget(1 << 20)
             .with_build(BuildConfig::default().with_threads(2));
         assert!(!r.is_default());
         assert_eq!(r.balance, Balance::Cost);
-        assert_eq!(r.memory.bytes(), 1 << 20);
         assert_eq!(r.build.threads, 2);
-    }
-
-    #[test]
-    fn mem_budget_variable_parses_bytes_or_stays_unbounded() {
-        assert_eq!(parse_mem_budget(Some("65536")), MemoryBudget::per_executor(65536));
-        assert_eq!(parse_mem_budget(Some(" 1024 ")), MemoryBudget::per_executor(1024));
-        assert_eq!(parse_mem_budget(Some("lots")), MemoryBudget::UNBOUNDED);
-        assert_eq!(parse_mem_budget(None), MemoryBudget::UNBOUNDED);
-        // no env set under test: from_env mirrors the defaults
-        assert!(!Resources::from_env().memory.is_bounded());
     }
 
     #[test]
     fn env_parsing_is_strictly_digit_only() {
         // signs that integer FromStr would happily accept are rejected
-        assert_eq!(Resources::from_env_values(Some("+8"), None).build.threads, 0);
-        assert_eq!(parse_mem_budget(Some("+4096")), MemoryBudget::UNBOUNDED);
-        assert_eq!(parse_mem_budget(Some("-1")), MemoryBudget::UNBOUNDED);
+        assert_eq!(Resources::from_env_values(Some("+8")).build.threads, 0);
         // inner whitespace and radix prefixes are junk too
-        assert_eq!(Resources::from_env_values(Some("1 2"), None).build.threads, 0);
-        assert_eq!(parse_mem_budget(Some("0x40")), MemoryBudget::UNBOUNDED);
+        assert_eq!(Resources::from_env_values(Some("1 2")).build.threads, 0);
         // plain digits (with surrounding whitespace) still parse
-        assert_eq!(Resources::from_env_values(Some(" 8 "), None).build.threads, 8);
+        assert_eq!(Resources::from_env_values(Some(" 8 ")).build.threads, 8);
     }
 
     #[test]
@@ -224,8 +169,8 @@ mod tests {
         assert_eq!(r.build.kernel.layout, KernelLayout::Scalar);
         // no kernel env set under test: from_env keeps the default
         assert_eq!(Resources::from_env().build.kernel, KernelConfig::default());
-        // the pure parsing core never reads kernel variables — its
-        // pinned two-argument signature stays untouched
-        assert_eq!(Resources::from_env_values(None, None).build.kernel, KernelConfig::default());
+        // the pure parsing core never reads kernel variables — it takes
+        // the build-threads value alone
+        assert_eq!(Resources::from_env_values(None).build.kernel, KernelConfig::default());
     }
 }

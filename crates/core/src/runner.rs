@@ -43,7 +43,7 @@ pub struct RunEnv<'a> {
     pub ctx: Option<&'a Context>,
     /// Concurrent map/reduce slots for the MapReduce baselines.
     pub slots: usize,
-    /// Execution-resource bundle (threads, balance, memory budget).
+    /// Execution-resource bundle (threads, balance, leaf kernel).
     /// Runners that understand it apply a non-default value over their
     /// own configuration; [`Resources::default`] leaves a
     /// hand-configured runner untouched.
@@ -95,9 +95,6 @@ pub struct RunTimings {
     pub merge_union: Duration,
     /// Peak accounted engine-memory bytes (zero for engine-less runners).
     pub peak_memory_bytes: u64,
-    /// Bytes moved to the spill tier under memory pressure (zero for
-    /// engine-less runners or unbounded budgets).
-    pub spilled_bytes: u64,
     /// Bytes freed by evicting cache entries (zero for engine-less
     /// runners or unbounded budgets).
     pub evicted_bytes: u64,
@@ -218,7 +215,6 @@ impl DbscanRunner for SparkDbscan {
                 merge_extract: r.timings.merge_extract,
                 merge_union: r.timings.merge_union,
                 peak_memory_bytes: r.memory.peak_bytes,
-                spilled_bytes: r.memory.spilled_bytes,
                 evicted_bytes: r.memory.evicted_bytes,
             },
             trace: Some(ctx.trace()),

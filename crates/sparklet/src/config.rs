@@ -62,9 +62,10 @@ pub struct ClusterConfig {
     /// Structured event tracing (off by default).
     pub trace: TraceConfig,
     /// Per-executor memory budget (unbounded by default; see
-    /// [`crate::memory::MemoryManager`] for the eviction / spill /
-    /// backpressure ladder a bounded budget engages).
-    pub memory: MemoryBudget,
+    /// [`crate::memory::MemoryManager`] for the eviction / backpressure
+    /// ladder a bounded budget engages). Set it with
+    /// [`ClusterConfig::with_memory_budget`], the one budget setter.
+    pub(crate) memory: MemoryBudget,
     /// Scheduling-decision policy ([`Fifo`] by default — production
     /// order; see [`crate::schedule`] and [`crate::explore`]).
     pub schedule: Arc<dyn SchedulePolicy>,
@@ -130,12 +131,6 @@ impl ClusterConfig {
     /// Builder-style: set the full trace configuration.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Builder-style: set the memory budget.
-    pub fn with_memory(mut self, memory: MemoryBudget) -> Self {
-        self.memory = memory;
         self
     }
 

@@ -5,11 +5,10 @@ use crate::broadcast::Broadcast;
 use crate::config::ClusterConfig;
 use crate::error::SparkResult;
 use crate::executor::ExecutorPool;
-use crate::memory::{MemoryBudget, MemoryManager, MemoryStats};
+use crate::memory::{MemoryManager, MemoryStats};
 use crate::metrics::JobMetrics;
 use crate::rdd::{ops, text::TextFileRdd, Rdd};
 use crate::shuffle::ShuffleManager;
-use crate::spill::SpillStore;
 use crate::storage::{CacheConfig, CacheManager};
 use crate::trace::{DfsTraceSink, EventKind, TraceCollector, TraceHandle};
 use crate::Data;
@@ -26,7 +25,6 @@ pub(crate) struct ContextInner {
     pub(crate) pool: ExecutorPool,
     pub(crate) tracer: Arc<TraceCollector>,
     pub(crate) memory: Arc<MemoryManager>,
-    pub(crate) spill: Arc<SpillStore>,
     next_rdd: AtomicUsize,
     next_shuffle: AtomicUsize,
     next_stage: AtomicUsize,
@@ -70,7 +68,6 @@ impl Context {
     pub fn new(config: ClusterConfig) -> Self {
         let tracer = Arc::new(TraceCollector::new(config.trace));
         let memory = Arc::new(MemoryManager::new(config.memory, Arc::clone(&tracer)));
-        let spill = Arc::new(SpillStore::new().expect("create spill dir"));
         let pool = ExecutorPool::start(
             config.worker_threads,
             config.fault.clone(),
@@ -86,17 +83,13 @@ impl Context {
             Arc::clone(&memory),
             Arc::clone(&config.schedule),
         ));
-        let cache = Arc::new(CacheManager::new(CacheConfig {
-            memory: Arc::clone(&memory),
-            spill: Arc::clone(&spill),
-        }));
+        let cache = Arc::new(CacheManager::new(CacheConfig { memory: Arc::clone(&memory) }));
         Context {
             inner: Arc::new(ContextInner {
                 config,
                 shuffles,
                 cache,
                 memory,
-                spill,
                 accums: Arc::new(AccumulatorRegistry::new()),
                 pool,
                 tracer,
@@ -274,25 +267,12 @@ impl Context {
 
     // ---- memory ------------------------------------------------------
 
-    /// This context's memory ledger (always live; unbounded by default).
-    pub fn memory_manager(&self) -> Arc<MemoryManager> {
-        Arc::clone(&self.inner.memory)
-    }
-
-    /// This context's disk spill tier.
-    pub fn spill_store(&self) -> Arc<SpillStore> {
-        Arc::clone(&self.inner.spill)
-    }
-
-    /// Snapshot of the memory counters (peaks, spilled/evicted bytes,
-    /// backpressure waits, broadcast metering).
+    /// Snapshot of the memory counters (peaks, evicted bytes,
+    /// backpressure waits, broadcast metering). The budget itself is
+    /// fixed at construction by
+    /// [`ClusterConfig::with_memory_budget`].
     pub fn memory_stats(&self) -> MemoryStats {
         self.inner.memory.stats()
-    }
-
-    /// Replace the per-executor memory budget for subsequent work.
-    pub fn set_memory_budget(&self, budget: MemoryBudget) {
-        self.inner.memory.set_budget(budget);
     }
 }
 

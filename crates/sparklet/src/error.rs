@@ -41,8 +41,8 @@ pub enum SparkError {
     /// Invalid engine configuration.
     InvalidConfig(String),
     /// A single task reservation exceeds the whole per-executor memory
-    /// budget — no amount of eviction, spilling or backpressure can
-    /// grant it. (Mere crowding never raises this: the scheduler defers
+    /// budget — no amount of eviction or backpressure can grant it.
+    /// (Mere crowding never raises this: the scheduler defers
     /// submission until running tasks release their reservations.)
     OutOfMemory {
         /// Executor lane the reservation targeted.

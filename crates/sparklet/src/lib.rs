@@ -45,7 +45,6 @@ pub mod schedule;
 pub mod scheduler;
 pub mod shuffle;
 pub mod sim;
-pub mod spill;
 pub mod storage;
 pub mod task;
 pub mod trace;
@@ -57,7 +56,7 @@ pub use context::{Context, KillReport};
 pub use error::{SparkError, SparkResult};
 pub use explore::{ExploreJob, ExploreReport, Explorer, JobArtifacts, MergeOnceCheck, Violation};
 pub use fault::{ExecutorKillAt, FaultPlan, FaultRule};
-pub use memory::{MemoryBudget, MemoryManager, MemoryStats, DRIVER_LANE};
+pub use memory::{MemoryBudget, MemoryManager, MemoryStats};
 pub use metrics::{JobMetrics, StageKind, StageMetrics, TaskMetrics};
 pub use oracle::{
     default_oracles, InvariantOracle, LabelIdentity, LedgerConservation, MergeOnce, RunObservation,
@@ -66,7 +65,6 @@ pub use oracle::{
 pub use rdd::Rdd;
 pub use schedule::{DecisionPoint, Fifo, Replay, ReplayToken, SchedulePolicy, Seeded};
 pub use sim::{lpt_makespan, VirtualScheduler};
-pub use spill::{SpillError, SpillHandle, SpillStore, Spillable};
 pub use storage::{CacheConfig, CacheManager};
 pub use task::{TaskError, TaskErrorKind};
 pub use trace::{

@@ -1,12 +1,12 @@
 //! Memory accounting: per-executor byte budgets, task reservations, and
-//! the evict → spill → backpressure ladder.
+//! the evict → backpressure ladder.
 //!
 //! The paper's substrate ran under hard per-executor memory limits; this
 //! module gives `sparklet` the same constraint as a first-class, typed
 //! budget instead of unbounded in-process maps. One [`MemoryManager`]
 //! per [`crate::Context`] keeps a ledger of accounted bytes per *lane* —
-//! one lane per virtual executor plus [`DRIVER_LANE`] for driver-side
-//! collection buffers — against a [`MemoryBudget`]:
+//! one lane per virtual executor — against the [`MemoryBudget`] set once
+//! by [`crate::ClusterConfig::with_memory_budget`]:
 //!
 //! * **Task reservations** (scheduler): before submitting a task the
 //!   driver reserves the task's declared working-set bytes on its
@@ -16,24 +16,24 @@
 //!   ([`crate::SparkError::OutOfMemory`]).
 //! * **Storage charges** (cache, shuffle): resident cached partitions
 //!   and shuffle map-output buffers charge their lane. When a cache
-//!   charge would exceed the budget the cache first evicts or spills
-//!   (see [`crate::storage::CacheManager`], [`crate::spill::SpillStore`]);
-//!   shuffle map outputs are force-charged and stay resident.
+//!   charge would exceed the budget the cache evicts least-recently-used
+//!   entries to lineage (see [`crate::storage::CacheManager`]); shuffle
+//!   map outputs are force-charged and stay resident.
+//!
+//! Driver-side buffers (the collected results an action hands back)
+//! are not accounted: they are the driver's own working set, outside
+//! the executors' budget.
 //!
 //! Accounting is always on — an unbounded manager still tracks peaks,
 //! which is how the budget-identity tests measure the unbounded
-//! high-water mark to derive a budget from — but `MemoryAction` trace events are recorded
-//! only when the budget is bounded, so traces of unbudgeted runs are
-//! byte-identical to pre-budget traces.
+//! high-water mark to derive a budget from — but `MemoryAction` trace
+//! events are recorded only when the budget is bounded, so traces of
+//! unbudgeted runs are byte-identical to pre-budget traces.
 
 use crate::trace::{EventKind, MemOp, TraceCollector};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Ledger lane used for driver-side buffers (collected partial
-/// clusters). Executor lanes are the executor ids themselves.
-pub const DRIVER_LANE: usize = usize::MAX;
 
 /// A per-executor byte budget. [`MemoryBudget::UNBOUNDED`] (the default)
 /// disables enforcement while keeping the accounting live.
@@ -46,7 +46,7 @@ impl MemoryBudget {
     /// No limit: every reservation and charge is granted.
     pub const UNBOUNDED: MemoryBudget = MemoryBudget { per_lane: u64::MAX };
 
-    /// A hard per-executor (and per-driver-lane) budget in bytes.
+    /// A hard per-executor budget in bytes.
     pub fn per_executor(bytes: u64) -> Self {
         MemoryBudget { per_lane: bytes.max(1) }
     }
@@ -88,10 +88,6 @@ pub struct MemoryStats {
     pub peak_bytes: u64,
     /// Largest per-lane high-water mark.
     pub max_lane_peak: u64,
-    /// Bytes written to the spill tier.
-    pub spilled_bytes: u64,
-    /// Spilled blobs read back.
-    pub spill_reads: u64,
     /// Bytes freed by evicting (dropping) cache entries.
     pub evicted_bytes: u64,
     /// Cache entries evicted outright.
@@ -120,7 +116,6 @@ struct Lane {
 }
 
 struct Ledger {
-    budget: MemoryBudget,
     lanes: HashMap<usize, Lane>,
     total_used: u64,
     stats: MemoryStats,
@@ -129,6 +124,7 @@ struct Ledger {
 /// The per-context memory ledger. Cheap to share (`Arc`), internally a
 /// single mutex — every operation is a few integer updates.
 pub struct MemoryManager {
+    budget: MemoryBudget,
     inner: Mutex<Ledger>,
     tracer: Arc<TraceCollector>,
 }
@@ -138,8 +134,8 @@ impl MemoryManager {
     /// `tracer` when bounded.
     pub fn new(budget: MemoryBudget, tracer: Arc<TraceCollector>) -> Self {
         MemoryManager {
+            budget,
             inner: Mutex::new(Ledger {
-                budget,
                 lanes: HashMap::new(),
                 total_used: 0,
                 stats: MemoryStats::default(),
@@ -154,20 +150,13 @@ impl MemoryManager {
         Arc::new(MemoryManager::new(MemoryBudget::UNBOUNDED, TraceCollector::disabled()))
     }
 
-    /// The current budget.
+    /// The budget.
     pub fn budget(&self) -> MemoryBudget {
-        self.inner.lock().budget
+        self.budget
     }
 
-    /// Replace the budget. Applies to subsequent grants; bytes already
-    /// accounted stay accounted (an over-budget ledger simply defers new
-    /// work until releases catch up).
-    pub fn set_budget(&self, budget: MemoryBudget) {
-        self.inner.lock().budget = budget;
-    }
-
-    fn record(&self, bounded: bool, op: MemOp, lane: usize, bytes: u64) {
-        if bounded {
+    fn record(&self, op: MemOp, lane: usize, bytes: u64) {
+        if self.budget.is_bounded() {
             self.tracer.record_auto(EventKind::MemoryAction { op, lane, bytes });
         }
     }
@@ -194,26 +183,26 @@ impl MemoryManager {
         if bytes == 0 {
             return Grant::Granted;
         }
-        let (grant, bounded) = {
+        let bounded = self.budget.is_bounded();
+        let limit = self.budget.bytes();
+        let grant = {
             let mut ledger = self.inner.lock();
-            let bounded = ledger.budget.is_bounded();
-            let limit = ledger.budget.bytes();
             if bounded && bytes > limit {
-                (Grant::TooLarge, bounded)
+                Grant::TooLarge
             } else {
                 let used = ledger.lanes.get(&lane).map_or(0, |l| l.used);
                 if bounded && !force && used + bytes > limit {
                     ledger.stats.backpressure_waits += 1;
-                    (Grant::Deferred, bounded)
+                    Grant::Deferred
                 } else {
                     Self::charge_locked(&mut ledger, lane, bytes);
                     ledger.stats.task_reserved_bytes += bytes;
-                    (Grant::Granted, bounded)
+                    Grant::Granted
                 }
             }
         };
         if grant == Grant::Deferred {
-            self.record(bounded, MemOp::Backpressure, lane, bytes);
+            self.record(MemOp::Backpressure, lane, bytes);
         }
         grant
     }
@@ -228,6 +217,12 @@ impl MemoryManager {
         }
     }
 
+    /// Whether `bytes` more fit on `lane` (always, when unbounded).
+    fn fits(&self, ledger: &Ledger, lane: usize, bytes: u64) -> bool {
+        !self.budget.is_bounded()
+            || ledger.lanes.get(&lane).map_or(0, |l| l.used) + bytes <= self.budget.bytes()
+    }
+
     /// Quiet retry of a deferred task reservation: charge if it fits,
     /// without bumping the backpressure counter or emitting trace
     /// events (the scheduler polls this after every release, and
@@ -239,8 +234,7 @@ impl MemoryManager {
             return true;
         }
         let mut ledger = self.inner.lock();
-        let fits = !ledger.budget.is_bounded()
-            || ledger.lanes.get(&lane).map_or(0, |l| l.used) + bytes <= ledger.budget.bytes();
+        let fits = self.fits(&ledger, lane, bytes);
         if fits {
             Self::charge_locked(&mut ledger, lane, bytes);
             ledger.stats.task_reserved_bytes += bytes;
@@ -250,20 +244,18 @@ impl MemoryManager {
 
     /// Charge storage bytes if they fit (or the budget is unbounded).
     /// Returns `false` — without charging — when bounded and over
-    /// budget; the caller should evict/spill and retry or force.
+    /// budget; the caller should evict and retry, or give up.
     pub fn try_charge(&self, lane: usize, bytes: u64) -> bool {
         let mut ledger = self.inner.lock();
-        let fits = !ledger.budget.is_bounded()
-            || ledger.lanes.get(&lane).map_or(0, |l| l.used) + bytes <= ledger.budget.bytes();
+        let fits = self.fits(&ledger, lane, bytes);
         if fits {
             Self::charge_locked(&mut ledger, lane, bytes);
         }
         fits
     }
 
-    /// Charge storage bytes unconditionally (used after spilling made
-    /// room, or when correctness requires the bytes to stay resident,
-    /// as for shuffle map outputs).
+    /// Charge storage bytes unconditionally (when correctness requires
+    /// the bytes to stay resident, as for shuffle map outputs).
     pub fn force_charge(&self, lane: usize, bytes: u64) {
         Self::charge_locked(&mut self.inner.lock(), lane, bytes);
     }
@@ -275,36 +267,13 @@ impl MemoryManager {
 
     /// Account an eviction: `bytes` were freed by dropping an entry.
     pub fn note_evict(&self, lane: usize, bytes: u64) {
-        let bounded = {
+        {
             let mut ledger = self.inner.lock();
             Self::uncharge_locked(&mut ledger, lane, bytes);
             ledger.stats.evicted_bytes += bytes;
             ledger.stats.evictions += 1;
-            ledger.budget.is_bounded()
-        };
-        self.record(bounded, MemOp::Evict, lane, bytes);
-    }
-
-    /// Account a spill: `bytes` moved from the ledger to the spill tier.
-    pub fn note_spill(&self, lane: usize, bytes: u64) {
-        let bounded = {
-            let mut ledger = self.inner.lock();
-            Self::uncharge_locked(&mut ledger, lane, bytes);
-            ledger.stats.spilled_bytes += bytes;
-            ledger.budget.is_bounded()
-        };
-        self.record(bounded, MemOp::Spill, lane, bytes);
-    }
-
-    /// Account a spilled blob being read back (the caller re-charges
-    /// residency separately if it re-admits the data).
-    pub fn note_spill_read(&self, lane: usize, bytes: u64) {
-        let bounded = {
-            let mut ledger = self.inner.lock();
-            ledger.stats.spill_reads += 1;
-            ledger.budget.is_bounded()
-        };
-        self.record(bounded, MemOp::SpillRead, lane, bytes);
+        }
+        self.record(MemOp::Evict, lane, bytes);
     }
 
     /// Meter broadcast bytes: exempt from the budget (broadcasts are
@@ -314,13 +283,9 @@ impl MemoryManager {
     }
 
     /// Bytes currently accounted on a lane.
-    pub fn lane_used(&self, lane: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lane_used(&self, lane: usize) -> u64 {
         self.inner.lock().lanes.get(&lane).map_or(0, |l| l.used)
-    }
-
-    /// A lane's high-water mark.
-    pub fn lane_peak(&self, lane: usize) -> u64 {
-        self.inner.lock().lanes.get(&lane).map_or(0, |l| l.peak)
     }
 
     /// Snapshot the counters.
@@ -376,18 +341,17 @@ mod tests {
     }
 
     #[test]
-    fn storage_charges_and_spill_accounting_balance() {
+    fn storage_charges_and_eviction_accounting_balance() {
         let m = bounded(100);
         assert!(m.try_charge(0, 80));
         assert!(!m.try_charge(0, 40));
-        m.note_spill(0, 80);
+        m.note_evict(0, 80);
         assert_eq!(m.lane_used(0), 0);
         assert!(m.try_charge(0, 40));
         m.note_evict(0, 40);
         let s = m.stats();
-        assert_eq!(s.spilled_bytes, 80);
-        assert_eq!(s.evicted_bytes, 40);
-        assert_eq!(s.evictions, 1);
+        assert_eq!(s.evicted_bytes, 120);
+        assert_eq!(s.evictions, 2);
         assert_eq!(m.lane_used(0), 0);
     }
 

@@ -76,7 +76,7 @@ pub struct JobMetrics {
     /// Estimated bytes moved through shuffles during this job.
     pub shuffle_bytes: u64,
     /// Memory-ledger counters as of job end (cumulative for the
-    /// context: peaks, spilled/evicted bytes, backpressure waits).
+    /// context: peaks, evicted bytes, backpressure waits).
     pub memory: MemoryStats,
 }
 

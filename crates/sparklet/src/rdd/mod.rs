@@ -153,33 +153,14 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Mark this RDD's partitions for in-memory caching: the first
-    /// action materializes them, later actions reuse them. Without a
-    /// byte codec the cache can only *evict* these partitions under
-    /// memory pressure (recomputing them from lineage on the next use);
-    /// see [`Rdd::cache_spillable`] for the disk-backed variant.
+    /// action materializes them, later actions reuse them. Under memory
+    /// pressure the cache evicts these partitions, and the next use
+    /// recomputes them from lineage.
     pub fn cache(&self) -> Rdd<T> {
         let node = Arc::new(ops::CachedRdd {
             id: self.ctx.inner.next_rdd_id(),
             prev: Arc::clone(&self.node),
             cache: Arc::clone(&self.ctx.inner.cache),
-            codec: None,
-        });
-        Rdd::new(node, self.ctx.clone())
-    }
-
-    /// [`Rdd::cache`] with a disk tier: under memory pressure the cached
-    /// partition is spilled to the local checksummed spill store and
-    /// read back on the next use, instead of being recomputed from
-    /// lineage.
-    pub fn cache_spillable(&self) -> Rdd<T>
-    where
-        T: crate::spill::Spillable,
-    {
-        let node = Arc::new(ops::CachedRdd {
-            id: self.ctx.inner.next_rdd_id(),
-            prev: Arc::clone(&self.node),
-            cache: Arc::clone(&self.ctx.inner.cache),
-            codec: Some(Arc::new(ops::VecSpillCodec::<T>::new())),
         });
         Rdd::new(node, self.ctx.clone())
     }

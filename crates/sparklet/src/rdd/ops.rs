@@ -1,11 +1,9 @@
 //! Narrow operator nodes.
 
 use super::{AnyRdd, Parent, RddNode};
-use crate::spill::Spillable;
-use crate::storage::{CacheManager, CachedPartition, SpillCodec};
+use crate::storage::CacheManager;
 use crate::task::current_executor;
 use crate::Data;
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Source RDD over driver-provided data, sliced into partitions.
@@ -268,37 +266,14 @@ impl<T: Data> RddNode for MemHintRdd<T> {
     }
 }
 
-/// Byte codec for a cached `Vec<T>` partition, built from the element
-/// type's [`Spillable`] impl.
-pub(crate) struct VecSpillCodec<T> {
-    _pd: PhantomData<fn() -> T>,
-}
-
-impl<T> VecSpillCodec<T> {
-    pub(crate) fn new() -> Self {
-        VecSpillCodec { _pd: PhantomData }
-    }
-}
-
-impl<T: Data + Spillable> SpillCodec for VecSpillCodec<T> {
-    fn encode(&self, data: &CachedPartition) -> Option<Vec<u8>> {
-        data.downcast_ref::<Vec<T>>().map(crate::spill::encode)
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Option<CachedPartition> {
-        crate::spill::decode::<Vec<T>>(bytes).map(|v| Arc::new(v) as CachedPartition)
-    }
-}
-
 /// Caching node: first computation stores the partition in the memory
 /// store tagged with the computing executor; later computations reuse it.
-/// With a codec the entry can spill to disk under memory pressure;
-/// without one it is evicted and recomputed from lineage.
+/// Under memory pressure the entry is evicted and recomputed from
+/// lineage.
 pub(crate) struct CachedRdd<T> {
     pub id: usize,
     pub prev: Arc<dyn RddNode<Item = T>>,
     pub cache: Arc<CacheManager>,
-    pub codec: Option<Arc<dyn SpillCodec>>,
 }
 
 impl<T: Data> AnyRdd for CachedRdd<T> {
@@ -319,7 +294,7 @@ impl<T: Data> RddNode for CachedRdd<T> {
     type Item = T;
 
     fn compute(&self, part: usize) -> Result<Vec<T>, crate::task::TaskError> {
-        if let Some(hit) = self.cache.get(self.id, part)? {
+        if let Some(hit) = self.cache.get(self.id, part) {
             let data = hit.downcast_ref::<Vec<T>>().expect("cached partition type");
             return Ok(data.clone());
         }
@@ -327,14 +302,7 @@ impl<T: Data> RddNode for CachedRdd<T> {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         // a refused put (budget full, nothing evictable) just means the
         // partition stays uncached; later uses recompute from lineage
-        let _ = self.cache.put(
-            self.id,
-            part,
-            current_executor(),
-            Arc::new(data.clone()),
-            bytes,
-            self.codec.clone(),
-        );
+        let _ = self.cache.put(self.id, part, current_executor(), Arc::new(data.clone()), bytes);
         Ok(data)
     }
 }
@@ -402,7 +370,7 @@ mod tests {
     fn cached_rdd_computes_once() {
         let cache = Arc::new(CacheManager::new(crate::storage::CacheConfig::unbounded()));
         let base = parallel(vec![5, 6, 7], 1);
-        let c = CachedRdd { id: 9, prev: base, cache: Arc::clone(&cache), codec: None };
+        let c = CachedRdd { id: 9, prev: base, cache: Arc::clone(&cache) };
         assert_eq!(c.compute(0).unwrap(), vec![5, 6, 7]);
         assert_eq!(cache.len(), 1);
         assert_eq!(c.compute(0).unwrap(), vec![5, 6, 7]);

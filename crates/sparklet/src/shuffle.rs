@@ -428,7 +428,7 @@ mod tests {
         m.register(0, 1, 1);
         m.put_map_output(0, 0, 2, vec![bucket(vec![(1, 1)])], 1, 64);
         assert_eq!(memory.lane_used(2), 64, "charged in full despite the 1-byte budget");
-        assert_eq!(memory.stats().spilled_bytes, 0, "map outputs never spill");
+        assert_eq!(memory.stats().evictions, 0, "map outputs are never evicted");
         assert!(m.fetch(0, 0).is_some());
         // a retried put replaces the output and its charge
         m.put_map_output(0, 0, 2, vec![bucket(vec![(9, 9)])], 1, 64);

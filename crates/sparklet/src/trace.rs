@@ -213,7 +213,7 @@ pub enum EventKind {
     MemoryAction {
         /// What happened.
         op: MemOp,
-        /// Ledger lane (executor id, or [`crate::memory::DRIVER_LANE`]).
+        /// Ledger lane (the executor id).
         lane: usize,
         /// Bytes involved.
         bytes: u64,
@@ -242,12 +242,8 @@ pub enum MemOp {
     Reserve,
     /// A task reservation was released at attempt end.
     Release,
-    /// A cache entry was dropped (no spill codec — lineage recomputes).
+    /// A cache entry was dropped (lineage recomputes it).
     Evict,
-    /// Bytes moved from the ledger to the spill tier.
-    Spill,
-    /// A spilled blob was read back.
-    SpillRead,
     /// A task submission was deferred until reservations free up.
     Backpressure,
 }

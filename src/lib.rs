@@ -60,8 +60,7 @@ pub mod prelude {
         BuildConfig, Dataset, KdTree, KernelConfig, KernelLayout, PointId, SpatialIndex,
     };
     pub use sparklet::{
-        ClusterConfig, Context, ExploreJob, ExploreReport, Explorer, MemoryBudget, MemoryStats,
-        Replay, ReplayToken, SchedulePolicy, Seeded, SparkError, SpillError, TraceConfig,
-        TraceHandle,
+        ClusterConfig, Context, ExploreJob, ExploreReport, Explorer, MemoryStats, Replay,
+        ReplayToken, SchedulePolicy, Seeded, SparkError, TraceConfig, TraceHandle,
     };
 }

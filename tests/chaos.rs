@@ -298,21 +298,35 @@ fn chaos_overlapped_collection_matches_clean_at_every_thread_count() {
 
 #[test]
 fn chaos_tight_budget_matches_unbudgeted() {
-    // a per-executor memory budget changes where bytes live — spill,
-    // eviction, scheduler backpressure — never what gets computed:
-    // every runner under every fault plan with a tight budget must
-    // reproduce the clean unbudgeted labels byte for byte
+    // a per-executor memory budget changes where bytes live — eviction,
+    // scheduler backpressure — never what gets computed: every runner
+    // under every fault plan with a tight budget must reproduce the
+    // clean unbudgeted labels byte for byte
+    //
+    // SparkDbscan runs four tasks per executor lane in this cell (both
+    // arms), so the budget below holds one task reservation per lane
+    // and the rest must wait for it
+    const SPARK_PARTITIONS: usize = PARTITIONS * 4;
+    let cell_runners = |params: DbscanParams| -> Vec<Box<dyn DbscanRunner>> {
+        runners(params)
+            .into_iter()
+            .map(|r| match r.name() {
+                "spark" => Box::new(SparkDbscan::new(params).exact().partitions(SPARK_PARTITIONS)),
+                _ => r,
+            })
+            .collect()
+    };
     for seed in SEEDS {
         let (data, params) = dataset(seed);
         // just above the largest single task reservation (points per
         // partition × the driver's 48-byte working-set estimate): small
-        // enough to crowd the lanes and spill the driver fold, big
-        // enough that no single reservation exceeds the whole budget
-        let budget = (data.len().div_ceil(PARTITIONS) * 48 * 5 / 4) as u64;
+        // enough to crowd the lanes, big enough that no single
+        // reservation exceeds the whole budget
+        let budget = (data.len().div_ceil(SPARK_PARTITIONS) * 48 * 5 / 4) as u64;
 
         let clean_ctx = Context::new(ClusterConfig::local(PARTITIONS).with_seed(seed));
         let clean_env = RunEnv::engine(&clean_ctx);
-        let clean_labels: Vec<Vec<Label>> = runners(params)
+        let clean_labels: Vec<Vec<Label>> = cell_runners(params)
             .iter()
             .map(|r| {
                 let out = r
@@ -323,7 +337,7 @@ fn chaos_tight_budget_matches_unbudgeted() {
             .collect();
 
         for (plan_name, plan) in plans() {
-            for (i, runner) in runners(params).iter().enumerate() {
+            for (i, runner) in cell_runners(params).iter().enumerate() {
                 let tag = format!(
                     "seed={seed} plan={plan_name} runner={} budget={budget}",
                     runner.name()
@@ -341,6 +355,9 @@ fn chaos_tight_budget_matches_unbudgeted() {
                 let trace = ctx.trace().snapshot();
                 if out.clustering.canonicalize().labels != clean_labels[i] {
                     fail(&tag, Some(&trace), "budgeted clustering differs from clean run");
+                }
+                if runner.name() == "spark" && ctx.memory_stats().backpressure_waits == 0 {
+                    fail(&tag, Some(&trace), "budget never deferred a crowded task");
                 }
                 let (lost, recomputed) = lost_and_recomputed(&trace);
                 if !recomputed.is_subset(&lost) {

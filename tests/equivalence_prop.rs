@@ -484,6 +484,79 @@ proptest! {
     }
 }
 
+/// Hostile rows in `d ∈ {1, 2, 7, 12}`: either every point equal or
+/// points snapped to half steps around three far-apart centres (so
+/// duplicates are common), optionally with some rows poisoned by a NaN,
+/// `+inf` or `-inf` coordinate.
+fn arb_hostile_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        (0usize..4).prop_map(|i| [1, 2, 7, 12][i]),
+        any::<bool>(),
+        any::<bool>(),
+        prop::collection::vec((0u8..3, prop::collection::vec(0u8..3, 12), 0u8..8), 1..40),
+    )
+        .prop_map(|(dim, all_equal, poisoned, pts)| {
+            pts.into_iter()
+                .map(|(c, steps, poison)| {
+                    let mut row: Vec<f64> = (0..dim)
+                        .map(|k| {
+                            if all_equal {
+                                1.0
+                            } else {
+                                10.0 * f64::from(c) + 0.5 * f64::from(steps[k])
+                            }
+                        })
+                        .collect();
+                    if poisoned && poison < 3 {
+                        row[usize::from(c) % dim] =
+                            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][usize::from(poison)];
+                    }
+                    row
+                })
+                .collect()
+        })
+}
+
+/// Finite hostile rows take the whole all-pairs oracle check. Rows with
+/// non-finite coordinates go through `SparkDbscan::exact()` under both
+/// leaf layouts, which must answer like the oracle (a non-finite point
+/// is within `eps` of nothing, itself included) or fail with a typed
+/// error; a panic fails the property.
+fn check_hostile(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partitions: usize) {
+    if rows.iter().flatten().all(|x| x.is_finite()) {
+        return check_against_oracle(rows, eps, min_pts, partitions);
+    }
+    let oracle = oracle::Oracle::new(&rows, eps, min_pts);
+    let data = Arc::new(Dataset::from_rows(rows));
+    let params = DbscanParams::new(eps, min_pts).unwrap();
+    let tag =
+        format!("n={} d={} eps={eps} min_pts={min_pts} p={partitions}", data.len(), data.dim());
+    let ctx = Context::new(ClusterConfig::local(2));
+    let env = RunEnv::engine(&ctx);
+    for layout in [KernelLayout::Scalar, KernelLayout::Lanes] {
+        let kernel = KernelConfig::default().with_layout(layout);
+        let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
+        let runner = SparkDbscan::new(params).partitions(partitions).resources(res).exact();
+        if let Ok(out) = runner.run_dbscan(&env, Arc::clone(&data)) {
+            oracle.check(&out.clustering).unwrap_or_else(|e| panic!("{tag}: {kernel:?}: {e}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hostile_inputs_match_the_oracle_or_fail_typed(
+        rows in arb_hostile_rows(),
+        eps in (0usize..4).prop_map(|i| [0.0, 0.5, 1.0, 2.0][i]),
+        min_pts in (any::<bool>(), 1usize..6, 20usize..60).prop_map(|(n_small, a, b)| if n_small { b } else { a }),
+        partitions in 1usize..48,
+    ) {
+        check_hostile(rows, eps, min_pts, partitions);
+    }
+}
+
 /// Fixed hostile shapes for the oracle check.
 mod oracle_cases {
     use super::*;

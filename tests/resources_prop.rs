@@ -2,11 +2,10 @@
 //! whatever garbage the environment holds — junk words, overflow
 //! digits, empty strings, control characters — the parser must never
 //! panic and must land on either the parsed value or the documented
-//! default (threads `0` = auto, memory unbounded).
+//! default (threads `0` = auto).
 
 use proptest::prelude::*;
 use scalable_dbscan::dbscan::Resources;
-use scalable_dbscan::prelude::MemoryBudget;
 
 /// An optional arbitrary ASCII string (including control characters,
 /// digits and whitespace), standing in for a raw environment value.
@@ -33,11 +32,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn arbitrary_env_values_never_panic(
-        threads in arb_env_value(),
-        budget in arb_env_value(),
-    ) {
-        let r = Resources::from_env_values(threads.as_deref(), budget.as_deref());
+    fn arbitrary_env_values_never_panic(threads in arb_env_value()) {
+        let r = Resources::from_env_values(threads.as_deref());
         // whatever happened, the result is either the documented default
         // or a faithfully parsed override — mirroring the contract, not
         // the implementation
@@ -45,43 +41,31 @@ proptest! {
             Some(t) => prop_assert_eq!(r.build.threads, t),
             None => prop_assert_eq!(r.build.threads, 0, "junk threads must mean auto"),
         }
-        match budget.as_deref().and_then(strict_uint::<u64>) {
-            Some(b) => prop_assert_eq!(r.memory, MemoryBudget::per_executor(b)),
-            None => prop_assert!(!r.memory.is_bounded(), "junk budget must mean unbounded"),
-        }
     }
 
     #[test]
-    fn numeric_values_round_trip(
-        threads in 0usize..1_000_000,
-        budget in 1u64..u64::MAX,
-    ) {
+    fn numeric_values_round_trip(threads in 0usize..1_000_000) {
         let t = threads.to_string();
-        let b = budget.to_string();
-        let r = Resources::from_env_values(Some(&t), Some(&b));
+        let r = Resources::from_env_values(Some(&t));
         prop_assert_eq!(r.build.threads, threads);
-        prop_assert_eq!(r.memory, MemoryBudget::per_executor(budget));
     }
 
     #[test]
     fn surrounding_whitespace_is_trimmed(
         threads in 0usize..64,
-        budget in 1u64..1_000_000_000_000,
         pad_l in arb_padding(),
         pad_r in arb_padding(),
     ) {
         let t = format!("{pad_l}{threads}{pad_r}");
-        let b = format!("{pad_r}{budget}{pad_l}");
-        let r = Resources::from_env_values(Some(&t), Some(&b));
+        let r = Resources::from_env_values(Some(&t));
         prop_assert_eq!(r.build.threads, threads);
-        prop_assert_eq!(r.memory.bytes(), budget);
     }
 }
 
 #[test]
 fn documented_defaults_for_the_usual_suspects() {
     // unset: full library defaults
-    assert_eq!(Resources::from_env_values(None, None), Resources::new());
+    assert_eq!(Resources::from_env_values(None), Resources::new());
     // junk, empty, signs, overflow, inner whitespace, unicode digits:
     // all fall back to the documented defaults
     for bad in [
@@ -99,9 +83,8 @@ fn documented_defaults_for_the_usual_suspects() {
         "99999999999999999999999999999999",
         "18446744073709551616", // u64::MAX + 1
     ] {
-        let r = Resources::from_env_values(Some(bad), Some(bad));
+        let r = Resources::from_env_values(Some(bad));
         assert_eq!(r.build.threads, 0, "threads from {bad:?}");
-        assert!(!r.memory.is_bounded(), "budget from {bad:?}");
     }
 }
 
@@ -111,24 +94,12 @@ fn leading_plus_sign_is_rejected_as_junk() {
     // strictly digit-only: `+8` in an environment variable is far more
     // likely a templating bug than an intentional sign, so it falls
     // back to the documented defaults instead of half-parsing
-    let r = Resources::from_env_values(Some("+8"), Some("+4096"));
+    let r = Resources::from_env_values(Some("+8"));
     assert_eq!(r.build.threads, 0, "signed threads value must mean auto");
-    assert!(!r.memory.is_bounded(), "signed budget value must mean unbounded");
 }
 
 #[test]
-fn zero_means_auto_threads_but_one_byte_budget() {
-    let r = Resources::from_env_values(Some("0"), Some("0"));
+fn zero_means_auto_threads() {
+    let r = Resources::from_env_values(Some("0"));
     assert_eq!(r.build.threads, 0);
-    assert!(r.memory.is_bounded());
-    assert_eq!(r.memory.bytes(), 1, "MemoryBudget::per_executor clamps 0 to 1");
-}
-
-#[test]
-fn u64_max_budget_is_the_unbounded_sentinel_edge() {
-    // u64::MAX parses, but MemoryBudget uses that value as its
-    // "unbounded" sentinel — the one documented quirk of the contract
-    let r = Resources::from_env_values(None, Some(&u64::MAX.to_string()));
-    assert!(!r.memory.is_bounded());
-    assert_eq!(r.memory.bytes(), u64::MAX);
 }
