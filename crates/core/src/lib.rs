@@ -70,7 +70,7 @@ pub use partitioned::planner::{plan_partitions, Balance, CostPlan};
 pub use partitioned::SeedPolicy;
 pub use reorder::{apply_permutation, zorder_permutation};
 pub use resources::Resources;
-pub use runner::{DbscanRunner, RunEnv, RunOutcome, RunTimings, RunnerError};
+pub use runner::{DbscanRunner, RunEnv, RunOutcome, RunnerError};
 pub use sequential::SequentialDbscan;
 pub use shuffle_baseline::{ShuffleDbscan, ShuffleDbscanResult};
 pub use unionfind::DisjointSet;

@@ -53,19 +53,12 @@ pub struct Timings {
     pub plan: Duration,
     /// Driver: kd-tree construction (Fig. 5 numerator).
     pub kdtree_build: Duration,
-    /// Executor phase wall time as seen by the driver.
+    /// Executor phase wall time as seen by the driver (the summed task
+    /// busy time is [`JobMetrics::executor_busy`] on the result's `job`).
     pub executor_wall: Duration,
-    /// Sum of executor task busy times (CPU actually consumed).
-    pub executor_busy: Duration,
     /// Driver: merging partial clusters (the growing component in
     /// Fig. 6).
     pub merge: Duration,
-    /// Merge sub-phase: the owner fill (each point's regular partial);
-    /// zero for the paper-literal merge strategies.
-    pub merge_extract: Duration,
-    /// Merge sub-phase: the core-SEED scan with its unions, plus the
-    /// relabel; zero for the paper-literal merge strategies.
-    pub merge_union: Duration,
     /// Whole run.
     pub total: Duration,
 }
@@ -120,9 +113,9 @@ pub struct SparkDbscan {
 impl SparkDbscan {
     /// Default configuration: paper-literal SEED policy and merge, one
     /// partition per executor, exact kd-tree queries, no filtering.
-    /// Resource knobs come from [`Resources::from_env`]
-    /// (`DBSCAN_BUILD_THREADS`, `DBSCAN_KERNEL`; library defaults when
-    /// unset) — the result is byte-identical for any `Resources` value.
+    /// Resource knobs start at [`Resources::new`]; set them with
+    /// [`SparkDbscan::resources`] — the result is byte-identical for any
+    /// `Resources` value.
     /// The memory budget belongs to the engine: set it on the context
     /// with [`sparklet::ClusterConfig::with_memory_budget`].
     pub fn new(params: DbscanParams) -> Self {
@@ -134,7 +127,7 @@ impl SparkDbscan {
             prune: PruneConfig::EXACT,
             min_partial_size: None,
             spatial_partitioning: false,
-            res: Resources::from_env(),
+            res: Resources::new(),
         }
     }
 
@@ -367,26 +360,23 @@ impl SparkDbscan {
 
         let t = Instant::now();
         trace.phase_start("merge");
-        let (outcome, merge_extract, merge_union) = match self.merge_strategy {
+        let outcome = match self.merge_strategy {
             MergeStrategy::UnionFind => {
                 // exact queries under PerBoundaryEdge record every
                 // core–core boundary edge from both ends, so forward
                 // unions suffice (see merge docs)
                 let symmetric = self.seed_policy == SeedPolicy::PerBoundaryEdge
                     && self.prune == PruneConfig::EXACT;
-                let tx = Instant::now();
                 trace.phase_start("merge_extract");
                 let owner = fill_owner(n, &partials);
                 trace.phase_end("merge_extract");
-                let merge_extract = tx.elapsed();
-                let tu = Instant::now();
                 trace.phase_start("merge_union");
                 let outcome = union_seeds(n, &partials, &core, &owner, symmetric);
                 trace.phase_end("merge_union");
-                (outcome, merge_extract, tu.elapsed())
+                outcome
             }
             // paper-literal strategies stay the serial baseline arm
-            s => (merge_partial_clusters(n, &partials, s, &core), Duration::ZERO, Duration::ZERO),
+            s => merge_partial_clusters(n, &partials, s, &core),
         };
         trace.phase_end("merge");
         let merge = t.elapsed();
@@ -416,10 +406,7 @@ impl SparkDbscan {
                 plan: plan_time,
                 kdtree_build,
                 executor_wall,
-                executor_busy: job.executor_busy(),
                 merge,
-                merge_extract,
-                merge_union,
                 total: total_start.elapsed(),
             },
             job,
@@ -546,7 +533,7 @@ mod tests {
         assert!(r.timings.total >= r.timings.merge);
         assert!(r.timings.total >= r.timings.kdtree_build);
         assert!(r.timings.executor_wall > Duration::ZERO);
-        assert!(r.timings.executor_busy > Duration::ZERO);
+        assert!(r.job.executor_busy() > Duration::ZERO);
         assert_eq!(r.job.stages.len(), 1, "single result stage, no shuffle stages");
     }
 
@@ -631,7 +618,7 @@ mod tests {
         let cost = SparkDbscan::new(params)
             .partitions(8)
             .exact()
-            .resources(Resources::from_env().with_balance(Balance::Cost))
+            .resources(Resources::new().with_balance(Balance::Cost))
             .run(&ctx, Arc::clone(&data));
         assert_eq!(
             count.clustering.canonicalize().labels,
@@ -658,7 +645,7 @@ mod tests {
         let count = SparkDbscan::new(params).partitions(8).run(&ctx, Arc::clone(&data));
         let cost = SparkDbscan::new(params)
             .partitions(8)
-            .resources(Resources::from_env().with_balance(Balance::Cost))
+            .resources(Resources::new().with_balance(Balance::Cost))
             .run(&ctx, Arc::clone(&data));
         assert_eq!(count.executor_stats.len(), 8);
         assert!(

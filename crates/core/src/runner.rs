@@ -10,25 +10,25 @@
 //!
 //! [`DbscanRunner`] unifies them: every implementation takes the same
 //! [`RunEnv`] (an optional engine [`Context`] plus a slot count) and
-//! returns the same [`RunOutcome`] — the clustering, a coarse
-//! [`RunTimings`] decomposition, and the engine's [`TraceHandle`] when
-//! the run went through sparklet. The implementation-specific result
-//! structs remain available through the original inherent `run`
-//! methods; the trait is the lowest common denominator, not a
-//! replacement for them.
+//! returns the same [`RunOutcome`] — the clustering, and the engine's
+//! [`TraceHandle`] when the run went through sparklet. Each runner is
+//! configured on its own builder before it is boxed (for
+//! [`SparkDbscan`], resources go through [`SparkDbscan::resources`]).
+//! Timings and engine metrics live on the implementation-specific
+//! result structs, which the original inherent `run` methods return;
+//! the trait is the lowest common denominator, not a replacement for
+//! them.
 
 use crate::label::Clustering;
 use crate::mr::MrDbscan;
 use crate::mr_iterative::MrDbscanIterative;
 use crate::partitioned::driver::SparkDbscan;
-use crate::resources::Resources;
 use crate::sequential::SequentialDbscan;
 use crate::shuffle_baseline::ShuffleDbscan;
 use dbscan_spatial::Dataset;
 use mapred::MrError;
 use sparklet::{Context, SparkError, TraceHandle};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The substrate a [`DbscanRunner`] executes on.
 ///
@@ -43,61 +43,20 @@ pub struct RunEnv<'a> {
     pub ctx: Option<&'a Context>,
     /// Concurrent map/reduce slots for the MapReduce baselines.
     pub slots: usize,
-    /// Execution-resource bundle (threads, balance, leaf kernel).
-    /// Runners that understand it apply a non-default value over their
-    /// own configuration; [`Resources::default`] leaves a
-    /// hand-configured runner untouched.
-    pub resources: Resources,
 }
 
 impl<'a> RunEnv<'a> {
     /// An environment backed by a sparklet context; MapReduce slots
     /// default to the context's executor count.
     pub fn engine(ctx: &'a Context) -> Self {
-        RunEnv { ctx: Some(ctx), slots: ctx.num_executors(), resources: Resources::default() }
+        RunEnv { ctx: Some(ctx), slots: ctx.num_executors() }
     }
 
     /// An engine-less environment (sequential and MapReduce runners
     /// only).
     pub fn standalone(slots: usize) -> Self {
-        RunEnv { ctx: None, slots: slots.max(1), resources: Resources::default() }
+        RunEnv { ctx: None, slots: slots.max(1) }
     }
-
-    /// Override the environment's resource bundle.
-    pub fn with_resources(mut self, resources: Resources) -> Self {
-        self.resources = resources;
-        self
-    }
-}
-
-/// Coarse wall-clock decomposition shared by every runner.
-///
-/// Implementations report what they can measure and leave the rest
-/// zero; invariant: `setup + executor + merge <= total` (driver-side
-/// glue makes up the difference).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunTimings {
-    /// Whole run.
-    pub total: Duration,
-    /// Driver-side preparation (reordering, index construction,
-    /// adjacency precomputation).
-    pub setup: Duration,
-    /// Parallel phase (executor wall time, or summed MapReduce task
-    /// busy time).
-    pub executor: Duration,
-    /// Driver-side merge of partial results.
-    pub merge: Duration,
-    /// Merge sub-phase: the owner fill, each point's regular partial
-    /// (zero when the runner does not decompose its merge).
-    pub merge_extract: Duration,
-    /// Merge sub-phase: the core-SEED scan with its unions, plus the
-    /// relabel (zero when the runner does not decompose its merge).
-    pub merge_union: Duration,
-    /// Peak accounted engine-memory bytes (zero for engine-less runners).
-    pub peak_memory_bytes: u64,
-    /// Bytes freed by evicting cache entries (zero for engine-less
-    /// runners or unbounded budgets).
-    pub evicted_bytes: u64,
 }
 
 /// What every [`DbscanRunner`] returns.
@@ -105,8 +64,6 @@ pub struct RunTimings {
 pub struct RunOutcome {
     /// The global clustering.
     pub clustering: Clustering,
-    /// Coarse timing decomposition.
-    pub timings: RunTimings,
     /// Handle onto the engine's trace collector — `Some` exactly when
     /// the run executed on a sparklet [`Context`] (enabled or not; use
     /// [`TraceHandle::enabled`] to distinguish).
@@ -180,14 +137,7 @@ impl DbscanRunner for SequentialDbscan {
     }
 
     fn run_dbscan(&self, _env: &RunEnv<'_>, data: Arc<Dataset>) -> Result<RunOutcome, RunnerError> {
-        let t = Instant::now();
-        let clustering = self.run(data);
-        let total = t.elapsed();
-        Ok(RunOutcome {
-            clustering,
-            timings: RunTimings { total, executor: total, ..RunTimings::default() },
-            trace: None,
-        })
+        Ok(RunOutcome { clustering: self.run(data), trace: None })
     }
 }
 
@@ -198,27 +148,8 @@ impl DbscanRunner for SparkDbscan {
 
     fn run_dbscan(&self, env: &RunEnv<'_>, data: Arc<Dataset>) -> Result<RunOutcome, RunnerError> {
         let ctx = env.ctx.ok_or(RunnerError::MissingContext("SparkDbscan"))?;
-        // a non-default environment bundle overrides this runner's own
-        // resource knobs; the default leaves hand-tuned builders alone
-        let r = if env.resources.is_default() {
-            self.run(ctx, data)
-        } else {
-            self.clone().resources(env.resources).run(ctx, data)
-        };
-        Ok(RunOutcome {
-            clustering: r.clustering,
-            timings: RunTimings {
-                total: r.timings.total,
-                setup: r.timings.reorder + r.timings.plan + r.timings.kdtree_build,
-                executor: r.timings.executor_wall,
-                merge: r.timings.merge,
-                merge_extract: r.timings.merge_extract,
-                merge_union: r.timings.merge_union,
-                peak_memory_bytes: r.memory.peak_bytes,
-                evicted_bytes: r.memory.evicted_bytes,
-            },
-            trace: Some(ctx.trace()),
-        })
+        let clustering = self.run(ctx, data).clustering;
+        Ok(RunOutcome { clustering, trace: Some(ctx.trace()) })
     }
 }
 
@@ -229,12 +160,8 @@ impl DbscanRunner for ShuffleDbscan {
 
     fn run_dbscan(&self, env: &RunEnv<'_>, data: Arc<Dataset>) -> Result<RunOutcome, RunnerError> {
         let ctx = env.ctx.ok_or(RunnerError::MissingContext("ShuffleDbscan"))?;
-        let r = self.run(ctx, data)?;
-        Ok(RunOutcome {
-            clustering: r.clustering,
-            timings: RunTimings { total: r.total, executor: r.total, ..RunTimings::default() },
-            trace: Some(ctx.trace()),
-        })
+        let clustering = self.run(ctx, data)?.clustering;
+        Ok(RunOutcome { clustering, trace: Some(ctx.trace()) })
     }
 }
 
@@ -244,20 +171,7 @@ impl DbscanRunner for MrDbscan {
     }
 
     fn run_dbscan(&self, env: &RunEnv<'_>, data: Arc<Dataset>) -> Result<RunOutcome, RunnerError> {
-        let r = self.run(data, env.slots)?;
-        Ok(RunOutcome {
-            clustering: r.clustering,
-            timings: RunTimings {
-                total: r.total,
-                setup: r.total.saturating_sub(
-                    r.phases.map + r.phases.shuffle_sort + r.phases.reduce + r.merge,
-                ),
-                executor: r.phases.map + r.phases.shuffle_sort + r.phases.reduce,
-                merge: r.merge,
-                ..RunTimings::default()
-            },
-            trace: None,
-        })
+        Ok(RunOutcome { clustering: self.run(data, env.slots)?.clustering, trace: None })
     }
 }
 
@@ -267,19 +181,7 @@ impl DbscanRunner for MrDbscanIterative {
     }
 
     fn run_dbscan(&self, env: &RunEnv<'_>, data: Arc<Dataset>) -> Result<RunOutcome, RunnerError> {
-        let r = self.run(data, env.slots)?;
-        let busy: Duration =
-            r.map_task_times.iter().chain(r.reduce_task_times.iter()).copied().sum();
-        Ok(RunOutcome {
-            clustering: r.clustering,
-            timings: RunTimings {
-                total: r.total,
-                setup: r.setup,
-                executor: busy,
-                ..RunTimings::default()
-            },
-            trace: None,
-        })
+        Ok(RunOutcome { clustering: self.run(data, env.slots)?.clustering, trace: None })
     }
 }
 
@@ -324,7 +226,6 @@ mod tests {
             });
             assert_eq!(out.clustering.num_clusters(), 3, "{}", r.name());
             assert!(core_labels_equivalent(&out.clustering, &oracle), "{}", r.name());
-            assert!(out.timings.total >= out.timings.merge, "{}", r.name());
         }
     }
 
@@ -345,7 +246,6 @@ mod tests {
         let env = RunEnv::standalone(2);
         let seq = SequentialDbscan::new(params()).run_dbscan(&env, Arc::clone(&data)).unwrap();
         assert!(seq.trace.is_none());
-        assert!(seq.timings.total >= seq.timings.executor);
         let mr = MrDbscan::new(params(), 2).run_dbscan(&env, data).unwrap();
         assert!(mr.trace.is_none());
         assert_eq!(mr.clustering.num_clusters(), 3);

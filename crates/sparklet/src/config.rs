@@ -25,11 +25,6 @@ impl TraceConfig {
     pub fn enabled() -> Self {
         TraceConfig { enabled: true, capacity: Self::DEFAULT_CAPACITY }
     }
-
-    /// Tracing on, with an explicit event capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig { enabled: true, capacity }
-    }
 }
 
 impl Default for TraceConfig {
@@ -128,12 +123,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style: set the full trace configuration.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Builder-style: set a per-executor memory budget in bytes.
     pub fn with_memory_budget(mut self, bytes: u64) -> Self {
         self.memory = MemoryBudget::per_executor(bytes);
@@ -197,8 +186,6 @@ mod tests {
         let c = c.with_tracing();
         assert!(c.trace.enabled);
         assert_eq!(c.trace.capacity, TraceConfig::DEFAULT_CAPACITY);
-        let c = c.with_trace(TraceConfig::with_capacity(128));
-        assert_eq!(c.trace.capacity, 128);
     }
 
     #[test]

@@ -157,8 +157,10 @@ pub struct Explorer {
     schedules: usize,
     seed0: u64,
     oracles: Vec<Box<dyn InvariantOracle>>,
-    max_shrink_probes: u32,
 }
+
+/// Cap on the candidate schedules the shrinker may run per failure.
+const MAX_SHRINK_PROBES: u32 = 200;
 
 impl Explorer {
     /// An explorer over clusters configured like `base` (its schedule
@@ -166,13 +168,7 @@ impl Explorer {
     /// the default oracle set, 16 schedules from seed 0, and a shrink
     /// budget of 200 probes.
     pub fn new(base: ClusterConfig) -> Self {
-        Explorer {
-            base,
-            schedules: 16,
-            seed0: 0,
-            oracles: default_oracles(),
-            max_shrink_probes: 200,
-        }
+        Explorer { base, schedules: 16, seed0: 0, oracles: default_oracles() }
     }
 
     /// Set how many seeded schedules to run.
@@ -184,24 +180,6 @@ impl Explorer {
     /// Set the first seed (seeds are `seed0..seed0 + schedules`).
     pub fn with_seed0(mut self, seed0: u64) -> Self {
         self.seed0 = seed0;
-        self
-    }
-
-    /// Add an oracle to the enforced set.
-    pub fn with_oracle(mut self, oracle: Box<dyn InvariantOracle>) -> Self {
-        self.oracles.push(oracle);
-        self
-    }
-
-    /// Replace the oracle set entirely.
-    pub fn with_oracles(mut self, oracles: Vec<Box<dyn InvariantOracle>>) -> Self {
-        self.oracles = oracles;
-        self
-    }
-
-    /// Cap the number of candidate schedules the shrinker may run.
-    pub fn with_max_shrink_probes(mut self, probes: u32) -> Self {
-        self.max_shrink_probes = probes;
         self
     }
 
@@ -312,7 +290,7 @@ impl Explorer {
         cand: &ReplayToken,
         probes: &mut u32,
     ) -> bool {
-        if *probes >= self.max_shrink_probes {
+        if *probes >= MAX_SHRINK_PROBES {
             return false;
         }
         *probes += 1;
@@ -337,7 +315,7 @@ impl Explorer {
     /// Minimize a failing token with delta debugging: first try
     /// dropping the keyed seed, then ddmin over the sequenced
     /// overrides, then a one-at-a-time polish pass — all bounded by
-    /// `max_shrink_probes` candidate runs.
+    /// [`MAX_SHRINK_PROBES`] candidate runs.
     fn shrink(
         &self,
         job: &dyn ExploreJob,
@@ -352,11 +330,11 @@ impl Explorer {
         // ddmin (complement variant): cut ever-finer chunks of the
         // override list as long as the remainder still fails
         let mut chunks = 2usize;
-        while best.overrides.len() >= 2 && probes < self.max_shrink_probes {
+        while best.overrides.len() >= 2 && probes < MAX_SHRINK_PROBES {
             let chunk = best.overrides.len().div_ceil(chunks);
             let mut reduced = false;
             let mut i = 0;
-            while i * chunk < best.overrides.len() && probes < self.max_shrink_probes {
+            while i * chunk < best.overrides.len() && probes < MAX_SHRINK_PROBES {
                 let mut overrides = best.overrides.clone();
                 let start = i * chunk;
                 overrides.drain(start..(start + chunk).min(overrides.len()));
@@ -380,7 +358,7 @@ impl Explorer {
 
         // polish: retry single removals until a fixpoint — ddmin at
         // full granularity can still leave individually-removable pairs
-        'polish: while best.overrides.len() >= 2 && probes < self.max_shrink_probes {
+        'polish: while best.overrides.len() >= 2 && probes < MAX_SHRINK_PROBES {
             for i in 0..best.overrides.len() {
                 let mut overrides = best.overrides.clone();
                 overrides.remove(i);

@@ -6,7 +6,7 @@
 //! reproduce the paper without Spark, this crate implements that model:
 //!
 //! * **Typed, lazy RDDs** ([`Rdd`]) with narrow transformations (`map`,
-//!   `filter`, `flat_map`, `map_partitions`, `union`) and wide ones
+//!   `filter`, `flat_map`, `union`) and wide ones
 //!   (`reduce_by_key`, `group_by_key`) that introduce a real hash
 //!   **shuffle** with byte/record accounting — so "our DBSCAN performs
 //!   zero shuffles" is a measured property.

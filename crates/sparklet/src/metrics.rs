@@ -93,22 +93,9 @@ impl JobMetrics {
         self.stages.iter().map(|s| s.simulated_makespan(p)).sum()
     }
 
-    /// Driver-side time: job wall minus the time the driver spent just
-    /// waiting on stages (i.e. scheduling, collection and merge overhead
-    /// inside the engine). Saturates at zero.
-    pub fn driver_overhead(&self) -> Duration {
-        let stage_wall: Duration = self.stages.iter().map(|s| s.wall).sum();
-        self.wall.saturating_sub(stage_wall)
-    }
-
     /// Total failed attempts across stages.
     pub fn failed_attempts(&self) -> usize {
         self.stages.iter().map(|s| s.failed_attempts).sum()
-    }
-
-    /// All task busy times, for external schedulers.
-    pub fn task_durations(&self) -> Vec<Duration> {
-        self.stages.iter().flat_map(|s| s.tasks.iter().map(|t| t.busy)).collect()
     }
 }
 
@@ -166,7 +153,5 @@ mod tests {
         assert_eq!(j.executor_busy(), Duration::from_millis(20));
         assert_eq!(j.simulated_executor_time(1), Duration::from_millis(20));
         assert_eq!(j.simulated_executor_time(2), Duration::from_millis(15));
-        assert_eq!(j.driver_overhead(), Duration::from_millis(20));
-        assert_eq!(j.task_durations().len(), 3);
     }
 }

@@ -128,20 +128,6 @@ impl<T: Data> Rdd<T> {
         Rdd::new(node, self.ctx.clone())
     }
 
-    /// Whole-partition transformation with the partition index — the
-    /// primitive the paper's per-executor clustering loop maps onto.
-    pub fn map_partitions<U: Data>(
-        &self,
-        f: impl Fn(usize, Vec<T>) -> Vec<U> + Send + Sync + 'static,
-    ) -> Rdd<U> {
-        let node = Arc::new(ops::MapPartitionsRdd {
-            id: self.ctx.inner.next_rdd_id(),
-            prev: Arc::clone(&self.node),
-            f: Arc::new(f),
-        });
-        Rdd::new(node, self.ctx.clone())
-    }
-
     /// Concatenate two RDDs (partitions of `other` follow ours).
     pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
         let node = Arc::new(ops::UnionRdd {

@@ -169,35 +169,6 @@ impl<T: Data, U: Data> RddNode for FlatMapRdd<T, U> {
     }
 }
 
-/// `map_partitions` node.
-pub(crate) struct MapPartitionsRdd<T, U> {
-    pub id: usize,
-    pub prev: Arc<dyn RddNode<Item = T>>,
-    pub f: Arc<dyn Fn(usize, Vec<T>) -> Vec<U> + Send + Sync>,
-}
-
-impl<T: Data, U: Data> AnyRdd for MapPartitionsRdd<T, U> {
-    fn rdd_id(&self) -> usize {
-        self.id
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.prev.num_partitions()
-    }
-
-    fn parents(&self) -> Vec<Parent> {
-        vec![Parent::Narrow(self.prev.clone())]
-    }
-}
-
-impl<T: Data, U: Data> RddNode for MapPartitionsRdd<T, U> {
-    type Item = U;
-
-    fn compute(&self, part: usize) -> Result<Vec<U>, crate::task::TaskError> {
-        Ok((self.f)(part, self.prev.compute(part)?))
-    }
-}
-
 /// `union` node: partitions of `second` are appended after `first`'s.
 pub(crate) struct UnionRdd<T> {
     pub id: usize,

@@ -60,19 +60,11 @@ struct Entry {
     data: CachedPartition,
 }
 
-#[derive(Default, Clone, Copy)]
-struct Counters {
-    hits: u64,
-    misses: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     entries: HashMap<(usize, usize), Entry>,
-    per_executor: HashMap<usize, Counters>,
-    /// Counters of killed executors, folded in so totals stay exact
-    /// across executor deaths.
-    retired: Counters,
+    hits: u64,
+    misses: u64,
     clock: u64,
 }
 
@@ -112,9 +104,8 @@ impl CacheManager {
         }
     }
 
-    /// Look up a cached partition, counting hit/miss per executor.
+    /// Look up a cached partition, counting the hit or miss.
     pub(crate) fn get(&self, rdd: usize, part: usize) -> Option<CachedPartition> {
-        let accessor = crate::task::current_executor();
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -122,10 +113,9 @@ impl CacheManager {
             e.stamp = stamp;
             e.data.clone()
         });
-        let counters = inner.per_executor.entry(accessor).or_default();
         match hit {
-            Some(_) => counters.hits += 1,
-            None => counters.misses += 1,
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
         hit
     }
@@ -189,9 +179,7 @@ impl CacheManager {
     }
 
     /// Evict everything cached by `executor` (executor loss), releasing
-    /// its ledger bytes and folding its hit/miss counters into the
-    /// retired totals so global counts stay exact. Returns the number
-    /// evicted.
+    /// its ledger bytes. Returns the number evicted.
     pub fn kill_executor(&self, executor: usize) -> usize {
         let mut inner = self.inner.lock();
         let keys: Vec<_> =
@@ -199,12 +187,6 @@ impl CacheManager {
         for key in &keys {
             let e = inner.entries.remove(key).expect("key listed");
             self.memory.uncharge(executor, e.bytes);
-        }
-        // reconcile counters: a dead executor's hits/misses move to the
-        // retired bucket (totals unchanged, per-executor view reset)
-        if let Some(c) = inner.per_executor.remove(&executor) {
-            inner.retired.hits += c.hits;
-            inner.retired.misses += c.misses;
         }
         keys.len()
     }
@@ -226,24 +208,12 @@ impl CacheManager {
 
     /// Cache hits since creation (all executors, dead ones included).
     pub fn hits(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.retired.hits + inner.per_executor.values().map(|c| c.hits).sum::<u64>()
+        self.inner.lock().hits
     }
 
     /// Cache misses since creation (all executors, dead ones included).
     pub fn misses(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.retired.misses + inner.per_executor.values().map(|c| c.misses).sum::<u64>()
-    }
-
-    /// Hits attributed to a live executor (0 after it is killed).
-    pub fn executor_hits(&self, executor: usize) -> u64 {
-        self.inner.lock().per_executor.get(&executor).map_or(0, |c| c.hits)
-    }
-
-    /// Misses attributed to a live executor (0 after it is killed).
-    pub fn executor_misses(&self, executor: usize) -> u64 {
-        self.inner.lock().per_executor.get(&executor).map_or(0, |c| c.misses)
+        self.inner.lock().misses
     }
 }
 
@@ -321,11 +291,9 @@ mod tests {
         // byte accounting reconciled: lane 0 drained, lane 1 untouched
         assert_eq!(memory.lane_used(0), 0);
         assert_eq!(memory.lane_used(1), 300);
-        // counter totals survive the death; per-executor view resets
+        // counter totals survive the death
         assert_eq!(c.hits(), hits);
         assert_eq!(c.misses(), misses);
-        assert_eq!(c.executor_hits(0), 0);
-        assert_eq!(c.executor_misses(0), 0);
         assert_eq!(c.resident_bytes(), 300);
     }
 

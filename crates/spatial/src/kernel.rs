@@ -95,24 +95,6 @@ impl KernelConfig {
         self.layout = layout;
         self
     }
-
-    /// Defaults overlaid with the environment: `DBSCAN_KERNEL`
-    /// (`scalar`/`lanes`). Unset or unparsable values leave the default
-    /// in place.
-    pub fn from_env() -> Self {
-        Self::from_env_values(std::env::var("DBSCAN_KERNEL").ok().as_deref())
-    }
-
-    /// The pure core of [`KernelConfig::from_env`], taking the raw
-    /// variable value so tests can exercise the parsing contract
-    /// without touching the process environment. Never panics, never
-    /// errors: junk keeps the default.
-    pub fn from_env_values(layout: Option<&str>) -> Self {
-        match layout.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-            Some("scalar") => Self::scalar(),
-            _ => Self::default(),
-        }
-    }
 }
 
 /// Per-run kernel instrumentation, accumulated on
@@ -740,18 +722,6 @@ mod tests {
         // sanity: the dispatch table covers exactly what it claims —
         // every neighborhood-grid dimension up to MAX_NEIGHBORHOOD_DIM
         assert_eq!(SPECIALIZED_DIMS.to_vec(), (2..=6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn kernel_config_env_parsing_contract() {
-        let d = KernelConfig::default();
-        assert_eq!(d.layout, KernelLayout::Lanes);
-        assert_eq!(KernelConfig::from_env_values(None), d);
-        assert_eq!(KernelConfig::from_env_values(Some(" SCALAR ")), KernelConfig::scalar());
-        assert_eq!(KernelConfig::from_env_values(Some("lanes")), d);
-        // junk keeps the default
-        assert_eq!(KernelConfig::from_env_values(Some("simd")), d);
-        assert_eq!(KernelConfig::scalar().layout, KernelLayout::Scalar);
     }
 
     #[test]

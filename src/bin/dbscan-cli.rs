@@ -115,14 +115,21 @@ fn main() {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(1);
             });
+            let mut width = None;
             let rows: Vec<Vec<f64>> = text
                 .lines()
                 .filter(|l| !l.trim().is_empty())
                 .map(|l| {
-                    parse_csv_row(l).unwrap_or_else(|| {
+                    let row = parse_csv_row(l).unwrap_or_else(|| {
                         eprintln!("malformed CSV line: {l:?}");
                         std::process::exit(1);
-                    })
+                    });
+                    let w = *width.get_or_insert(row.len());
+                    if row.len() != w {
+                        eprintln!("CSV line {l:?} has {} columns, expected {w}", row.len());
+                        std::process::exit(1);
+                    }
+                    row
                 })
                 .collect();
             if rows.is_empty() {

@@ -52,8 +52,8 @@ pub use sparklet as engine;
 pub mod prelude {
     pub use dbscan_core::{
         clustering_fingerprint, Balance, Clustering, DbscanExploreJob, DbscanParams, DbscanRunner,
-        Label, MergeStrategy, MrDbscan, ParamError, Resources, RunEnv, RunOutcome, RunTimings,
-        RunnerError, SeedPolicy, SequentialDbscan, SparkDbscan,
+        Label, MergeStrategy, MrDbscan, ParamError, Resources, RunEnv, RunOutcome, RunnerError,
+        SeedPolicy, SequentialDbscan, SparkDbscan,
     };
     pub use dbscan_datagen::{DatasetSpec, StandardDataset};
     pub use dbscan_spatial::{

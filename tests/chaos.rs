@@ -67,6 +67,16 @@ fn runners(params: DbscanParams) -> Vec<Box<dyn DbscanRunner>> {
     ]
 }
 
+/// Build cells pinned on top of the default `Resources` (auto threads,
+/// lane-blocked leaves): one build thread with the scalar leaf layout,
+/// eight with the lane-blocked one. Labels must not depend on either.
+fn pinned_builds() -> [BuildConfig; 2] {
+    [
+        BuildConfig::default().with_threads(1).with_kernel(KernelConfig::scalar()),
+        BuildConfig::default().with_threads(8),
+    ]
+}
+
 /// Seeded workload: the dataset itself varies with the chaos seed.
 fn dataset(seed: u64) -> (Arc<Dataset>, DbscanParams) {
     let mut spec = StandardDataset::C10k.scaled_spec(32);
@@ -227,22 +237,26 @@ fn chaos_cost_balanced_matches_clean_equal_count() {
             .canonicalize();
 
         for (plan_name, plan) in plans() {
-            let tag = format!("seed={seed} plan={plan_name} runner=spark-cost-balanced");
-            let ctx = Context::new(chaos_config(seed, &plan));
-            let out = SparkDbscan::new(params)
-                .exact()
-                .resources(Resources::from_env().with_balance(Balance::Cost))
-                .run(&ctx, Arc::clone(&data));
-            let trace = ctx.trace().snapshot();
-            if out.clustering.canonicalize().labels != reference.labels {
-                fail(&tag, Some(&trace), "cost-balanced labels differ from clean equal-count");
-            }
-            let (lost, recomputed) = lost_and_recomputed(&trace);
-            if !recomputed.is_subset(&lost) {
-                fail(&tag, Some(&trace), "recomputed a map output that was never lost");
-            }
-            if out.predicted_cost.as_ref().is_none_or(|p| p.len() != PARTITIONS) {
-                fail(&tag, Some(&trace), "cost plan predictions missing from the result");
+            for build in [BuildConfig::default()].into_iter().chain(pinned_builds()) {
+                let tag = format!(
+                    "seed={seed} plan={plan_name} runner=spark-cost-balanced-t{}-{:?}",
+                    build.threads, build.kernel.layout
+                );
+                let ctx = Context::new(chaos_config(seed, &plan));
+                let res = Resources::new().with_balance(Balance::Cost).with_build(build);
+                let out =
+                    SparkDbscan::new(params).exact().resources(res).run(&ctx, Arc::clone(&data));
+                let trace = ctx.trace().snapshot();
+                if out.clustering.canonicalize().labels != reference.labels {
+                    fail(&tag, Some(&trace), "cost-balanced labels differ from clean equal-count");
+                }
+                let (lost, recomputed) = lost_and_recomputed(&trace);
+                if !recomputed.is_subset(&lost) {
+                    fail(&tag, Some(&trace), "recomputed a map output that was never lost");
+                }
+                if out.predicted_cost.as_ref().is_none_or(|p| p.len() != PARTITIONS) {
+                    fail(&tag, Some(&trace), "cost plan predictions missing from the result");
+                }
             }
         }
     }
@@ -265,7 +279,7 @@ fn chaos_overlapped_collection_matches_clean_at_every_thread_count() {
         let clean_ctx = Context::new(ClusterConfig::local(PARTITIONS).with_seed(seed));
         let reference = SparkDbscan::new(params)
             .exact()
-            .resources(Resources::from_env().with_build(build(1)))
+            .resources(Resources::new().with_build(build(1)))
             .run(&clean_ctx, Arc::clone(&data));
         let ref_labels = reference.clustering.canonicalize().labels;
 
@@ -276,7 +290,7 @@ fn chaos_overlapped_collection_matches_clean_at_every_thread_count() {
                 let ctx = Context::new(chaos_config(seed, &plan));
                 let out = SparkDbscan::new(params)
                     .exact()
-                    .resources(Resources::from_env().with_build(build(threads)))
+                    .resources(Resources::new().with_build(build(threads)))
                     .run(&ctx, Arc::clone(&data));
                 let trace = ctx.trace().snapshot();
                 if out.clustering.canonicalize().labels != ref_labels {
@@ -305,16 +319,22 @@ fn chaos_tight_budget_matches_unbudgeted() {
     //
     // SparkDbscan runs four tasks per executor lane in this cell (both
     // arms), so the budget below holds one task reservation per lane
-    // and the rest must wait for it
+    // and the rest must wait for it; it runs once on the default
+    // resources and once per pinned build cell
     const SPARK_PARTITIONS: usize = PARTITIONS * 4;
     let cell_runners = |params: DbscanParams| -> Vec<Box<dyn DbscanRunner>> {
-        runners(params)
+        let spark = SparkDbscan::new(params).exact().partitions(SPARK_PARTITIONS);
+        let mut cell: Vec<Box<dyn DbscanRunner>> = runners(params)
             .into_iter()
             .map(|r| match r.name() {
-                "spark" => Box::new(SparkDbscan::new(params).exact().partitions(SPARK_PARTITIONS)),
+                "spark" => Box::new(spark.clone()),
                 _ => r,
             })
-            .collect()
+            .collect();
+        for build in pinned_builds() {
+            cell.push(Box::new(spark.clone().resources(Resources::new().with_build(build))));
+        }
+        cell
     };
     for seed in SEEDS {
         let (data, params) = dataset(seed);
@@ -339,7 +359,7 @@ fn chaos_tight_budget_matches_unbudgeted() {
         for (plan_name, plan) in plans() {
             for (i, runner) in cell_runners(params).iter().enumerate() {
                 let tag = format!(
-                    "seed={seed} plan={plan_name} runner={} budget={budget}",
+                    "seed={seed} plan={plan_name} runner={}#{i} budget={budget}",
                     runner.name()
                 );
                 let ctx = Context::new(chaos_config(seed, &plan).with_memory_budget(budget));

@@ -131,3 +131,16 @@ fn paper_mode_quality_on_realistic_catalog_data() {
         }
     }
 }
+
+#[test]
+fn cli_rejects_a_ragged_csv_with_exit_code_1() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ragged.csv");
+    std::fs::write(&path, "1,2\n3\n4,5\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dbscan-cli"))
+        .args(["--input", path.to_str().unwrap(), "--eps", "0.5", "--min-pts", "2"])
+        .output()
+        .expect("run dbscan-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("CSV line \"3\" has 1 columns, expected 2"), "stderr: {stderr}");
+}

@@ -121,36 +121,41 @@ proptest! {
 mod regressions {
     use super::*;
 
-    /// Run one literal input through every property in this file.
+    /// Run one literal input through every property in this file, under
+    /// both leaf kernel layouts.
     fn check(rows: Vec<Vec<f64>>, eps: f64, min_pts: usize, partitions: usize) {
         let data = Arc::new(Dataset::from_rows(rows));
         let params = DbscanParams::new(eps, min_pts).unwrap();
         let seq = SequentialDbscan::new(params).run(Arc::clone(&data));
         let ctx = Context::new(ClusterConfig::local(2));
+        for layout in [KernelLayout::Scalar, KernelLayout::Lanes] {
+            let kernel = KernelConfig::default().with_layout(layout);
+            let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
+            let job = SparkDbscan::new(params).partitions(partitions).resources(res);
 
-        // exact_mode_always_matches_sequential
-        let exact =
-            SparkDbscan::new(params).partitions(partitions).exact().run(&ctx, Arc::clone(&data));
-        assert!(
-            core_labels_equivalent(&exact.clustering, &seq),
-            "exact mode: {} vs {} clusters",
-            exact.clustering.num_clusters(),
-            seq.num_clusters()
-        );
-        assert_eq!(exact.clustering.noise_count(), seq.noise_count());
-        assert_eq!(exact.shuffle_records, 0u64);
+            // exact_mode_always_matches_sequential
+            let exact = job.clone().exact().run(&ctx, Arc::clone(&data));
+            assert!(
+                core_labels_equivalent(&exact.clustering, &seq),
+                "exact mode {layout:?}: {} vs {} clusters",
+                exact.clustering.num_clusters(),
+                seq.num_clusters()
+            );
+            assert_eq!(exact.clustering.noise_count(), seq.noise_count());
+            assert_eq!(exact.shuffle_records, 0u64);
 
-        // paper_mode_is_close_for_any_partition_count (heuristic bounds)
-        // + partitioning_never_changes_core_points
-        let paper = SparkDbscan::new(params).partitions(partitions).run(&ctx, data);
-        assert!(paper.clustering.num_clusters() >= seq.num_clusters());
-        for i in 0..paper.clustering.len() {
-            if paper.clustering.core[i] {
-                assert!(paper.clustering.labels[i].is_cluster(), "clustered core {i}");
+            // paper_mode_is_close_for_any_partition_count (heuristic
+            // bounds) + partitioning_never_changes_core_points
+            let paper = job.run(&ctx, Arc::clone(&data));
+            assert!(paper.clustering.num_clusters() >= seq.num_clusters());
+            for i in 0..paper.clustering.len() {
+                if paper.clustering.core[i] {
+                    assert!(paper.clustering.labels[i].is_cluster(), "clustered core {i}");
+                }
             }
+            assert!(paper.clustering.noise_count() >= seq.noise_count());
+            assert_eq!(paper.clustering.core, seq.core);
         }
-        assert!(paper.clustering.noise_count() >= seq.noise_count());
-        assert_eq!(paper.clustering.core, seq.core);
     }
 
     /// cc 20d5425b: 27 points, two tight blobs plus scattered jitter,

@@ -59,11 +59,9 @@ fn run_build(
     build_threads: usize,
     worker_threads: usize,
 ) -> RunOut {
-    let mut cfg = ClusterConfig::local(4).with_trace(TraceConfig::enabled()).with_seed(SEED);
+    let mut cfg = ClusterConfig::local(4).with_tracing().with_seed(SEED);
     cfg.worker_threads = worker_threads;
     let ctx = Context::new(cfg);
-    // explicit resources: the CI kernel matrix drives these same knobs
-    // through the environment, and this test must not inherit its cell
     let res = Resources::new().with_build(build.with_threads(build_threads));
     let out = SparkDbscan::new(params)
         .resources(res)

@@ -47,10 +47,8 @@ fn eviction_order_is_deterministic_at_1_2_8_worker_threads() {
     // operation sequence, so 1, 2 and 8 worker threads must produce
     // identical ledgers.
     let run = |threads: usize| {
-        let mut cfg = ClusterConfig::local(2)
-            .with_trace(TraceConfig::enabled())
-            .with_seed(SEED)
-            .with_memory_budget(20_000);
+        let mut cfg =
+            ClusterConfig::local(2).with_tracing().with_seed(SEED).with_memory_budget(20_000);
         cfg.worker_threads = threads;
         let ctx = Context::new(cfg);
 
@@ -123,8 +121,7 @@ fn tight_budget_spark_dbscan_labels_and_trace_are_byte_identical() {
     let partitions = 16; // 4 tasks per lane on local(4): reservations crowd
 
     // reference: unbounded, traced
-    let clean_ctx =
-        Context::new(ClusterConfig::local(4).with_trace(TraceConfig::enabled()).with_seed(SEED));
+    let clean_ctx = Context::new(ClusterConfig::local(4).with_tracing().with_seed(SEED));
     let reference =
         SparkDbscan::new(params).exact().partitions(partitions).run(&clean_ctx, Arc::clone(&data));
     let clean_trace = clean_ctx.trace().snapshot();
@@ -137,10 +134,7 @@ fn tight_budget_spark_dbscan_labels_and_trace_are_byte_identical() {
     // largest task reservation: the lanes crowd, no task is too large
     let budget = (unbounded_peak / 4).max(max_task_hint(data.len(), partitions));
     let ctx = Context::new(
-        ClusterConfig::local(4)
-            .with_trace(TraceConfig::enabled())
-            .with_seed(SEED)
-            .with_memory_budget(budget),
+        ClusterConfig::local(4).with_tracing().with_seed(SEED).with_memory_budget(budget),
     );
     let out = SparkDbscan::new(params).exact().partitions(partitions).run(&ctx, Arc::clone(&data));
     let trace = ctx.trace().snapshot();
@@ -185,18 +179,16 @@ fn resources_bundle_applies_budget_through_the_runner_facade() {
 
     // the budget lives on the context, just above one task's
     // working-set reservation, so the run crowds but nothing is too
-    // large to grant; a non-default resource bundle rides the facade
-    // alongside it
+    // large to grant; a non-default resource bundle is set on the
+    // runner before it is boxed
     let budget = max_task_hint(data.len(), 4) * 5 / 4;
     let ctx = Context::new(ClusterConfig::local(4).with_seed(SEED).with_memory_budget(budget));
     let res = Resources::new().with_build(BuildConfig::default().with_threads(2));
-    let env = RunEnv::engine(&ctx).with_resources(res);
-    let runner: Box<dyn DbscanRunner> = Box::new(SparkDbscan::new(params).exact());
+    let env = RunEnv::engine(&ctx);
+    let runner: Box<dyn DbscanRunner> = Box::new(SparkDbscan::new(params).exact().resources(res));
     let out = runner.run_dbscan(&env, Arc::clone(&data)).expect("budgeted facade run");
 
     assert_eq!(out.clustering.canonicalize().labels, clean.labels);
     let stats = ctx.memory_stats();
     assert!(stats.peak_bytes > 0);
-    assert_eq!(out.timings.peak_memory_bytes, stats.peak_bytes);
-    assert_eq!(out.timings.evicted_bytes, stats.evicted_bytes);
 }

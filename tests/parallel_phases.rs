@@ -66,7 +66,7 @@ fn spark_dbscan_output_is_thread_count_invariant() {
         let ctx = Context::new(ClusterConfig::local(4));
         SparkDbscan::new(params)
             .partitions(5)
-            .resources(Resources::from_env().with_build(small_cfg(threads)))
+            .resources(Resources::new().with_build(small_cfg(threads)))
             .run(&ctx, Arc::clone(&data))
     };
     let base = run(1);

@@ -81,7 +81,7 @@ fn traced_threaded_run(threads: usize) -> Trace {
         .partitions(2)
         .exact()
         .resources(
-            Resources::from_env()
+            Resources::new()
                 .with_build(BuildConfig::default().with_threads(threads).with_par_cutoff(64)),
         )
         .run(&ctx, Arc::clone(&data));
