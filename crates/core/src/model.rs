@@ -93,13 +93,20 @@ pub enum PartialStatus {
 /// SEEDs are not related to the locations\[;\] if the current point's
 /// index is beyond the range of \[the\] current partition it is taken as a
 /// SEED").
+///
+/// **Layout contract**: the regular members come first, in the order
+/// the executor claimed them, then the SEEDs, in the order it placed
+/// them. [`regulars`](Self::regulars) and [`seeds`](Self::seeds) are
+/// the prefix and suffix split at the first SEED; the merge relies on
+/// the split and checks the layout in debug builds. Code that builds
+/// partial clusters by hand must keep it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PartialCluster {
     /// Partition that built this cluster.
     pub owner: u32,
     /// The owner's index range `[start, end)`.
     pub range: (u32, u32),
-    /// Regular members and SEEDs.
+    /// Regular members, then SEEDs.
     pub members: Vec<u32>,
 }
 
@@ -114,14 +121,31 @@ impl PartialCluster {
         idx >= self.range.0 && idx < self.range.1
     }
 
-    /// The SEEDs: members outside the owner's range.
-    pub fn seeds(&self) -> impl Iterator<Item = u32> + '_ {
-        self.members.iter().copied().filter(|&m| !self.is_regular(m))
+    /// Whether `members` keeps the layout contract: no regular member
+    /// after a SEED.
+    pub(crate) fn has_contract_layout(&self) -> bool {
+        self.members.iter().skip_while(|&&m| self.is_regular(m)).all(|&m| !self.is_regular(m))
     }
 
-    /// Regular members only.
+    /// `members` split at the first SEED: `(regulars, seeds)`. A linear
+    /// scan over the regulars, not a binary search: the merge reads the
+    /// regulars anyway, and on merge-bound inputs most partials hold one
+    /// or two regulars ahead of dozens of SEEDs, where a binary search
+    /// would first load the middle of the list.
+    pub(crate) fn split_at_seeds(&self) -> (&[u32], &[u32]) {
+        let k = self.members.iter().position(|&m| !self.is_regular(m));
+        self.members.split_at(k.unwrap_or(self.members.len()))
+    }
+
+    /// The SEEDs: members outside the owner's range, the suffix of
+    /// `members`.
+    pub fn seeds(&self) -> impl Iterator<Item = u32> + '_ {
+        self.split_at_seeds().1.iter().copied()
+    }
+
+    /// Regular members only, the prefix of `members`.
     pub fn regulars(&self) -> impl Iterator<Item = u32> + '_ {
-        self.members.iter().copied().filter(|&m| self.is_regular(m))
+        self.split_at_seeds().0.iter().copied()
     }
 
     /// Number of members (regulars + SEEDs).
@@ -239,9 +263,10 @@ mod tests {
 
     #[test]
     fn seeds_are_out_of_range_members() {
-        // Fig. 4a: C[0] has range 0..2500 and contains 3000 as a SEED
+        // Fig. 4a: C[0] has range 0..2500 and contains 3000 as a SEED,
+        // listed after the regulars as the layout contract requires
         let mut c = PartialCluster::new(0, (0, 2500));
-        c.members = vec![0, 5, 6, 3000, 11, 223, 2300, 23, 45, 1000];
+        c.members = vec![0, 5, 6, 11, 223, 2300, 23, 45, 1000, 3000];
         assert!(c.is_regular(0) && c.is_regular(2300));
         assert!(!c.is_regular(3000));
         assert_eq!(c.seeds().collect::<Vec<_>>(), vec![3000]);

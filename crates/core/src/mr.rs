@@ -17,7 +17,7 @@ use crate::partitioned::executor_side::local_partial_clusters;
 use crate::partitioned::merge::{merge_partial_clusters, merge_union_find, MergeStrategy};
 use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{Dataset, KdTree, PointId, SpatialIndex};
-use mapred::{Counters, Emitter, JobConfig, MapReduceJob, Mapper, MrResult, PhaseMetrics, Reducer};
+use mapred::{Counters, Emitter, JobConfig, MapReduceJob, Mapper, MrResult, Reducer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,10 +28,6 @@ pub struct MrDbscanResult {
     pub clustering: Clustering,
     /// Partial clusters produced by the reducers.
     pub num_partial_clusters: usize,
-    /// MapReduce phase timings (map / shuffle / reduce).
-    pub phases: PhaseMetrics,
-    /// Driver-side merge time.
-    pub merge: Duration,
     /// Whole run, including kd-tree construction.
     pub total: Duration,
     /// Bytes spilled to local disk by map tasks.
@@ -112,7 +108,6 @@ impl MrDbscan {
             }
         }
         let num_partial_clusters = partials.len();
-        let t = Instant::now();
         let outcome = match self.merge_strategy {
             // the reducers query the KdTree exactly, so under
             // PerBoundaryEdge every core–core boundary edge is recorded
@@ -125,15 +120,12 @@ impl MrDbscan {
             ),
             s => merge_partial_clusters(n, &partials, s, &core_flags),
         };
-        let merge = t.elapsed();
         let mut clustering = outcome.clustering;
         clustering.core = core_flags;
 
         Ok(MrDbscanResult {
             clustering,
             num_partial_clusters,
-            phases: job.metrics,
-            merge,
             total: total_start.elapsed(),
             spilled_bytes: job.counters.spilled_bytes.load(std::sync::atomic::Ordering::Relaxed),
             shuffled_bytes: job.counters.shuffled_bytes.load(std::sync::atomic::Ordering::Relaxed),
@@ -230,7 +222,6 @@ mod tests {
         let r = MrDbscan::new(params, 2).run(data, 2).unwrap();
         assert!(r.spilled_bytes > 0, "points serialized to spill files");
         assert!(r.shuffled_bytes >= r.spilled_bytes, "reducers read them back");
-        assert!(r.phases.total >= r.phases.map);
     }
 
     #[test]

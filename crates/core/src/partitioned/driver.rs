@@ -349,8 +349,15 @@ impl SparkDbscan {
         core.resize(n, false);
         // The accumulator folds in task *completion* order, which
         // varies with scheduling and retries. The merge must be a pure
-        // function of the data, so restore the canonical order first.
-        partials.sort_by_key(|c| (c.owner, c.members.first().copied()));
+        // function of the data, so restore the canonical order first:
+        // by owner, then first member. Each task's partials arrive
+        // whole and in ascending first-member order (a partial opens at
+        // its first member, and the executor opens them in index
+        // order), so a stable sort by owner alone yields it.
+        partials.sort_by_key(|c| c.owner);
+        debug_assert!(partials
+            .windows(2)
+            .all(|w| (w[0].owner, w[0].members.first()) < (w[1].owner, w[1].members.first())));
         let before_filter = partials.len();
         if let Some(min) = self.min_partial_size {
             partials = filter_small_partials(partials, min);
@@ -368,10 +375,10 @@ impl SparkDbscan {
                 let symmetric = self.seed_policy == SeedPolicy::PerBoundaryEdge
                     && self.prune == PruneConfig::EXACT;
                 trace.phase_start("merge_extract");
-                let owner = fill_owner(n, &partials);
+                let owner = fill_owner(n, &partials, &core);
                 trace.phase_end("merge_extract");
                 trace.phase_start("merge_union");
-                let outcome = union_seeds(n, &partials, &core, &owner, symmetric);
+                let outcome = union_seeds(&partials, owner, symmetric);
                 trace.phase_end("merge_union");
                 outcome
             }

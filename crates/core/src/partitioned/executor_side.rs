@@ -12,9 +12,10 @@
 //! The queue is FIFO, so foreign points meet the policy in the order a
 //! dequeue-time placement would see them, and every partial keeps the
 //! same SEEDs. A partial's members are its regular points in claim
-//! order, then its SEEDs in placement order. Neighborhoods are computed over the **full broadcast
-//! dataset**, so core status is globally exact even though expansion
-//! is local.
+//! order, then its SEEDs in placement order — the [`PartialCluster`]
+//! layout contract the merge relies on. Neighborhoods are computed over
+//! the **full broadcast dataset**, so core status is globally exact
+//! even though expansion is local.
 //!
 //! Data structures: the paper's §III-B uses a Java `Hashtable` for
 //! visited state and a `LinkedList` queue for candidates. We keep the
@@ -531,6 +532,10 @@ mod tests {
                         &mut scratch,
                     );
                     assert_eq!(fresh, reused, "partition {part} {policy:?}");
+                    assert!(
+                        reused.clusters.iter().all(PartialCluster::has_contract_layout),
+                        "partition {part} {policy:?}: regulars before SEEDs"
+                    );
                 }
             }
         }
@@ -769,8 +774,12 @@ mod tests {
                         for (g, w) in got.clusters.iter().zip(&want.clusters) {
                             assert_eq!((g.owner, g.range), (w.owner, w.range), "{tag}");
                             assert_eq!(g.members[0], w.members[0], "{tag}");
-                            assert!(g.regulars().eq(w.regulars()), "{tag}: regulars");
-                            assert!(g.seeds().eq(w.seeds()), "{tag}: seeds");
+                            // the reference interleaves SEEDs with regulars,
+                            // so split its members by range explicitly
+                            let (w_regulars, w_seeds): (Vec<u32>, Vec<u32>) =
+                                w.members.iter().partition(|&&m| w.is_regular(m));
+                            assert!(g.regulars().eq(w_regulars), "{tag}: regulars");
+                            assert!(g.seeds().eq(w_seeds), "{tag}: seeds");
                         }
                         assert_eq!(got.core_points, want.core_points, "{tag}");
                         assert_eq!(got.stats, want.stats, "{tag}");

@@ -19,30 +19,51 @@
 //! core endpoint is always recorded as a SEED. Non-core SEEDs still
 //! receive the seeding cluster's label (ordinary border assignment).
 //!
-//! **Union-find merge**: three sequential loops and no edge list —
-//! owner fill; one pass over each partial's core SEEDs that unions
-//! partial `i` with the master `j = owner[s]` of each SEED `s` as it is
-//! met; the canonical relabel. A union-find ignores repeated and
-//! already-joined pairs, so neither the components nor the merge-op
-//! count (partials minus components) depend on edge order or
-//! multiplicity. Every strategy ends in the same relabel, which names
-//! each group by its smallest partial index.
+//! **Union-find merge**: three sequential loops and no edge list. It
+//! rests on the [`PartialCluster`] layout contract — regulars first,
+//! then SEEDs — so each loop reads only the prefix or the suffix it
+//! needs:
+//!
+//! 1. *owner fill* over the regulars: one `n`-sized table names, for
+//!    each point, the partial holding it as a regular member, flagged
+//!    `NOT_CORE` unless the point is a core point (`UNOWNED`, flag
+//!    included, when no partial holds it);
+//! 2. *SEED scan*, one table lookup per SEED: a SEED `s` of partial `i`
+//!    whose entry `j` is unflagged — a core point, the regular of
+//!    partial `j` — unions `i` with `j` as the scan meets it; a flagged
+//!    SEED (a border or noise point, or a core point whose partial was
+//!    filtered away) goes on a short `(point, partial)` border list;
+//! 3. *relabel* of the regulars and the border list only: every regular
+//!    takes its partial's group key straight from the owner table, and
+//!    an owned core SEED already shares its owner's group, so it cannot
+//!    change a label.
+//!
+//! A union-find ignores repeated and already-joined pairs, so neither
+//! the components nor the merge-op count (partials minus components)
+//! depend on edge order or multiplicity. Every strategy names each
+//! group by its smallest partial index, which the union-find's min-root
+//! linking makes the root itself, and gives each point the smallest key
+//! among the partials holding it. The paper strategies relabel over
+//! every member.
 //!
 //! **Forward-only unions.** When the caller knows the SEED edges are
 //! symmetric — every `(i, j)` has its reverse `(j, i)` — the scan
-//! unions only when `j > i`, which keeps every connection with half the
-//! union calls. That holds for exact queries under
-//! [`SeedPolicy::PerBoundaryEdge`]: take core `p` regular in partial
-//! `i`, core `s` regular in partial `j` and `dist(p, s) ≤ ε`. Every core
-//! point is queried once and admitted into the partial that claims it,
-//! and the distance is bitwise symmetric (`fl(a−b) = −fl(b−a)`, both
-//! sides summed in the same coordinate order), so `i` records `s` and
-//! `j` records `p`. Dropping whole partials (`min_partial_size`)
-//! removes both directions at once. It fails under
-//! [`SeedPolicy::OnePerPartition`] (one SEED per foreign partition) and
-//! under pruned queries (a capped query can see `p → s` but not
-//! `s → p`); callers derive the flag from the run's configuration and
-//! union every edge in those cases.
+//! unions only through SEEDs above the partial's own range
+//! (`s >= range.1`), which keeps every connection with half the union
+//! calls: partials `i` and `j` of an edge belong to different
+//! partitions, so exactly one of the two SEEDs lies above its partial's
+//! range, whatever the partials' order. Symmetry holds for exact
+//! queries under [`SeedPolicy::PerBoundaryEdge`]: take core `p` regular
+//! in partial `i`, core `s` regular in partial `j` and `dist(p, s) ≤ ε`.
+//! Every core point is queried once and admitted into the partial that
+//! claims it, and the distance is bitwise symmetric
+//! (`fl(a−b) = −fl(b−a)`, both sides summed in the same coordinate
+//! order), so `i` records `s` and `j` records `p`. Dropping whole
+//! partials (`min_partial_size`) removes both directions at once. It
+//! fails under [`SeedPolicy::OnePerPartition`] (one SEED per foreign
+//! partition) and under pruned queries (a capped query can see `p → s`
+//! but not `s → p`); callers derive the flag from the run's
+//! configuration and union every edge in those cases.
 //!
 //! [`SeedPolicy::PerBoundaryEdge`]: crate::SeedPolicy::PerBoundaryEdge
 //! [`SeedPolicy::OnePerPartition`]: crate::SeedPolicy::OnePerPartition
@@ -51,8 +72,13 @@ use crate::label::{Clustering, Label};
 use crate::model::PartialCluster;
 use crate::unionfind::DisjointSet;
 
-/// A point with no partial cluster holding it as a regular element (and
-/// a point no partial cluster holds at all, in the relabel).
+/// Owner-table flag of a point that is not a core point: a SEED on it
+/// welds nothing.
+const NOT_CORE: u32 = 1 << 31;
+
+/// A point no partial cluster holds as a regular element (flagged
+/// `NOT_CORE`), and a point no partial cluster holds at all, in the
+/// relabel.
 const UNOWNED: u32 = u32::MAX;
 
 /// How the driver merges partial clusters.
@@ -87,19 +113,28 @@ pub struct MergeOutcome {
     pub passes: usize,
 }
 
-/// Dense owner index: `owner[p]` = index of the partial cluster holding
-/// point `p` as a *regular* element (unique by construction — one
-/// assignment per point per partition, ranges disjoint), `UNOWNED`
-/// otherwise.
-pub(crate) fn fill_owner(n: usize, partials: &[PartialCluster]) -> Vec<u32> {
+/// The owner table, the entry of every merge: `owner[p]` = index of the
+/// partial cluster holding `p` as a *regular* element (unique by
+/// construction — one assignment per point per partition, ranges
+/// disjoint), flagged `NOT_CORE` unless `p` is a core point; `UNOWNED`
+/// for a point no partial holds as a regular. Reads only the regulars
+/// prefix of each partial, so an unflagged entry under a SEED is
+/// exactly a core SEED's master.
+pub(crate) fn fill_owner(n: usize, partials: &[PartialCluster], core: &[bool]) -> Vec<u32> {
+    assert_eq!(core.len(), n, "core flags must cover every point");
+    assert!(partials.len() < NOT_CORE as usize, "partial indices must leave the flag bit free");
+    debug_assert!(
+        partials.iter().all(PartialCluster::has_contract_layout),
+        "partial cluster members must list regulars before SEEDs"
+    );
     let mut owner = vec![UNOWNED; n];
     for (i, c) in partials.iter().enumerate() {
-        for r in c.regulars() {
+        for &r in c.split_at_seeds().0 {
             debug_assert!(
                 owner[r as usize] == UNOWNED,
                 "point {r} regular in two partial clusters"
             );
-            owner[r as usize] = i as u32;
+            owner[r as usize] = if core[r as usize] { i as u32 } else { i as u32 | NOT_CORE };
         }
     }
     owner
@@ -116,35 +151,56 @@ pub fn merge_union_find(
     core: &[bool],
     symmetric_seeds: bool,
 ) -> MergeOutcome {
-    assert_eq!(core.len(), n, "core flags must cover every point");
-    let owner = fill_owner(n, partials);
-    union_seeds(n, partials, core, &owner, symmetric_seeds)
+    let owner = fill_owner(n, partials, core);
+    union_seeds(partials, owner, symmetric_seeds)
 }
 
-/// Loops 2 and 3 of the union-find merge over a filled `owner` index:
+/// Loops 2 and 3 of the union-find merge over a filled `owner` table:
 /// union each partial with the master of every core SEED as the scan
-/// meets it (only masters after it when `symmetric_seeds`), then
-/// relabel. `merge_ops` counts the unions that join two components.
+/// meets it (only SEEDs above the partial's range when
+/// `symmetric_seeds`), list the other SEEDs, then relabel the regulars
+/// and that list, reusing the table for the labels. `merge_ops` counts
+/// the unions that join two components.
 pub(crate) fn union_seeds(
-    n: usize,
     partials: &[PartialCluster],
-    core: &[bool],
-    owner: &[u32],
+    mut owner: Vec<u32>,
     symmetric_seeds: bool,
 ) -> MergeOutcome {
     let mut dsu = DisjointSet::new(partials.len());
     let mut merge_ops = 0usize;
+    // (point, partial) for every SEED on a point that is not an owned
+    // core point
+    let mut border: Vec<(u32, u32)> = Vec::new();
     for (i, c) in partials.iter().enumerate() {
-        // the smallest master index this partial unions with
-        let first = if symmetric_seeds { i as u32 + 1 } else { 0 };
-        for s in c.seeds() {
+        // the smallest SEED this partial unions through
+        let first = if symmetric_seeds { c.range.1 } else { 0 };
+        for &s in c.split_at_seeds().1 {
             let j = owner[s as usize];
-            if j != UNOWNED && j >= first && core[s as usize] && dsu.union(i, j as usize) {
+            if j & NOT_CORE != 0 {
+                border.push((s, i as u32));
+                continue;
+            }
+            // a SEED below `first` unions the partial with itself, which
+            // the union answers from one parent comparison: a select,
+            // where a branch on the forward test would mispredict on
+            // about half the SEEDs, which come in no index order
+            let master = if s >= first { j as usize } else { i };
+            if dsu.union(i, master) {
                 merge_ops += 1;
             }
         }
     }
-    relabel(n, partials, &component_keys(&mut dsu), merge_ops, 1)
+    // each regular takes its partial's key from the owner table; only
+    // border-list points can be held by more than one partial
+    let keys = group_keys(&mut dsu);
+    for w in owner.iter_mut().filter(|w| **w != UNOWNED) {
+        *w = keys[(*w & !NOT_CORE) as usize];
+    }
+    for &(p, i) in &border {
+        let w = &mut owner[p as usize];
+        *w = (*w).min(keys[i as usize]);
+    }
+    number_groups(owner, partials.len(), merge_ops, 1)
 }
 
 /// Extract the core SEED → master edges in partial order: `(i, master)`
@@ -166,13 +222,12 @@ pub fn extract_seed_edges(
     core: &[bool],
     _threads: usize,
 ) -> Vec<(u32, u32)> {
-    assert_eq!(core.len(), n, "core flags must cover every point");
-    let owner = fill_owner(n, partials);
+    let owner = fill_owner(n, partials, core);
     let mut edges = Vec::new();
     for (i, c) in partials.iter().enumerate() {
-        for s in c.seeds().filter(|&s| core[s as usize]) {
+        for &s in c.split_at_seeds().1 {
             let j = owner[s as usize];
-            if j != UNOWNED {
+            if j & NOT_CORE == 0 {
                 edges.push((i as u32, j));
             }
         }
@@ -192,32 +247,18 @@ pub fn merge_with_edges(
 ) -> MergeOutcome {
     let mut dsu = DisjointSet::new(partials.len());
     let merge_ops = edges.iter().filter(|&&(a, b)| dsu.union(a as usize, b as usize)).count();
-    relabel(n, partials, &component_keys(&mut dsu), merge_ops, 1)
+    relabel(n, partials, &group_keys(&mut dsu), merge_ops, 1)
 }
 
 /// Each partial's group key: the smallest partial index of its
-/// union-find component, which is the first one met in index order.
-fn component_keys(dsu: &mut DisjointSet) -> Vec<u32> {
-    let m = dsu.len();
-    let mut key_of_root = vec![UNOWNED; m];
-    (0..m)
-        .map(|i| {
-            let key = &mut key_of_root[dsu.find(i)];
-            if *key == UNOWNED {
-                *key = i as u32;
-            }
-            *key
-        })
-        .collect()
+/// union-find component, which min-root linking makes the root.
+fn group_keys(dsu: &mut DisjointSet) -> Vec<u32> {
+    (0..dsu.len()).map(|i| dsu.find(i) as u32).collect()
 }
 
-/// Canonical relabel. `keys[i]` names partial `i`'s group by the
-/// group's smallest partial index. A point takes the smallest key among
-/// the partials holding it, and every key that wins a point gets a
-/// cluster id in ascending key order. This is first-assignment-wins
-/// (DBSCAN border semantics) over the groups ordered by smallest
-/// member: the first group to reach a point labels it, and a group that
-/// labels no point consumes no id.
+/// Canonical relabel over every member. `keys[i]` names partial `i`'s
+/// group by the group's smallest partial index, and a point takes the
+/// smallest key among the partials holding it.
 fn relabel(
     n: usize,
     partials: &[PartialCluster],
@@ -232,8 +273,18 @@ fn relabel(
             *w = (*w).min(key);
         }
     }
+    number_groups(winner, partials.len(), merge_ops, passes)
+}
+
+/// Labels from `winner[p]`, the key of the group that labels point `p`
+/// (`UNOWNED` for noise): every key that wins a point gets a cluster id
+/// in ascending key order. This is first-assignment-wins (DBSCAN border
+/// semantics) over the groups ordered by smallest member: the first
+/// group to reach a point labels it, and a group that labels no point
+/// consumes no id.
+fn number_groups(winner: Vec<u32>, m: usize, merge_ops: usize, passes: usize) -> MergeOutcome {
     // mark the winning keys with 0, then number them in key order
-    let mut id_of_key = vec![UNOWNED; partials.len()];
+    let mut id_of_key = vec![UNOWNED; m];
     for &w in winner.iter().filter(|&&w| w != UNOWNED) {
         id_of_key[w as usize] = 0;
     }
@@ -246,6 +297,7 @@ fn relabel(
         .iter()
         .map(|&w| if w == UNOWNED { Label::Noise } else { Label::Cluster(id_of_key[w as usize]) })
         .collect();
+    let n = winner.len();
     MergeOutcome {
         clustering: Clustering { labels, core: vec![false; n] },
         merged_clusters: next as usize,
@@ -264,15 +316,14 @@ pub fn merge_partial_clusters(
     strategy: MergeStrategy,
     core: &[bool],
 ) -> MergeOutcome {
-    assert_eq!(core.len(), n, "core flags must cover every point");
     let fixpoint = match strategy {
         // the SEED policy is unknown here, so every edge is unioned
         MergeStrategy::UnionFind => return merge_union_find(n, partials, core, false),
         MergeStrategy::PaperSinglePass => false,
         MergeStrategy::PaperFixpoint => true,
     };
-    let owner = fill_owner(n, partials);
-    let (keys, merge_ops, passes) = paper_groups(partials, &owner, core, fixpoint);
+    let owner = fill_owner(n, partials, core);
+    let (keys, merge_ops, passes) = paper_groups(partials, &owner, fixpoint);
     relabel(n, partials, &keys, merge_ops, passes)
 }
 
@@ -282,7 +333,6 @@ pub fn merge_partial_clusters(
 fn paper_groups(
     partials: &[PartialCluster],
     owner: &[u32],
-    core: &[bool],
     fixpoint: bool,
 ) -> (Vec<u32>, usize, usize) {
     let m = partials.len();
@@ -305,9 +355,9 @@ fn paper_groups(
                 let constituents = &groups[g];
                 let mut masters = Vec::new();
                 for &i in constituents {
-                    for s in partials[i].seeds().filter(|&s| core[s as usize]) {
+                    for s in partials[i].seeds() {
                         let j = owner[s as usize];
-                        if j != UNOWNED {
+                        if j & NOT_CORE == 0 {
                             let tg = group_of[j as usize];
                             if tg != g {
                                 masters.push(tg);
@@ -364,10 +414,14 @@ fn current_group(group_of: &[usize], groups: &[Vec<usize>], g: usize) -> usize {
 mod tests {
     use super::*;
 
-    /// Build a partial cluster quickly.
+    /// Build a partial cluster quickly, listing `members` in the layout
+    /// contract's order: the regulars, then the SEEDs, each in the
+    /// given order.
     fn pc(owner: u32, range: (u32, u32), members: &[u32]) -> PartialCluster {
         let mut c = PartialCluster::new(owner, range);
-        c.members = members.to_vec();
+        let (regulars, seeds): (Vec<u32>, Vec<u32>) =
+            members.iter().partition(|&&m| c.is_regular(m));
+        c.members = [regulars, seeds].concat();
         c
     }
 

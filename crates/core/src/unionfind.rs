@@ -1,21 +1,28 @@
-//! Disjoint-set (union-find) with path compression and union by rank.
+//! Disjoint-set (union-find) with path compression and min-root
+//! linking.
 //!
 //! Used by [`crate::MergeStrategy::UnionFind`] — and a nod to the
 //! disjoint-set parallel DBSCAN of Patwary et al. (SC'12), the baseline
 //! the paper compares its cluster quality against.
+//!
+//! A union links the larger root under the smaller, so every root is
+//! the smallest element of its set and [`DisjointSet::find`] returns a
+//! key that names the set by its smallest member — the merge's group
+//! key, with no second pass to compute it. Path compression alone keeps
+//! `find` at amortized `O(log n)`.
 
-/// Classic array-based disjoint set over `0..n`.
+/// Array-based disjoint set over `0..n` (`n < 2^32`).
 #[derive(Debug, Clone)]
 pub struct DisjointSet {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
+    parent: Vec<u32>,
     components: usize,
 }
 
 impl DisjointSet {
     /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        DisjointSet { parent: (0..n).collect(), rank: vec![0; n], components: n }
+        let n32 = u32::try_from(n).expect("a disjoint set holds fewer than 2^32 elements");
+        DisjointSet { parent: (0..n32).collect(), components: n }
     }
 
     /// Number of elements.
@@ -33,38 +40,36 @@ impl DisjointSet {
         self.components
     }
 
-    /// Representative of `x`'s set (with path compression).
+    /// Representative of `x`'s set — its smallest element — with path
+    /// compression.
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
+        while self.parent[root] as usize != root {
+            root = self.parent[root] as usize;
         }
         // compress
         let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
-            cur = next;
+        while self.parent[cur] as usize != root {
+            cur = std::mem::replace(&mut self.parent[cur], root as u32) as usize;
         }
         root
     }
 
-    /// Merge the sets of `a` and `b`; returns `true` if they were
-    /// distinct.
+    /// Merge the sets of `a` and `b`, linking the larger root under the
+    /// smaller; returns `true` if they were distinct. Elements that share
+    /// a parent — `a == b`, or two elements already compressed onto one
+    /// root — are answered from that one comparison.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
+        if self.parent[a] == self.parent[b] {
+            return false;
+        }
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
         }
         self.components -= 1;
-        match self.rank[ra].cmp(&self.rank[rb]) {
-            std::cmp::Ordering::Less => self.parent[ra] = rb,
-            std::cmp::Ordering::Greater => self.parent[rb] = ra,
-            std::cmp::Ordering::Equal => {
-                self.parent[rb] = ra;
-                self.rank[ra] += 1;
-            }
-        }
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[hi] = lo as u32;
         true
     }
 
@@ -108,6 +113,15 @@ mod tests {
             assert_eq!(d.find(x), r);
         }
         assert_ne!(d.find(4), r);
+        // the representative is the component's smallest element,
+        // whichever way the unions ran
+        assert_eq!(r, 0);
+        d.union(5, 4);
+        assert_eq!((d.find(4), d.find(5)), (4, 4));
+        d.union(5, 3);
+        for x in 0..6 {
+            assert_eq!(d.find(x), 0, "element {x}");
+        }
     }
 
     #[test]

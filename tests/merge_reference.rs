@@ -15,6 +15,9 @@
 //! path on symmetric random topologies, and an asymmetric topology shows
 //! why the full path stays for every other configuration.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use scalable_dbscan::datagen::{ClusterGenerator, GeneratorParams, StandardDataset};
 use scalable_dbscan::dbscan::{
     extract_seed_edges, local_partial_clusters, merge_partial_clusters, merge_union_find,
@@ -344,14 +347,21 @@ fn symmetrize(n: usize, partials: &mut [PartialCluster], core: &mut [bool]) {
     }
 }
 
+/// The forward test keys on a SEED's position against its partial's
+/// range, not on partial indices, so it must hold whatever order the
+/// partials come in: each topology also runs with its partials
+/// shuffled, which puts partial index order and range order apart.
 #[test]
 fn forward_only_merge_matches_reference_on_symmetric_topologies() {
+    let mut rng = StdRng::seed_from_u64(0xF0F0);
     for trial in 0..60u64 {
         let (n, mut partials, mut core) = random_topology(0xABCD + trial);
         symmetrize(n, &mut partials, &mut core);
         let case = format!("symmetric trial {trial}");
         assert_eq!(one_way_edges(n, &partials, &core), vec![], "{case}: not symmetric");
         assert_forward_only_matches_reference(n, &partials, &core, &case);
+        partials.shuffle(&mut rng);
+        assert_forward_only_matches_reference(n, &partials, &core, &format!("{case} shuffled"));
     }
 }
 
