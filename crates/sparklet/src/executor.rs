@@ -4,6 +4,7 @@
 //! buffer, apply fault-plan injection (task failures and straggler
 //! slowdowns), and catch panics so one bad task never takes the process
 //! down — the fault-tolerance contrast with MPI the paper emphasizes.
+//! The workers share one `std::sync::mpsc` task queue behind a mutex.
 
 use crate::accumulator::{begin_task_buffer, take_task_buffer};
 use crate::fault::{decision_hash, FaultPlan, EXPLORE_JITTER_SALT, STRAGGLER_SALT, TASK_SALT};
@@ -11,8 +12,9 @@ use crate::memory::MemoryManager;
 use crate::schedule::SchedulePolicy;
 use crate::task::{set_current_executor, AttemptResult, TaskError, TaskSpec};
 use crate::trace::{self, EventKind, MemOp, TaskScope, TraceCollector};
-use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,22 +49,23 @@ impl ExecutorPool {
         // keyed decisions only: workers are concurrent, so the schedule
         // seam reaches them as a pure hash seed, never a shared counter
         let keyed = schedule.keyed_seed();
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = mpsc::channel();
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads)
             .map(|w| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let plan = Arc::clone(&plan);
                 let tracer = Arc::clone(&tracer);
                 let memory = Arc::clone(&memory);
                 std::thread::Builder::new()
                     .name(format!("sparklet-worker-{w}"))
-                    .spawn(move || {
-                        while let Ok(env) = rx.recv() {
-                            let result = run_attempt(&env, &plan, seed, keyed, &tracer, &memory);
-                            // the driver may have aborted the job; a closed
-                            // reply channel is not an error for the worker
-                            let _ = env.reply.send(result);
-                        }
+                    .spawn(move || loop {
+                        // a `let`, not `while let`: the lock guard must drop before the task runs
+                        let Ok(env) = rx.lock().recv() else { break };
+                        let result = run_attempt(&env, &plan, seed, keyed, &tracer, &memory);
+                        // the driver may have aborted the job; a closed
+                        // reply channel is not an error for the worker
+                        let _ = env.reply.send(result);
                     })
                     .expect("spawn worker thread")
             })
@@ -209,6 +212,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultRule};
     use crate::task::{TaskOutput, TaskWork};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn spec(work: TaskWork) -> TaskSpec {
@@ -227,7 +231,7 @@ mod tests {
     }
 
     fn run_one(pool: &ExecutorPool, s: TaskSpec, attempt: usize) -> AttemptResult {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         pool.submit(Envelope { spec: s, attempt, reply: tx });
         rx.recv().unwrap()
     }
@@ -312,15 +316,69 @@ mod tests {
 
     #[test]
     fn pool_shuts_down_cleanly() {
+        // shutdown races are rare per cycle, so run many start-and-drop
+        // cycles on a watchdogged thread and fail on a hang
+        let (done_tx, done_rx) = mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            let pool = start_fifo(
+                4,
+                FaultPlan::none(),
+                0,
+                TraceCollector::disabled(),
+                MemoryManager::unbounded(),
+            );
+            assert_eq!(pool.size(), 4);
+            drop(pool);
+            for _ in 0..20_000 {
+                drop(start_fifo(
+                    1,
+                    FaultPlan::none(),
+                    0,
+                    TraceCollector::disabled(),
+                    MemoryManager::unbounded(),
+                ));
+            }
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("dropping a pool hung"),
+            // a panic in the loop disconnects the channel; join surfaces it
+            _ => cycles.join().expect("shutdown loop panicked"),
+        }
+    }
+
+    #[test]
+    fn two_workers_run_two_tasks_at_once() {
+        // each task waits for its peer to start, so this passes only if
+        // no worker holds the queue while its task runs
         let pool = start_fifo(
-            4,
+            2,
             FaultPlan::none(),
             0,
             TraceCollector::disabled(),
             MemoryManager::unbounded(),
         );
-        assert_eq!(pool.size(), 4);
-        drop(pool); // must not hang
+        let started = Arc::new(AtomicUsize::new(0));
+        let work: TaskWork = Arc::new(move || {
+            started.fetch_add(1, Ordering::SeqCst);
+            let t0 = Instant::now();
+            while started.load(Ordering::SeqCst) < 2 {
+                if t0.elapsed() > Duration::from_secs(10) {
+                    return Err(TaskError::generic("peer task never started"));
+                }
+                std::thread::yield_now();
+            }
+            Ok(TaskOutput::Unit)
+        });
+        let (tx, rx) = mpsc::channel();
+        for partition in 0..2 {
+            let s = TaskSpec { partition, ..spec(Arc::clone(&work)) };
+            pool.submit(Envelope { spec: s, attempt: 0, reply: tx.clone() });
+        }
+        for _ in 0..2 {
+            let r = rx.recv().unwrap();
+            assert!(r.outcome.is_ok(), "{:?}", r.outcome.err());
+        }
     }
 
     #[test]

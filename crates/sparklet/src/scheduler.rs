@@ -46,8 +46,8 @@ use crate::schedule::DecisionPoint;
 use crate::task::{AttemptResult, TaskErrorKind, TaskOutput, TaskSpec};
 use crate::trace::EventKind;
 use crate::Data;
-use crossbeam::channel::{unbounded, Sender};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -293,7 +293,7 @@ fn run_stage(
     let total = tasks.len();
     ctx.inner.tracer.record_driver(EventKind::StageStart { stage: stage_id, kind, tasks: total });
     let specs: HashMap<usize, TaskSpec> = tasks.iter().map(|t| (t.partition, t.clone())).collect();
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
 
     let finish_err = |failed_attempts: usize, err: SparkError| -> SparkError {
         ctx.inner.tracer.record_driver(EventKind::StageEnd { stage: stage_id, failed_attempts });
