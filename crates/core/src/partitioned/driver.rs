@@ -93,7 +93,7 @@ pub struct SparkDbscanResult {
     /// `BuildShard` trace events.
     pub build: BuildReport,
     /// Engine memory-ledger counters as of run end (cumulative for the
-    /// context: peaks, evicted bytes, backpressure waits).
+    /// context: peak bytes, task bytes reserved and released).
     pub memory: MemoryStats,
 }
 
@@ -116,8 +116,6 @@ impl SparkDbscan {
     /// Resource knobs start at [`Resources::new`]; set them with
     /// [`SparkDbscan::resources`] — the result is byte-identical for any
     /// `Resources` value.
-    /// The memory budget belongs to the engine: set it on the context
-    /// with [`sparklet::ClusterConfig::with_memory_budget`].
     pub fn new(params: DbscanParams) -> Self {
         SparkDbscan {
             params,
@@ -293,8 +291,8 @@ impl SparkDbscan {
         let th = trace.clone();
         let bcast = shared.clone();
 
-        // each task declares its working set up front so a bounded
-        // budget can defer submissions instead of overcommitting lanes
+        // each task declares its working set up front, reserved in the
+        // engine's memory ledger while the task runs
         let hints: Vec<u64> = (0..p)
             .map(|i| {
                 let (a, b) = ranges.range(i);
@@ -542,6 +540,20 @@ mod tests {
         assert!(r.timings.executor_wall > Duration::ZERO);
         assert!(r.job.executor_busy() > Duration::ZERO);
         assert_eq!(r.job.stages.len(), 1, "single result stage, no shuffle stages");
+    }
+
+    #[test]
+    fn memory_ledger_reserves_each_points_working_set_once() {
+        let data = blobs(3, 40, 100.0);
+        let n = data.len() as u64;
+        let ctx = Context::new(ClusterConfig::local(4));
+        let r = SparkDbscan::new(DbscanParams::new(0.5, 4).unwrap()).partitions(8).run(&ctx, data);
+        let m = r.memory;
+        assert_eq!(m.task_reserved_bytes, n * 48, "48 working-set bytes per owned point");
+        assert_eq!(m.task_released_bytes, m.task_reserved_bytes, "every reservation released");
+        // tasks may release before the last one is submitted, so the
+        // peak is bounded by, not equal to, the total reservation
+        assert!(0 < m.peak_bytes && m.peak_bytes <= n * 48, "peak {}", m.peak_bytes);
     }
 
     #[test]

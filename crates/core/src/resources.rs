@@ -7,10 +7,9 @@
 //!
 //! Every field is benign to vary: clustering labels are identical for
 //! any `Resources` value (thread counts and leaf layouts are
-//! byte-deterministic by construction), only speed changes. The memory
-//! budget is not a `Resources` knob: the engine owns the ledger, so it
-//! is set once per context with
-//! [`sparklet::ClusterConfig::with_memory_budget`].
+//! byte-deterministic by construction), only speed changes. Memory is
+//! not a `Resources` knob: the engine's ledger only counts bytes (see
+//! [`sparklet::memory`]), and no budget is kept.
 //!
 //! [`SparkDbscan::resources`]: crate::partitioned::driver::SparkDbscan::resources
 

@@ -1,7 +1,6 @@
 //! Cluster configuration.
 
 use crate::fault::FaultPlan;
-use crate::memory::MemoryBudget;
 use crate::schedule::{Fifo, SchedulePolicy};
 use std::sync::Arc;
 
@@ -56,11 +55,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Structured event tracing (off by default).
     pub trace: TraceConfig,
-    /// Per-executor memory budget (unbounded by default; see
-    /// [`crate::memory::MemoryManager`] for the eviction / backpressure
-    /// ladder a bounded budget engages). Set it with
-    /// [`ClusterConfig::with_memory_budget`], the one budget setter.
-    pub(crate) memory: MemoryBudget,
     /// Scheduling-decision policy ([`Fifo`] by default — production
     /// order; see [`crate::schedule`] and [`crate::explore`]).
     pub schedule: Arc<dyn SchedulePolicy>,
@@ -79,7 +73,6 @@ impl ClusterConfig {
             fault: FaultPlan::none(),
             seed: 0x5eed,
             trace: TraceConfig::default(),
-            memory: MemoryBudget::UNBOUNDED,
             schedule: Arc::new(Fifo),
         }
     }
@@ -120,12 +113,6 @@ impl ClusterConfig {
     /// Builder-style: enable tracing with the default capacity.
     pub fn with_tracing(mut self) -> Self {
         self.trace = TraceConfig::enabled();
-        self
-    }
-
-    /// Builder-style: set a per-executor memory budget in bytes.
-    pub fn with_memory_budget(mut self, bytes: u64) -> Self {
-        self.memory = MemoryBudget::per_executor(bytes);
         self
     }
 

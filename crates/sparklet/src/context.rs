@@ -9,7 +9,7 @@ use crate::memory::{MemoryManager, MemoryStats};
 use crate::metrics::JobMetrics;
 use crate::rdd::{ops, text::TextFileRdd, Rdd};
 use crate::shuffle::ShuffleManager;
-use crate::storage::{CacheConfig, CacheManager};
+use crate::storage::CacheManager;
 use crate::trace::{DfsTraceSink, EventKind, TraceCollector, TraceHandle};
 use crate::Data;
 use minidfs::DfsCluster;
@@ -67,7 +67,7 @@ impl Context {
     /// Start a context per `config` (spawns the worker threads).
     pub fn new(config: ClusterConfig) -> Self {
         let tracer = Arc::new(TraceCollector::new(config.trace));
-        let memory = Arc::new(MemoryManager::new(config.memory, Arc::clone(&tracer)));
+        let memory = Arc::new(MemoryManager::new());
         let pool = ExecutorPool::start(
             config.worker_threads,
             config.fault.clone(),
@@ -83,7 +83,7 @@ impl Context {
             Arc::clone(&memory),
             Arc::clone(&config.schedule),
         ));
-        let cache = Arc::new(CacheManager::new(CacheConfig { memory: Arc::clone(&memory) }));
+        let cache = Arc::new(CacheManager::new(Arc::clone(&memory)));
         Context {
             inner: Arc::new(ContextInner {
                 config,
@@ -176,9 +176,6 @@ impl Context {
         let id = self.inner.next_broadcast.fetch_add(1, Ordering::Relaxed);
         let shipped = (size_hint * self.num_executors()) as u64;
         self.inner.broadcast_bytes.fetch_add(shipped, Ordering::Relaxed);
-        // broadcasts are metered but budget-exempt (shared read-only
-        // state, not per-task working memory)
-        self.inner.memory.meter_broadcast(shipped);
         self.inner.tracer.record_driver(EventKind::BroadcastCreate { id, bytes: shipped });
         Broadcast::new(id, value, size_hint)
     }
@@ -267,10 +264,8 @@ impl Context {
 
     // ---- memory ------------------------------------------------------
 
-    /// Snapshot of the memory counters (peaks, evicted bytes,
-    /// backpressure waits, broadcast metering). The budget itself is
-    /// fixed at construction by
-    /// [`ClusterConfig::with_memory_budget`].
+    /// Snapshot of the memory ledger's counters (peak bytes, task bytes
+    /// reserved and released; see [`crate::memory`]).
     pub fn memory_stats(&self) -> MemoryStats {
         self.inner.memory.stats()
     }

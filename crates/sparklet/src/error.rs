@@ -40,18 +40,6 @@ pub enum SparkError {
     Storage(String),
     /// Invalid engine configuration.
     InvalidConfig(String),
-    /// A single task reservation exceeds the whole per-executor memory
-    /// budget — no amount of eviction or backpressure can grant it.
-    /// (Mere crowding never raises this: the scheduler defers
-    /// submission until running tasks release their reservations.)
-    OutOfMemory {
-        /// Executor lane the reservation targeted.
-        executor: usize,
-        /// Bytes the task asked to reserve.
-        requested: u64,
-        /// The per-executor budget in force.
-        budget: u64,
-    },
 }
 
 impl std::fmt::Display for SparkError {
@@ -70,10 +58,6 @@ impl std::fmt::Display for SparkError {
             ),
             SparkError::Storage(m) => write!(f, "storage error: {m}"),
             SparkError::InvalidConfig(m) => write!(f, "invalid config: {m}"),
-            SparkError::OutOfMemory { executor, requested, budget } => write!(
-                f,
-                "out of memory: task reservation of {requested} bytes on executor {executor} exceeds the whole per-executor budget ({budget} bytes)"
-            ),
         }
     }
 }

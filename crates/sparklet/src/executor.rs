@@ -11,7 +11,7 @@ use crate::fault::{decision_hash, FaultPlan, EXPLORE_JITTER_SALT, STRAGGLER_SALT
 use crate::memory::MemoryManager;
 use crate::schedule::SchedulePolicy;
 use crate::task::{set_current_executor, AttemptResult, TaskError, TaskSpec};
-use crate::trace::{self, EventKind, MemOp, TaskScope, TraceCollector};
+use crate::trace::{self, EventKind, TaskScope, TraceCollector};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender};
@@ -116,17 +116,6 @@ fn run_attempt(
     };
     trace::set_task_scope(Some(scope));
     tracer.record(Some(scope), EventKind::TaskStart);
-    // the scheduler charged the reservation before submitting; the
-    // task-scoped Reserve/Release events bracket the attempt in the
-    // trace (bounded budgets only, so unbudgeted traces are unchanged)
-    let hint = spec.mem_hint;
-    let bounded_budget = hint > 0 && memory.budget().is_bounded();
-    if bounded_budget {
-        tracer.record(
-            Some(scope),
-            EventKind::MemoryAction { op: MemOp::Reserve, lane: spec.executor, bytes: hint },
-        );
-    }
     begin_task_buffer();
 
     // straggler injection: a real (small) delay perturbing the actual
@@ -173,15 +162,8 @@ fn run_attempt(
 
     let busy = start.elapsed();
     let accum_updates = take_task_buffer();
-    if bounded_budget {
-        tracer.record(
-            Some(scope),
-            EventKind::MemoryAction { op: MemOp::Release, lane: spec.executor, bytes: hint },
-        );
-    }
-    if hint > 0 {
-        memory.release_task(spec.executor, hint);
-    }
+    // the scheduler reserved the task's working set before submitting
+    memory.release_task(spec.mem_hint);
     match &outcome {
         Ok(_) => tracer.record(Some(scope), EventKind::TaskSuccess),
         Err(e) => tracer.record(Some(scope), EventKind::TaskFailure { injected: e.injected }),
@@ -225,9 +207,15 @@ mod tests {
         plan: FaultPlan,
         seed: u64,
         tracer: Arc<TraceCollector>,
-        memory: Arc<MemoryManager>,
     ) -> ExecutorPool {
-        ExecutorPool::start(threads, plan, seed, tracer, memory, Arc::new(crate::schedule::Fifo))
+        ExecutorPool::start(
+            threads,
+            plan,
+            seed,
+            tracer,
+            Arc::default(),
+            Arc::new(crate::schedule::Fifo),
+        )
     }
 
     fn run_one(pool: &ExecutorPool, s: TaskSpec, attempt: usize) -> AttemptResult {
@@ -238,13 +226,7 @@ mod tests {
 
     #[test]
     fn runs_tasks_and_returns_output() {
-        let pool = start_fifo(
-            2,
-            FaultPlan::none(),
-            0,
-            TraceCollector::disabled(),
-            MemoryManager::unbounded(),
-        );
+        let pool = start_fifo(2, FaultPlan::none(), 0, TraceCollector::disabled());
         let r = run_one(&pool, spec(Arc::new(|| Ok(TaskOutput::Boxed(Box::new(41i32))))), 0);
         match r.outcome.unwrap() {
             TaskOutput::Boxed(b) => assert_eq!(*b.downcast::<i32>().unwrap(), 41),
@@ -254,13 +236,7 @@ mod tests {
 
     #[test]
     fn catches_panics() {
-        let pool = start_fifo(
-            1,
-            FaultPlan::none(),
-            0,
-            TraceCollector::disabled(),
-            MemoryManager::unbounded(),
-        );
+        let pool = start_fifo(1, FaultPlan::none(), 0, TraceCollector::disabled());
         let r = run_one(&pool, spec(Arc::new(|| panic!("kaboom"))), 0);
         let err = r.outcome.err().unwrap();
         assert!(err.message.contains("kaboom"), "{err}");
@@ -274,7 +250,6 @@ mod tests {
             FaultPlan::tasks(FaultRule::always_first(1)),
             7,
             TraceCollector::disabled(),
-            MemoryManager::unbounded(),
         );
         let r0 = run_one(&pool, spec(Arc::new(|| Ok(TaskOutput::Unit))), 0);
         assert!(r0.outcome.as_ref().err().is_some_and(|e| e.injected));
@@ -285,7 +260,7 @@ mod tests {
     #[test]
     fn straggler_rule_delays_the_attempt() {
         let plan = FaultPlan::none().with_stragglers(FaultRule::always_first(1), 20);
-        let pool = start_fifo(1, plan, 0, TraceCollector::disabled(), MemoryManager::unbounded());
+        let pool = start_fifo(1, plan, 0, TraceCollector::disabled());
         let t0 = Instant::now();
         let r = run_one(&pool, spec(Arc::new(|| Ok(TaskOutput::Unit))), 0);
         assert!(r.outcome.is_ok());
@@ -296,13 +271,7 @@ mod tests {
 
     #[test]
     fn busy_time_is_measured() {
-        let pool = start_fifo(
-            1,
-            FaultPlan::none(),
-            0,
-            TraceCollector::disabled(),
-            MemoryManager::unbounded(),
-        );
+        let pool = start_fifo(1, FaultPlan::none(), 0, TraceCollector::disabled());
         let r = run_one(
             &pool,
             spec(Arc::new(|| {
@@ -320,23 +289,11 @@ mod tests {
         // cycles on a watchdogged thread and fail on a hang
         let (done_tx, done_rx) = mpsc::channel();
         let cycles = std::thread::spawn(move || {
-            let pool = start_fifo(
-                4,
-                FaultPlan::none(),
-                0,
-                TraceCollector::disabled(),
-                MemoryManager::unbounded(),
-            );
+            let pool = start_fifo(4, FaultPlan::none(), 0, TraceCollector::disabled());
             assert_eq!(pool.size(), 4);
             drop(pool);
             for _ in 0..20_000 {
-                drop(start_fifo(
-                    1,
-                    FaultPlan::none(),
-                    0,
-                    TraceCollector::disabled(),
-                    MemoryManager::unbounded(),
-                ));
+                drop(start_fifo(1, FaultPlan::none(), 0, TraceCollector::disabled()));
             }
             let _ = done_tx.send(());
         });
@@ -351,13 +308,7 @@ mod tests {
     fn two_workers_run_two_tasks_at_once() {
         // each task waits for its peer to start, so this passes only if
         // no worker holds the queue while its task runs
-        let pool = start_fifo(
-            2,
-            FaultPlan::none(),
-            0,
-            TraceCollector::disabled(),
-            MemoryManager::unbounded(),
-        );
+        let pool = start_fifo(2, FaultPlan::none(), 0, TraceCollector::disabled());
         let started = Arc::new(AtomicUsize::new(0));
         let work: TaskWork = Arc::new(move || {
             started.fetch_add(1, Ordering::SeqCst);
@@ -384,13 +335,8 @@ mod tests {
     #[test]
     fn task_lifecycle_is_traced_with_injected_flag() {
         let tracer = Arc::new(TraceCollector::new(crate::config::TraceConfig::enabled()));
-        let pool = start_fifo(
-            1,
-            FaultPlan::tasks(FaultRule::always_first(1)),
-            0,
-            Arc::clone(&tracer),
-            MemoryManager::unbounded(),
-        );
+        let pool =
+            start_fifo(1, FaultPlan::tasks(FaultRule::always_first(1)), 0, Arc::clone(&tracer));
         assert!(run_one(&pool, spec(Arc::new(|| Ok(TaskOutput::Unit))), 0).outcome.is_err());
         assert!(run_one(&pool, spec(Arc::new(|| Ok(TaskOutput::Unit))), 1).outcome.is_ok());
         let kinds: Vec<EventKind> = tracer.snapshot().events.iter().map(|e| e.kind).collect();
@@ -401,13 +347,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamped_to_one() {
-        let pool = start_fifo(
-            0,
-            FaultPlan::none(),
-            0,
-            TraceCollector::disabled(),
-            MemoryManager::unbounded(),
-        );
+        let pool = start_fifo(0, FaultPlan::none(), 0, TraceCollector::disabled());
         assert_eq!(pool.size(), 1);
     }
 }

@@ -2,9 +2,9 @@
 //! invariant oracles and a failing-schedule shrinker.
 //!
 //! The engine's answer should not depend on *when* things happen —
-//! which worker finishes first, the order backpressured submissions
-//! drain, the order a reduce task walks its map-side buckets, where in
-//! virtual time a planned executor kill lands. [`Explorer`] turns that
+//! which worker finishes first, the order a reduce task walks its
+//! map-side buckets, where in virtual time a planned executor kill
+//! lands. [`Explorer`] turns that
 //! claim into a test: it runs the same job under many schedules drawn
 //! from the [`crate::schedule`] seam and checks each run against a set
 //! of [`InvariantOracle`]s (output identical to the canonical baseline,

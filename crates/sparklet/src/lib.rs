@@ -56,7 +56,7 @@ pub use context::{Context, KillReport};
 pub use error::{SparkError, SparkResult};
 pub use explore::{ExploreJob, ExploreReport, Explorer, JobArtifacts, MergeOnceCheck, Violation};
 pub use fault::{ExecutorKillAt, FaultPlan, FaultRule};
-pub use memory::{MemoryBudget, MemoryManager, MemoryStats};
+pub use memory::{MemoryManager, MemoryStats};
 pub use metrics::{JobMetrics, StageKind, StageMetrics, TaskMetrics};
 pub use oracle::{
     default_oracles, InvariantOracle, LabelIdentity, LedgerConservation, MergeOnce, RunObservation,
@@ -65,10 +65,10 @@ pub use oracle::{
 pub use rdd::Rdd;
 pub use schedule::{DecisionPoint, Fifo, Replay, ReplayToken, SchedulePolicy, Seeded};
 pub use sim::{lpt_makespan, VirtualScheduler};
-pub use storage::{CacheConfig, CacheManager};
+pub use storage::CacheManager;
 pub use task::{TaskError, TaskErrorKind};
 pub use trace::{
-    ascii_timeline, chrome_trace_json, validate_chrome_trace, EventKind, MemOp, TaskScope, Trace,
+    ascii_timeline, chrome_trace_json, validate_chrome_trace, EventKind, TaskScope, Trace,
     TraceEvent, TraceHandle, TraceSummary,
 };
 

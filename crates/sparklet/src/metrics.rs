@@ -6,7 +6,6 @@
 //! quantities: every task records its busy time and virtual executor, and
 //! [`JobMetrics`] aggregates them and feeds the makespan simulator.
 
-use crate::memory::MemoryStats;
 use crate::sim::lpt_makespan;
 use std::time::Duration;
 
@@ -75,9 +74,6 @@ pub struct JobMetrics {
     pub shuffle_records: u64,
     /// Estimated bytes moved through shuffles during this job.
     pub shuffle_bytes: u64,
-    /// Memory-ledger counters as of job end (cumulative for the
-    /// context: peaks, evicted bytes, backpressure waits).
-    pub memory: MemoryStats,
 }
 
 impl JobMetrics {
@@ -148,7 +144,6 @@ mod tests {
             wall: Duration::from_millis(120),
             shuffle_records: 0,
             shuffle_bytes: 0,
-            memory: MemoryStats::default(),
         };
         assert_eq!(j.executor_busy(), Duration::from_millis(20));
         assert_eq!(j.simulated_executor_time(1), Duration::from_millis(20));

@@ -49,8 +49,8 @@ pub(crate) trait AnyRdd: Send + Sync {
     fn num_partitions(&self) -> usize;
     /// Lineage edges.
     fn parents(&self) -> Vec<Parent>;
-    /// Declared working-set bytes of one partition's task, reserved on
-    /// the executor's memory lane before the task is submitted. Zero
+    /// Declared working-set bytes of one partition's task, reserved in
+    /// the memory ledger before the task is submitted. Zero
     /// (the default) means "no reservation". Set via [`Rdd::mem_hints`];
     /// the hint lives on the hinted node only, so attach it as the last
     /// transformation before the action.
@@ -139,9 +139,8 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Mark this RDD's partitions for in-memory caching: the first
-    /// action materializes them, later actions reuse them. Under memory
-    /// pressure the cache evicts these partitions, and the next use
-    /// recomputes them from lineage.
+    /// action materializes them, later actions reuse them. Partitions
+    /// lost with their executor are recomputed from lineage on next use.
     pub fn cache(&self) -> Rdd<T> {
         let node = Arc::new(ops::CachedRdd {
             id: self.ctx.inner.next_rdd_id(),
@@ -152,11 +151,11 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Attach per-partition working-set hints (bytes): before a task for
-    /// partition `p` is submitted, the scheduler reserves `hints[p]` on
-    /// its executor's memory lane, deferring the submission while a
-    /// bounded budget cannot grant it. The hint lives on the returned
-    /// node only — attach it as the last transformation before the
-    /// action. Missing entries mean zero (no reservation).
+    /// partition `p` is submitted, the scheduler reserves `hints[p]` in
+    /// the memory ledger, released when the attempt ends. The hint
+    /// lives on the returned node only — attach it as the last
+    /// transformation before the action. Missing entries mean zero (no
+    /// reservation).
     pub fn mem_hints(&self, hints: Vec<u64>) -> Rdd<T> {
         let node = Arc::new(ops::MemHintRdd {
             id: self.ctx.inner.next_rdd_id(),

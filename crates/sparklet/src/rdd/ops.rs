@@ -239,8 +239,7 @@ impl<T: Data> RddNode for MemHintRdd<T> {
 
 /// Caching node: first computation stores the partition in the memory
 /// store tagged with the computing executor; later computations reuse it.
-/// Under memory pressure the entry is evicted and recomputed from
-/// lineage.
+/// An entry lost with its executor is recomputed from lineage.
 pub(crate) struct CachedRdd<T> {
     pub id: usize,
     pub prev: Arc<dyn RddNode<Item = T>>,
@@ -271,9 +270,7 @@ impl<T: Data> RddNode for CachedRdd<T> {
         }
         let data = self.prev.compute(part)?;
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        // a refused put (budget full, nothing evictable) just means the
-        // partition stays uncached; later uses recompute from lineage
-        let _ = self.cache.put(self.id, part, current_executor(), Arc::new(data.clone()), bytes);
+        self.cache.put(self.id, part, current_executor(), Arc::new(data.clone()), bytes);
         Ok(data)
     }
 }
@@ -339,7 +336,7 @@ mod tests {
 
     #[test]
     fn cached_rdd_computes_once() {
-        let cache = Arc::new(CacheManager::new(crate::storage::CacheConfig::unbounded()));
+        let cache = Arc::new(CacheManager::new(Arc::default()));
         let base = parallel(vec![5, 6, 7], 1);
         let c = CachedRdd { id: 9, prev: base, cache: Arc::clone(&cache) };
         assert_eq!(c.compute(0).unwrap(), vec![5, 6, 7]);

@@ -2,10 +2,9 @@
 //!
 //! The engine has a handful of points where several orders are equally
 //! legal — which buffered reply the driver processes first, the order
-//! the backpressure queue drains, the order a reduce task walks its
-//! map-side buckets, when a planned executor kill fires. Production
-//! code takes the fastest order ([`Fifo`], the default: process replies
-//! as they arrive, drain FIFO, fetch in map order). The
+//! a reduce task walks its map-side buckets, when a planned executor
+//! kill fires. Production code takes the fastest order ([`Fifo`], the
+//! default: process replies as they arrive, fetch in map order). The
 //! schedule-exploration harness ([`crate::explore`]) swaps in a
 //! [`Seeded`] policy to search those orders for schedule-dependent
 //! behavior, and a [`Replay`] policy to reproduce a specific schedule
@@ -41,8 +40,6 @@ use std::str::FromStr;
 pub enum DecisionPoint {
     /// Which buffered task reply the driver processes next.
     Reply,
-    /// Which deferred (backpressured) submission goes next.
-    Drain,
     /// Virtual-time placement of a planned executor kill (choice `k`
     /// fires it after the `k`-th completion; `0` keeps the plan's own
     /// placement).
@@ -346,10 +343,10 @@ mod tests {
         let arities = [4usize, 2, 1, 6, 3, 5, 2, 7];
         let s = Seeded::new(42);
         let picks: Vec<usize> =
-            arities.iter().map(|&a| s.choose(DecisionPoint::Drain, a)).collect();
+            arities.iter().map(|&a| s.choose(DecisionPoint::Reply, a)).collect();
         let r = Replay::new(s.token());
         let replayed: Vec<usize> =
-            arities.iter().map(|&a| r.choose(DecisionPoint::Drain, a)).collect();
+            arities.iter().map(|&a| r.choose(DecisionPoint::Reply, a)).collect();
         assert_eq!(picks, replayed);
         assert_eq!(r.keyed_seed(), Some(42));
     }

@@ -39,14 +39,13 @@
 use crate::context::Context;
 use crate::error::{SparkError, SparkResult};
 use crate::executor::Envelope;
-use crate::memory::Grant;
 use crate::metrics::{JobMetrics, StageKind, StageMetrics, TaskMetrics};
 use crate::rdd::{AnyRdd, Parent, RddNode, ShuffleDepObj};
 use crate::schedule::DecisionPoint;
 use crate::task::{AttemptResult, TaskErrorKind, TaskOutput, TaskSpec};
 use crate::trace::EventKind;
 use crate::Data;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,7 +115,6 @@ pub(crate) fn run_job<T: Data, R: Send + 'static>(
         wall: job_start.elapsed(),
         shuffle_records: ctx.inner.shuffles.total_records() - records_before,
         shuffle_bytes: ctx.inner.shuffles.total_bytes() - bytes_before,
-        memory: ctx.inner.memory.stats(),
     };
     ctx.inner.tracer.record_driver(EventKind::JobEnd { job: job_id, stages: job.stages.len() });
     ctx.inner.record_job(job);
@@ -211,70 +209,19 @@ struct ParkedFetch {
     shuffle: usize,
 }
 
-/// Submit a task attempt, reserving its declared working-set bytes on
-/// the executor's memory lane first. A reservation the budget cannot
-/// grant *right now* queues the attempt (backpressure); a reservation
-/// larger than the whole budget is a typed error. `force` is the
-/// scheduler's progress guarantee — an idle lane always runs one task —
-/// and overrides crowding but never the too-large rule.
-fn submit_reserved(
+/// Submit a task attempt, reserving its declared working-set bytes in
+/// the memory ledger first (the worker releases them when the attempt
+/// ends).
+fn submit(
     ctx: &Context,
     spec: TaskSpec,
     attempt: usize,
-    force: bool,
     tx: &Sender<AttemptResult>,
-    pending: &mut VecDeque<(TaskSpec, usize)>,
-    in_flight: &mut usize,
-) -> SparkResult<()> {
-    match ctx.inner.memory.reserve_task(spec.executor, spec.mem_hint, force) {
-        Grant::TooLarge => Err(SparkError::OutOfMemory {
-            executor: spec.executor,
-            requested: spec.mem_hint,
-            budget: ctx.inner.memory.budget().bytes(),
-        }),
-        Grant::Deferred => {
-            pending.push_back((spec, attempt));
-            Ok(())
-        }
-        Grant::Granted => {
-            ctx.inner.pool.submit(Envelope { spec, attempt, reply: tx.clone() });
-            *in_flight += 1;
-            Ok(())
-        }
-    }
-}
-
-/// Re-try queued submissions after a release may have made room,
-/// preserving queue order for the ones that still do not fit. Uses the
-/// quiet charge path so repeated polling does not inflate backpressure
-/// counters or the trace.
-fn drain_pending(
-    ctx: &Context,
-    tx: &Sender<AttemptResult>,
-    pending: &mut VecDeque<(TaskSpec, usize)>,
     in_flight: &mut usize,
 ) {
-    let policy = &ctx.inner.config.schedule;
-    if policy.reorders() && pending.len() > 1 {
-        // schedule exploration: the policy picks the drain order by
-        // repeatedly choosing the next candidate (the final pick has
-        // arity 1 and is free)
-        let mut rest: Vec<(TaskSpec, usize)> = std::mem::take(pending).into_iter().collect();
-        while !rest.is_empty() {
-            let k = policy.choose(DecisionPoint::Drain, rest.len());
-            pending.push_back(rest.remove(k));
-        }
-    }
-    let mut still_blocked = VecDeque::with_capacity(pending.len());
-    while let Some((spec, attempt)) = pending.pop_front() {
-        if ctx.inner.memory.reserve_task_quiet(spec.executor, spec.mem_hint) {
-            ctx.inner.pool.submit(Envelope { spec, attempt, reply: tx.clone() });
-            *in_flight += 1;
-        } else {
-            still_blocked.push_back((spec, attempt));
-        }
-    }
-    *pending = still_blocked;
+    ctx.inner.memory.reserve_task(spec.mem_hint);
+    ctx.inner.pool.submit(Envelope { spec, attempt, reply: tx.clone() });
+    *in_flight += 1;
 }
 
 /// Run a set of tasks as one stage, with retries and fault recovery,
@@ -308,12 +255,9 @@ fn run_stage(
     // any other attempt are stale (superseded by a requeue) and dropped
     let mut expected: HashMap<usize, usize> = HashMap::with_capacity(total);
     let mut in_flight = 0usize;
-    // submissions deferred by memory backpressure, in submission order
-    let mut pending: VecDeque<(TaskSpec, usize)> = VecDeque::new();
     for spec in tasks {
         expected.insert(spec.partition, 0);
-        submit_reserved(ctx, spec, 0, false, &tx, &mut pending, &mut in_flight)
-            .map_err(|e| finish_err(0, e))?;
+        submit(ctx, spec, 0, &tx, &mut in_flight);
     }
     let kills: Vec<crate::fault::ExecutorKillAt> = cfg
         .fault
@@ -350,19 +294,9 @@ fn run_stage(
         // recovery barrier: only recompute once every in-flight reply
         // has drained, so the recomputation round's shape does not
         // depend on which replies happened to arrive first
-        if in_flight == 0 && parked.is_empty() {
-            // every remaining task is blocked on memory: force the head
-            // of the queue through (the progress guarantee — an idle
-            // lane always runs one task, even over budget)
-            debug_assert!(!pending.is_empty(), "stage stalled with nothing in flight");
-            let (spec, attempt) =
-                pending.pop_front().expect("pending non-empty when stage is stalled");
-            submit_reserved(ctx, spec, attempt, true, &tx, &mut pending, &mut in_flight)
-                .map_err(|e| finish_err(failed_attempts, e))?;
-            drain_pending(ctx, &tx, &mut pending, &mut in_flight);
-            continue;
-        }
         if in_flight == 0 {
+            // every unfinished task is parked on a fetch failure
+            debug_assert!(!parked.is_empty(), "stage stalled with nothing in flight");
             stage_retries += 1;
             if stage_retries > cfg.max_stage_retries {
                 let shuffle = parked.first().map(|p| p.shuffle).unwrap_or(0);
@@ -408,8 +342,7 @@ fn run_stage(
                 let next = p.attempt + 1;
                 expected.insert(p.partition, next);
                 let spec = specs.get(&p.partition).expect("parked partition was submitted").clone();
-                submit_reserved(ctx, spec, next, false, &tx, &mut pending, &mut in_flight)
-                    .map_err(|e| finish_err(failed_attempts, e))?;
+                submit(ctx, spec, next, &tx, &mut in_flight);
             }
             continue;
         }
@@ -429,9 +362,6 @@ fn run_stage(
             rx.recv().expect("executor pool alive while context exists")
         };
         in_flight -= 1;
-        // the finished attempt released its reservation before replying;
-        // queued submissions may fit now
-        drain_pending(ctx, &tx, &mut pending, &mut in_flight);
         if expected.get(&r.partition) != Some(&r.attempt) {
             // superseded by a requeue after an executor kill: drop the
             // reply *and* its accumulator updates (merge-once)
@@ -469,7 +399,6 @@ fn run_stage(
                         .filter(|p| {
                             !outputs.contains_key(p)
                                 && !parked.iter().any(|f| f.partition == *p)
-                                && !pending.iter().any(|(s, _)| s.partition == *p)
                                 && specs.get(p).is_some_and(|s| s.executor == k.executor)
                         })
                         .collect();
@@ -478,8 +407,7 @@ fn run_stage(
                         let next = expected[&p] + 1;
                         expected.insert(p, next);
                         let spec = specs.get(&p).expect("victim partition was submitted").clone();
-                        submit_reserved(ctx, spec, next, false, &tx, &mut pending, &mut in_flight)
-                            .map_err(|e| finish_err(failed_attempts, e))?;
+                        submit(ctx, spec, next, &tx, &mut in_flight);
                     }
                 }
             }
@@ -517,8 +445,7 @@ fn run_stage(
                             .get(&r.partition)
                             .expect("result for a submitted partition")
                             .clone();
-                        submit_reserved(ctx, spec, next, false, &tx, &mut pending, &mut in_flight)
-                            .map_err(|e| finish_err(failed_attempts, e))?;
+                        submit(ctx, spec, next, &tx, &mut in_flight);
                     }
                 }
             }

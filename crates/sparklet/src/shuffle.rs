@@ -60,8 +60,7 @@ pub struct ShuffleManager {
     /// Fetch-failure injection rule (from the context's fault plan).
     fetch_fault: FaultRule,
     seed: u64,
-    /// Ledger buffers are accounted against (map outputs charge their
-    /// producing executor's lane).
+    /// Ledger map-output buffers are charged to while they are held.
     memory: Arc<MemoryManager>,
     /// Schedule policy: an exploring policy's keyed seed permutes the
     /// per-fetch bucket order (see [`crate::schedule`]).
@@ -80,15 +79,9 @@ impl ShuffleManager {
         Self::default()
     }
 
-    /// Fresh manager reporting shuffle traffic to `tracer`, unbounded.
+    /// Fresh manager reporting shuffle traffic to `tracer`.
     pub(crate) fn with_tracer(tracer: Arc<TraceCollector>) -> Self {
-        Self::with_tracer_and_faults(
-            tracer,
-            FaultRule::NONE,
-            0,
-            MemoryManager::unbounded(),
-            Arc::new(Fifo),
-        )
+        Self::with_tracer_and_faults(tracer, FaultRule::NONE, 0, Arc::default(), Arc::new(Fifo))
     }
 
     /// Fresh manager with fetch-failure injection under `fetch_fault`,
@@ -126,9 +119,8 @@ impl ShuffleManager {
     /// Store the output of map task `map_part`, overwriting any previous
     /// attempt's output (task retries are idempotent). If the partition
     /// had been marked lost, this is its recomputation and the matching
-    /// `MapOutputRecomputed` event is recorded. The buffer charges the
-    /// producing executor's lane, force-charged even over budget: it must
-    /// stay resident until the reduce side fetches it.
+    /// `MapOutputRecomputed` event is recorded. The buffer is charged to
+    /// the ledger until it is replaced or lost.
     pub(crate) fn put_map_output(
         &self,
         shuffle_id: usize,
@@ -138,7 +130,7 @@ impl ShuffleManager {
         records: u64,
         bytes: u64,
     ) {
-        self.memory.force_charge(executor, bytes);
+        self.memory.charge(bytes);
         let mut s = self.shuffles.lock();
         let st = s.get_mut(&shuffle_id).expect("shuffle registered before map output");
         assert!(map_part < st.num_maps, "map partition out of range");
@@ -147,7 +139,7 @@ impl ShuffleManager {
         let recomputed = st.lost.remove(&map_part);
         drop(s);
         if let Some(old) = old {
-            self.memory.uncharge(old.executor, old.bytes);
+            self.memory.uncharge(old.bytes);
         }
         self.records.fetch_add(records, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -286,9 +278,12 @@ impl ShuffleManager {
             scope.attempt as u64,
         );
         let victim = (h % st.num_maps.max(1) as u64) as usize;
-        st.outputs[victim] = None;
+        let dropped = st.outputs[victim].take();
         st.lost.insert(victim);
         drop(s);
+        if let Some(out) = dropped {
+            self.memory.uncharge(out.bytes);
+        }
         self.tracer
             .record_auto(EventKind::MapOutputLost { shuffle: shuffle_id, partition: victim });
         victim
@@ -316,7 +311,7 @@ impl ShuffleManager {
         drop(s);
         // reconcile accounting for everything the executor held
         for out in dropped {
-            self.memory.uncharge(out.executor, out.bytes);
+            self.memory.uncharge(out.bytes);
         }
         lost.sort_unstable();
         for &(sid, i) in &lost {
@@ -413,11 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_map_output_is_force_charged_and_stays_resident() {
-        let memory = Arc::new(MemoryManager::new(
-            crate::memory::MemoryBudget::per_executor(1),
-            TraceCollector::disabled(),
-        ));
+    fn map_output_is_charged_until_replaced_or_lost() {
+        let memory = Arc::new(MemoryManager::new());
         let m = ShuffleManager::with_tracer_and_faults(
             TraceCollector::disabled(),
             FaultRule::NONE,
@@ -427,17 +419,19 @@ mod tests {
         );
         m.register(0, 1, 1);
         m.put_map_output(0, 0, 2, vec![bucket(vec![(1, 1)])], 1, 64);
-        assert_eq!(memory.lane_used(2), 64, "charged in full despite the 1-byte budget");
-        assert_eq!(memory.stats().evictions, 0, "map outputs are never evicted");
+        assert_eq!(memory.used(), 64);
+        // fetching shares the buffer; the map output stays charged
         assert!(m.fetch(0, 0).is_some());
+        assert_eq!(memory.used(), 64);
         // a retried put replaces the output and its charge
         m.put_map_output(0, 0, 2, vec![bucket(vec![(9, 9)])], 1, 64);
-        assert_eq!(memory.lane_used(2), 64);
+        assert_eq!(memory.used(), 64);
         let col = m.fetch(0, 0).unwrap();
         let b: &Vec<(u32, u32)> = col[0].downcast_ref().unwrap();
         assert_eq!(b, &vec![(9, 9)]);
         assert_eq!(m.kill_executor(2), 1);
-        assert_eq!(memory.lane_used(2), 0, "the lost output returns its charge");
+        assert_eq!(memory.used(), 0, "the lost output returns its charge");
+        assert_eq!(memory.stats().peak_bytes, 128, "the retry charged before releasing");
     }
 
     #[test]
@@ -461,11 +455,12 @@ mod tests {
 
     #[test]
     fn injected_fetch_failure_marks_victim_lost_then_recomputed() {
+        let memory = Arc::new(MemoryManager::new());
         let m = ShuffleManager::with_tracer_and_faults(
             Arc::new(TraceCollector::new(crate::config::TraceConfig::enabled())),
             FaultRule::always_first(1),
             42,
-            MemoryManager::unbounded(),
+            Arc::clone(&memory),
             Arc::new(Fifo),
         );
         m.register(3, 2, 1);
@@ -478,9 +473,11 @@ mod tests {
         assert!(err.injected, "{err}");
         let missing = m.missing_maps(3);
         assert_eq!(missing.len(), 1, "exactly one victim lost");
+        assert_eq!(memory.used(), 8, "the lost output returns its charge");
 
         // recompute the victim, then attempt 1 succeeds
         m.put_map_output(3, missing[0], 0, vec![bucket(vec![(1, 1)])], 1, 8);
+        assert_eq!(memory.used(), 16);
         trace::set_task_scope(Some(TaskScope { stage: 9, partition: 0, attempt: 1, executor: 0 }));
         assert!(m.fetch_checked(3, 0).is_ok());
         trace::set_task_scope(None);

@@ -109,8 +109,8 @@ pub(crate) struct TaskSpec {
     pub partition: usize,
     /// Virtual executor it is bound to (`partition % num_executors`).
     pub executor: usize,
-    /// Declared working-set bytes, reserved on the executor's memory
-    /// lane before submission (0 = no reservation).
+    /// Declared working-set bytes, reserved in the memory ledger
+    /// before submission (0 = no reservation).
     pub mem_hint: u64,
     /// The work itself.
     pub work: TaskWork,

@@ -206,23 +206,10 @@ pub enum EventKind {
         /// Points the shard covers.
         points: u64,
     },
-    /// The memory manager acted on a lane's ledger (bounded budgets
-    /// only — unbudgeted runs record none of these, and on the virtual
-    /// timeline they consume zero ticks, so a budgeted trace with its
-    /// memory events stripped is byte-identical to the unbudgeted one).
-    MemoryAction {
-        /// What happened.
-        op: MemOp,
-        /// Ledger lane (the executor id).
-        lane: usize,
-        /// Bytes involved.
-        bytes: u64,
-    },
     /// Spatial-kernel counters for one task (recorded in-task before
     /// completion). The counts are defined over *visited* leaves, so
     /// they are invariant across the scalar and lane-blocked layouts.
-    /// Like [`EventKind::MemoryAction`], the event consumes zero
-    /// virtual ticks.
+    /// The event consumes zero virtual ticks.
     TaskKernel {
         /// Leaf blocks scanned ((leaf, query) visits).
         blocks: u64,
@@ -233,19 +220,6 @@ pub enum EventKind {
         /// Scans cut short (report budget or count cap reached).
         early_exits: u64,
     },
-}
-
-/// What a [`EventKind::MemoryAction`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemOp {
-    /// A task's working-set reservation was granted.
-    Reserve,
-    /// A task reservation was released at attempt end.
-    Release,
-    /// A cache entry was dropped (lineage recomputes it).
-    Evict,
-    /// A task submission was deferred until reservations free up.
-    Backpressure,
 }
 
 impl EventKind {
@@ -266,15 +240,13 @@ impl EventKind {
             EventKind::PartitionPlan { .. } => "plan",
             EventKind::TaskWork { .. } => "task",
             EventKind::BuildShard { .. } => "phase",
-            EventKind::MemoryAction { .. } => "memory",
             EventKind::TaskKernel { .. } => "kernel",
         }
     }
 
     /// Virtual ticks an *in-task* event advances its task's cursor by.
     /// Sized so that data-heavy events stretch the timeline visibly.
-    /// Memory actions advance nothing: they depend on the budget
-    /// setting, and the rest of the timeline must not.
+    /// Kernel counters advance nothing.
     fn in_task_ticks(&self) -> u64 {
         match self {
             EventKind::ShuffleWrite { bytes, .. } | EventKind::ShuffleRead { bytes, .. } => {
@@ -282,7 +254,7 @@ impl EventKind {
             }
             EventKind::DfsBlockRead { bytes, .. } => 1 + bytes / 1024,
             EventKind::TaskWork { units } => 1 + units / 16,
-            EventKind::MemoryAction { .. } | EventKind::TaskKernel { .. } => 0,
+            EventKind::TaskKernel { .. } => 0,
             _ => 1,
         }
     }
@@ -319,24 +291,6 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring-buffer overflow.
     pub dropped: u64,
-}
-
-impl Trace {
-    /// The trace with all `MemoryAction` events removed. Memory events
-    /// consume zero virtual ticks, so this is exactly the trace an
-    /// unbudgeted run of the same workload produces — the invariant the
-    /// budget-identity tests assert.
-    pub fn without_memory(&self) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .filter(|e| !matches!(e.kind, EventKind::MemoryAction { .. }))
-                .copied()
-                .collect(),
-            dropped: self.dropped,
-        }
-    }
 }
 
 const SHARDS: usize = 8;
@@ -463,13 +417,8 @@ impl TraceCollector {
                     // the virtual driver clock
                     vs.driver_backoff(backoff_ticks)
                 }
-                // memory actions never advance the driver clock: they
-                // only exist under a bounded budget, and all other
-                // events must keep identical timestamps across budget
-                // settings
-                (None, EventKind::MemoryAction { .. }) | (None, EventKind::TaskKernel { .. }) => {
-                    vs.now()
-                }
+                // kernel counters never advance the driver clock
+                (None, EventKind::TaskKernel { .. }) => vs.now(),
                 (None, kind) => {
                     let t = vs.driver_tick();
                     if let EventKind::StageStart { stage, .. } = kind {
@@ -897,13 +846,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 e.vt,
                 instant("build shard", "phase", e.vt, pid, tid,
                     &format!("\"shard\":{shard},\"points\":{points}")),
-            ),
-            EventKind::MemoryAction { op, lane, bytes } => push(
-                &mut entries,
-                &mut order,
-                e.vt,
-                instant(&format!("mem {op:?}"), "memory", e.vt, pid, tid,
-                    &format!("\"lane\":{lane},\"bytes\":{bytes}")),
             ),
             EventKind::TaskKernel { blocks, rows, hits, early_exits } => push(
                 &mut entries,
