@@ -8,18 +8,21 @@
 //! is recorded as a SEED member (under the paper's
 //! [`SeedPolicy::OnePerPartition`], the first time this cluster touches
 //! that foreign partition) or skipped, and is never enqueued or
-//! expanded — while own indices that still need work join the queue.
-//! The queue is FIFO, so foreign points meet the policy in the order a
-//! dequeue-time placement would see them, and every partial keeps the
-//! same SEEDs. A partial's members are its regular points in claim
-//! order, then its SEEDs in placement order — the [`PartialCluster`]
-//! layout contract the merge relies on. Neighborhoods are computed over
-//! the **full broadcast dataset**, so core status is globally exact
-//! even though expansion is local.
+//! expanded — while an own index no cluster holds yet is claimed for
+//! the open cluster and joins the queue, once per task. The queue is
+//! FIFO, so foreign points meet the policy in the order a dequeue-time
+//! placement would see them, and own points are claimed in the order a
+//! dequeue-time claim would see them: every partial keeps the same
+//! members and SEEDs. A partial's members are its regular points in
+//! claim order, then its SEEDs in placement order — the
+//! [`PartialCluster`] layout contract the merge relies on.
+//! Neighborhoods are computed over the **full broadcast dataset**, so
+//! core status is globally exact even though expansion is local.
 //!
 //! Data structures: the paper's §III-B uses a Java `Hashtable` for
 //! visited state and a `LinkedList` queue for candidates. We keep the
-//! FIFO queue (`VecDeque`) but replace every hashtable with a **dense
+//! FIFO queue (a `Vec` and a read cursor, since each own point enters
+//! it at most once per task) but replace every hashtable with a **dense
 //! stamped array**: visited/assigned flags indexed by local offset and
 //! stamped per task, and Algorithm 3's SEED tables indexed by partition
 //! or by global point and stamped per cluster. An `O(1)` array probe
@@ -34,7 +37,6 @@ use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{
     BkdTree, KernelConfig, KernelCounters, PointId, PruneConfig, QueryScratch, SpatialIndex,
 };
-use std::collections::VecDeque;
 use std::mem::replace;
 
 /// Instrumentation returned with each executor's result.
@@ -73,8 +75,8 @@ pub struct LocalClustering {
 
 /// Reusable executor working state. Every array and buffer keeps its
 /// high-water size across clusters, tasks and jobs, and the stamped
-/// arrays are never cleared, so steady-state tasks allocate nothing but
-/// their output.
+/// arrays are cleared only when their stamp wraps, so steady-state
+/// tasks allocate nothing but their output.
 #[derive(Debug, Default)]
 pub struct ExecutorScratch {
     /// The stamp tables and queue an [`Expansion`] works on.
@@ -99,6 +101,21 @@ impl ExecutorScratch {
     fn seed_capacity(&self) -> usize {
         self.marks.seeded_point_stamp.len()
     }
+
+    /// Points the last task enqueued (test hook).
+    #[cfg(test)]
+    fn queued(&self) -> usize {
+        self.marks.queue.len()
+    }
+
+    /// Scratch whose next cluster takes the SEED stamp `u32::MAX`, so
+    /// the one after it wraps (test hook).
+    #[cfg(test)]
+    fn near_seed_wrap() -> Self {
+        let mut s = Self::new();
+        s.marks.seed_stamp = u32::MAX - 1;
+        s
+    }
 }
 
 /// The stamped arrays of Algorithms 2 and 3, the FIFO queue and the
@@ -116,17 +133,19 @@ struct Marks {
     /// cluster claimed it lives in the cluster's member list). An
     /// assigned point is always visited.
     assigned_epoch: Vec<u32>,
-    /// FIFO expansion queue (Algorithm 2): own points only.
-    queue: VecDeque<u32>,
-    /// Monotonic per-cluster stamp, never reused across tasks or jobs,
-    /// so the SEED tables below are never cleared: an entry belongs to
+    /// FIFO expansion queue (Algorithm 2): the own points the task has
+    /// claimed through [`Expansion::admit`], each once, in claim order.
+    /// The task reads it through a cursor and clears it when it begins.
+    queue: Vec<u32>,
+    /// Per-cluster stamp, carried across tasks and jobs so the SEED
+    /// tables below are cleared only when it wraps: an entry belongs to
     /// the current cluster iff it holds the cluster's stamp.
-    seed_stamp: u64,
+    seed_stamp: u32,
     /// Algorithm 3's `place_flg`, one entry per partition
     /// ([`SeedPolicy::OnePerPartition`]).
-    seeded_partition_stamp: Vec<u64>,
+    seeded_partition_stamp: Vec<u32>,
     /// One entry per global point ([`SeedPolicy::PerBoundaryEdge`]).
-    seeded_point_stamp: Vec<u64>,
+    seeded_point_stamp: Vec<u32>,
     /// SEEDs of the open cluster in placement order, appended to its
     /// members when it closes.
     seeds: Vec<u32>,
@@ -182,20 +201,28 @@ impl<'a> Expansion<'a> {
         replace(&mut self.marks.visited_epoch[(q - self.start) as usize], self.epoch) != self.epoch
     }
 
-    /// Algorithm 2 lines 13-22 for a dequeued own point: claim it for
-    /// `cluster` unless a cluster already holds it (border-point claim),
-    /// then visit it. Returns whether it still needs a query.
+    /// Algorithm 2 lines 13-22 for own point `q`: claim it for
+    /// `cluster` unless a cluster already holds it (border-point
+    /// claim). Returns whether it was unclaimed.
     fn claim(&mut self, q: u32, cluster: &mut PartialCluster) -> bool {
         let assigned = &mut self.marks.assigned_epoch[(q - self.start) as usize];
-        if replace(assigned, self.epoch) != self.epoch {
+        let fresh = replace(assigned, self.epoch) != self.epoch;
+        if fresh {
             cluster.members.push(q);
         }
-        self.visit(q)
+        fresh
     }
 
     /// Algorithm 2 line 8: a new cluster around the visited core point
     /// `p`, with a fresh SEED stamp.
     fn open(&mut self, p: u32) -> PartialCluster {
+        if self.marks.seed_stamp == u32::MAX {
+            // stamp wrap: hard-reset the SEED tables once every 2^32
+            // clusters
+            self.marks.seeded_partition_stamp.iter_mut().for_each(|s| *s = 0);
+            self.marks.seeded_point_stamp.iter_mut().for_each(|s| *s = 0);
+            self.marks.seed_stamp = 0;
+        }
         self.marks.seed_stamp += 1;
         self.marks.seeds.clear();
         let mut cluster = PartialCluster::new(self.owner, (self.start, self.end));
@@ -211,17 +238,18 @@ impl<'a> Expansion<'a> {
         cluster
     }
 
-    /// Admit a core point's neighborhood `nbrs` into the open cluster.
-    /// A foreign index meets Algorithm 3 at once and becomes a SEED or
+    /// Admit a core point's neighborhood `nbrs` into `cluster`. A
+    /// foreign index meets Algorithm 3 at once and becomes a SEED or
     /// nothing — "each executor only computes the points that belong
-    /// to it". An own index is enqueued unless already claimed, since
-    /// a claimed point has nothing left to do at dequeue.
-    fn admit(&mut self, nbrs: &[PointId]) {
+    /// to it". An own index no cluster holds is claimed and enqueued;
+    /// a claimed one has nothing left to do, so each own point enters
+    /// the queue at most once per task.
+    fn admit(&mut self, nbrs: &[PointId], cluster: &mut PartialCluster) {
         let stamp = self.marks.seed_stamp;
         for &PointId(r) in nbrs {
             if r >= self.start && r < self.end {
-                if self.marks.assigned_epoch[(r - self.start) as usize] != self.epoch {
-                    self.marks.queue.push_back(r);
+                if self.claim(r, cluster) {
+                    self.marks.queue.push(r);
                 }
                 continue;
             }
@@ -303,6 +331,9 @@ pub fn local_partial_clusters_scratch(
 ) -> LocalClustering {
     let ExecutorScratch { marks, nbuf } = scratch;
     let mut x = Expansion::begin(marks, ranges, partition, seed_policy);
+    // the queue's read cursor: every cluster drains the queue, so the
+    // next one starts where the last stopped
+    let mut head = 0usize;
     let mut clusters: Vec<PartialCluster> = Vec::new();
     let mut core_points: Vec<u32> = Vec::new();
     let mut stats = ExecutorStats::default();
@@ -325,9 +356,12 @@ pub fn local_partial_clusters_scratch(
 
         let mut cluster = x.open(p);
         core_points.push(p);
-        x.admit(nbuf);
-        while let Some(q) = x.marks.queue.pop_front() {
-            if !x.claim(q, &mut cluster) {
+        x.admit(nbuf, &mut cluster);
+        while let Some(&q) = x.marks.queue.get(head) {
+            head += 1;
+            // a point claimed as a border of this cluster may have been
+            // visited (and found noise) at the top level already
+            if !x.visit(q) {
                 continue;
             }
             nbuf.clear();
@@ -336,7 +370,7 @@ pub fn local_partial_clusters_scratch(
             stats.neighbors_found += nbuf.len();
             if nbuf.len() >= params.min_pts {
                 core_points.push(q);
-                x.admit(nbuf);
+                x.admit(nbuf, &mut cluster);
             }
         }
         clusters.push(x.close(cluster, &mut stats));
@@ -371,6 +405,7 @@ pub fn local_partial_clusters_source(
 mod tests {
     use super::*;
     use dbscan_spatial::{BuildConfig, Dataset, KdTree, Metric, SpatialIndex};
+    use std::collections::VecDeque;
     use std::sync::Arc;
 
     /// 1-d chain of points 1.0 apart: with eps=1.1 / minpts=2 the whole
@@ -581,6 +616,67 @@ mod tests {
             );
             assert_eq!(fresh, reused, "n={n}");
             assert_eq!(scratch.seed_capacity(), len, "n={n}");
+        }
+    }
+
+    #[test]
+    fn queue_holds_each_own_point_at_most_once() {
+        // wide eps: every own point is a neighbour of many core points
+        let tree = chain_tree(60);
+        let data = tree.dataset().clone();
+        let params = DbscanParams::new(3.5, 2).unwrap();
+        let mut scratch = ExecutorScratch::new();
+        for parts in [1, 3, 7] {
+            let ranges = PartitionRanges::new(60, parts);
+            for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+                for part in 0..parts {
+                    let local = local_partial_clusters_scratch(
+                        |q, out| tree.range_into(data.point(PointId(q)), params.eps, out),
+                        params,
+                        &ranges,
+                        part,
+                        policy,
+                        &mut scratch,
+                    );
+                    let (start, end) = ranges.range(part);
+                    // every regular but each cluster's first entered the
+                    // queue, once
+                    let regulars: usize = local.clusters.iter().map(|c| c.regulars().count()).sum();
+                    assert_eq!(scratch.queued(), regulars - local.clusters.len());
+                    assert!(scratch.queued() <= (end - start) as usize, "{part}/{parts}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seed_stamp_wrap_matches_fresh_scratch() {
+        // the first cluster takes stamp u32::MAX and the second wraps it,
+        // which must reset the SEED tables rather than reuse stale stamps
+        let ds = Arc::new(Dataset::from_rows(blob_rows()));
+        let tree = KdTree::build(ds.clone());
+        let params = DbscanParams::new(1.1, 3).unwrap();
+        let n = ds.len();
+        for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+            for parts in [1, 2, 4] {
+                let ranges = PartitionRanges::new(n, parts);
+                let mut scratch = ExecutorScratch::near_seed_wrap();
+                let mut clusters = 0;
+                for part in 0..parts {
+                    let fresh = run(&tree, params, &ranges, part, policy);
+                    let wrapped = local_partial_clusters_scratch(
+                        |q, out| tree.range_into(ds.point(PointId(q)), params.eps, out),
+                        params,
+                        &ranges,
+                        part,
+                        policy,
+                        &mut scratch,
+                    );
+                    assert_eq!(fresh, wrapped, "{part}/{parts} {policy:?}");
+                    clusters += fresh.clusters.len();
+                }
+                assert!(clusters >= 2, "the stamp must wrap: {clusters} clusters");
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Dimension-monomorphized and lane-blocked query kernels.
+//! Dimension-monomorphized and chunked SoA query kernels.
 //!
 //! Every distance in [`crate::metric`] is a dynamic-length loop over
 //! `&[f64]`: the compiler cannot unroll it, keeps the trip-count check,
@@ -10,30 +10,34 @@
 //! dispatches **once per block scan** on `Dataset::dim`, so the per-row
 //! work is a fixed-trip-count, bounds-check-free loop.
 //!
-//! On top of the row-major kernels sits the **lane-blocked SoA kernel**
-//! ([`scan_block_soa`]): it scans a leaf block
-//! stored dimension-major (all `x`s, then all `y`s, …), sixteen points
-//! at a time into a `[f64; 16]` stack buffer that LLVM vectorizes. The
-//! group distances are compiled twice, for the build target and with
-//! AVX2 enabled, and the AVX2 build runs when the CPU has it; rows past
-//! the last whole group run one at a time. One lane per
-//! point: each point's per-dimension sum runs in the exact sequential
-//! coordinate order of the scalar kernels, so every distance is the
-//! same `f64` bit for bit — vectorization happens *across* points,
-//! never inside one point's accumulation. The threshold test is a
-//! branch-free pass packing hit indices left, so dense and sparse
-//! blocks cost the same per row.
+//! On top of the row-major kernels sits the **SoA chunk scan**
+//! ([`scan_block_soa`]): it scans a leaf block stored dimension-major
+//! (all `x`s, then all `y`s, …) one chunk of up to 64 rows at a time
+//! (longer leaves take several chunks). The coordinate loop runs
+//! outermost and every row of the chunk keeps its accumulator in a
+//! register: per coordinate, broadcast `q[k]`, then one sub, mul and
+//! add per lane (abs and add, or abs and max, for the other metrics).
+//! The last lane group loads only the rows the chunk holds, with a
+//! masked load, so there is no scalar remainder loop and nothing past
+//! the leaf is read. The compares become one `u64` hit mask per chunk,
+//! whose bits past the leaf's end are cleared, and the hits are emitted
+//! in row order. Three bodies run this structure, picked at run time:
+//! AVX-512F (64-row chunks in eight zmm accumulators), AVX2 (32-row
+//! chunks in eight ymm accumulators) and safe Rust for every other
+//! target. One lane per point: each point's per-dimension sum runs in
+//! the exact sequential coordinate order of the scalar kernels, so
+//! every distance is the same `f64` bit for bit — vectorization happens
+//! *across* points, never inside one point's accumulation.
 //!
 //! Two invariants make the kernels safe to wire everywhere:
 //!
-//! * **Bit-identical results.** Fixed-`D`, generic and lane-blocked
-//!   paths accumulate in the same coordinate order, so every distance
-//!   is the exact same `f64` — all paths return byte-identical
-//!   neighborhoods (property-tested in `tests/proptest_kernels.rs`).
-//!   The AVX2 build computes the distances from the same source on
-//!   wider registers (Rust never contracts a multiply and an add into
-//!   an FMA) and only writes the `<=` threshold compare as an
-//!   intrinsic, so it is covered by the same guarantee.
+//! * **Bit-identical results.** Fixed-`D`, generic and chunked paths
+//!   accumulate in the same coordinate order with the same IEEE
+//!   operations (the intrinsics bodies use no FMA, and Rust never
+//!   contracts one), so every distance is the exact same `f64` — all
+//!   paths return byte-identical neighborhoods (property-tested in
+//!   `tests/proptest_kernels.rs`). Chebyshev follows `f64::max`, which
+//!   ignores a NaN operand, by the operand order of `maxpd`.
 //! * **Same early-exit semantics.** [`scan_block`] and
 //!   [`scan_block_soa`] report matches through a callback that can stop
 //!   the scan, row by row in row order, so pruned queries
@@ -52,18 +56,13 @@ use crate::metric::Metric;
 /// neighborhood grids for (`MAX_NEIGHBORHOOD_DIM = 6`).
 pub const SPECIALIZED_DIMS: [usize; 5] = [2, 3, 4, 5, 6];
 
-/// Points per SoA lane group: sixteen `f64` lanes are four ymm
-/// registers on AVX2, and a full leaf at the default 64-point bucket
-/// size is four whole groups.
-const LANES: usize = 16;
-
 /// How leaf blocks are stored and scanned. Every layout produces
 /// bit-identical results; only throughput changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelLayout {
     /// Row-major blocks, one point at a time ([`scan_block`]).
     Scalar,
-    /// Dimension-major (SoA) blocks, a lane group of points at a time
+    /// Dimension-major (SoA) blocks, a chunk of up to 64 points at a time
     /// ([`scan_block_soa`]).
     Lanes,
 }
@@ -229,7 +228,7 @@ fn scan_rows<const D: usize, G: Fn(&[f64; D]) -> f64, F: FnMut(usize) -> bool>(
     true
 }
 
-// ---- lane-blocked SoA kernels ------------------------------------------
+// ---- chunked SoA kernels ----------------------------------------------
 
 /// Scan a dimension-major (SoA) coordinate block of `rows` points
 /// (`soa[k * rows + i]` = coordinate `k` of point `i`,
@@ -270,121 +269,78 @@ struct SoaBlock<'a> {
 }
 
 impl SoaBlock<'_> {
-    /// The block's coordinate columns in dimension order, paired with
-    /// the query coordinate each is compared against. Every column is
-    /// split off as exactly `rows` values, which lets LLVM drop the
-    /// per-column bounds checks inside a lane group. (`chunks_exact`
-    /// would too, but zipping it divides `soa.len()` by `rows` on every
-    /// call.)
+    /// The chunk `[base, base + len)` of every coordinate column in
+    /// dimension order, paired with the query coordinate each is
+    /// compared against. Slicing once per column keeps the lane loads
+    /// in bounds without a check per lane.
     #[inline(always)]
-    fn columns(&self) -> impl Iterator<Item = (f64, &[f64])> {
-        let mut rest = self.soa;
-        self.query.iter().map(move |&q| {
-            let (col, tail) = rest.split_at(self.rows);
-            rest = tail;
-            (q, col)
+    fn columns(&self, base: usize, len: usize) -> impl Iterator<Item = (f64, &[f64])> {
+        self.query.iter().enumerate().map(move |(k, &q)| {
+            let start = k * self.rows + base;
+            (q, &self.soa[start..start + len])
         })
     }
-
-    /// Reduced distances of the lane group at `base`. The outer loop
-    /// runs coordinates in ascending order, so each lane accumulates
-    /// exactly like the scalar kernels; the inner `0..LANES` loop over
-    /// a length-proven group is what LLVM turns into vector code.
-    #[inline(always)]
-    fn distances(&self, base: usize) -> [f64; LANES] {
-        let mut acc = [0.0f64; LANES];
-        match self.metric {
-            Metric::Euclidean => {
-                for (q, col) in self.columns() {
-                    let col = lane_group(col, base);
-                    for j in 0..LANES {
-                        let delta = q - col[j];
-                        acc[j] += delta * delta;
-                    }
-                }
-            }
-            Metric::Manhattan => {
-                for (q, col) in self.columns() {
-                    let col = lane_group(col, base);
-                    for j in 0..LANES {
-                        acc[j] += (q - col[j]).abs();
-                    }
-                }
-            }
-            Metric::Chebyshev => {
-                for (q, col) in self.columns() {
-                    let col = lane_group(col, base);
-                    for j in 0..LANES {
-                        acc[j] = f64::max(acc[j], (q - col[j]).abs());
-                    }
-                }
-            }
-        }
-        acc
-    }
-
-    /// Reduced distance of point `i` (the remainder rows after the last
-    /// full lane group). Same coordinate order as the scalar kernels.
-    #[inline(always)]
-    fn distance(&self, i: usize) -> f64 {
-        let mut acc = 0.0f64;
-        match self.metric {
-            Metric::Euclidean => {
-                for (q, col) in self.columns() {
-                    let delta = q - col[i];
-                    acc += delta * delta;
-                }
-            }
-            Metric::Manhattan => {
-                for (q, col) in self.columns() {
-                    acc += (q - col[i]).abs();
-                }
-            }
-            Metric::Chebyshev => {
-                for (q, col) in self.columns() {
-                    acc = f64::max(acc, (q - col[i]).abs());
-                }
-            }
-        }
-        acc
-    }
 }
 
-/// Bitmask of the lanes of `acc` within `thr`: bit `j` is set iff
-/// `acc[j] <= thr`. Folding from the last lane keeps lane j in vector
-/// slot j; a shift-by-j loop led LLVM to regroup the accumulators and
-/// gather columns lane by lane.
+/// Report the rows of `block` within its threshold in row order, one
+/// chunk of up to `C` rows at a time: `hits(base, len)` is the chunk's
+/// hit mask (bit `j` set iff row `base + j` is within the threshold).
+/// Bits at and past `len` are cleared here, so a body may leave
+/// anything in the lanes past the leaf's end. Returns `false` iff
+/// `on_match` stopped the scan.
 #[inline(always)]
-fn threshold(acc: &[f64; LANES], thr: f64) -> u32 {
-    acc.iter().rev().fold(0, |mask, &a| mask << 1 | u32::from(a <= thr))
+fn scan_chunks<const C: usize, H: FnMut(usize, usize) -> u64, F: FnMut(usize) -> bool>(
+    rows: usize,
+    mut hits: H,
+    mut on_match: F,
+) -> bool {
+    const { assert!(C <= 64, "a chunk's hit mask is one u64") };
+    let mut base = 0usize;
+    while base < rows {
+        let len = C.min(rows - base);
+        // the usual all-zero mask skips the emission loop entirely
+        let mut mask = hits(base, len) & (u64::MAX >> (64 - len));
+        while mask != 0 {
+            let j = mask.trailing_zeros() as usize;
+            if !on_match(base + j) {
+                return false;
+            }
+            mask &= mask - 1;
+        }
+        base += len;
+    }
+    true
 }
 
-/// The `LANES` values of `col` starting at row `base`.
-#[inline(always)]
-fn lane_group(col: &[f64], base: usize) -> &[f64; LANES] {
-    col[base..base + LANES].try_into().expect("a full lane group")
-}
-
-/// The two builds of the lane-group body. Both compute the distances
-/// with [`SoaBlock::distances`] and keep those `<=` the threshold, so
-/// they are interchangeable bit for bit; [`Body::detect`] picks AVX2
-/// when the CPU has it.
+/// The chunk-scan bodies. All three run the same structure — the
+/// coordinate loop outermost, one accumulator per row of the chunk,
+/// the scalar kernels' per-coordinate operations in the scalar order —
+/// so they are interchangeable bit for bit; [`Body::detect`] picks the
+/// widest one the CPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Body {
-    /// Compiled for the build target (SSE2 on a baseline x86-64 build).
+pub(crate) enum Body {
+    /// Safe Rust for any target: 64-row chunks.
     Portable,
-    /// Compiled with AVX2 enabled: four ymm accumulators.
+    /// AVX2: 32-row chunks in eight ymm accumulators.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// AVX-512F: 64-row chunks in eight zmm accumulators.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Body {
-    /// The AVX2 body when the host supports it, detected at run time.
+    /// The widest body the host supports, detected at run time.
     #[inline]
-    fn detect() -> Body {
+    pub(crate) fn detect() -> Body {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Body::Avx2;
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Body::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Body::Avx2;
+            }
         }
         Body::Portable
     }
@@ -397,72 +353,244 @@ impl Body {
     #[inline]
     unsafe fn scan<F: FnMut(usize) -> bool>(self, block: &SoaBlock, on_match: F) -> bool {
         match self {
-            Body::Portable => scan_groups(block, threshold, on_match),
+            Body::Portable => scan_portable(block, on_match),
             // SAFETY: the caller guarantees the CPU has AVX2.
             #[cfg(target_arch = "x86_64")]
             Body::Avx2 => unsafe { scan_avx2(block, on_match) },
+            // SAFETY: the caller guarantees the CPU has AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => unsafe { scan_avx512(block, on_match) },
         }
     }
 }
 
-/// Report the rows of `block` within its threshold in row order: whole
-/// lane groups through `threshold` (the bitmask of the group's
-/// distances within `thr`), the remainder one point at a time. Returns
-/// `false` iff `on_match` stopped the scan.
-#[inline(always)]
-fn scan_groups<T: Fn(&[f64; LANES], f64) -> u32, F: FnMut(usize) -> bool>(
-    block: &SoaBlock,
-    threshold: T,
-    mut on_match: F,
-) -> bool {
-    let mut base = 0usize;
-    while base + LANES <= block.rows {
-        // the usual all-zero mask skips the emission loop entirely
-        let mut mask = threshold(&block.distances(base), block.thr);
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            if !on_match(base + j) {
-                return false;
+/// The portable body: the chunk's accumulators in a `[f64; 64]`, one
+/// per row, updated column by column.
+fn scan_portable<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
+    /// One coordinate's contribution folded into a row's accumulator:
+    /// `step(acc, q, x)` with the scalar kernels' operations.
+    #[inline(always)]
+    fn hits<S: Fn(f64, f64, f64) -> f64>(b: &SoaBlock, base: usize, len: usize, step: S) -> u64 {
+        let mut acc = [0.0f64; 64];
+        for (q, col) in b.columns(base, len) {
+            for (a, &x) in acc.iter_mut().zip(col) {
+                *a = step(*a, q, x);
             }
-            mask &= mask - 1;
         }
-        base += LANES;
+        acc[..len].iter().rev().fold(0, |mask, &a| mask << 1 | u64::from(a <= b.thr))
     }
-    for i in base..block.rows {
-        if block.distance(i) <= block.thr && !on_match(i) {
-            return false;
-        }
+    let rows = block.rows;
+    match block.metric {
+        Metric::Euclidean => scan_chunks::<64, _, _>(
+            rows,
+            |base, len| {
+                hits(block, base, len, |a, q, x| {
+                    let delta = q - x;
+                    a + delta * delta
+                })
+            },
+            on_match,
+        ),
+        Metric::Manhattan => scan_chunks::<64, _, _>(
+            rows,
+            |base, len| hits(block, base, len, |a, q, x| a + (q - x).abs()),
+            on_match,
+        ),
+        Metric::Chebyshev => scan_chunks::<64, _, _>(
+            rows,
+            |base, len| hits(block, base, len, |a, q, x| f64::max(a, (q - x).abs())),
+            on_match,
+        ),
     }
-    true
 }
 
-/// [`scan_groups`] compiled with AVX2 enabled, through
-/// [`threshold_avx2`].
+/// Dispatch a chunk of `len` rows to the body instantiated for its
+/// number of `W`-lane groups, `1..=8`, so that exactly the groups the
+/// chunk needs are computed and every accumulator stays in a register.
+macro_rules! by_groups {
+    ($f:ident, $w:expr, $block:expr, $base:expr, $len:expr, $step:expr) => {
+        match $len.div_ceil($w) {
+            1 => $f::<1, _>($block, $base, $len, $step),
+            2 => $f::<2, _>($block, $base, $len, $step),
+            3 => $f::<3, _>($block, $base, $len, $step),
+            4 => $f::<4, _>($block, $base, $len, $step),
+            5 => $f::<5, _>($block, $base, $len, $step),
+            6 => $f::<6, _>($block, $base, $len, $step),
+            7 => $f::<7, _>($block, $base, $len, $step),
+            _ => $f::<8, _>($block, $base, $len, $step),
+        }
+    };
+}
+
+/// The AVX-512F body: 64-row chunks as eight 8-lane zmm groups.
+/// Per coordinate it broadcasts `q[k]` and applies one IEEE sub, mul
+/// and add per group (Euclidean; abs and add, or abs and max, for the
+/// other metrics) — the scalar kernels' operations in their order, with
+/// no FMA. The last group loads only the chunk's lanes
+/// (`_mm512_maskz_loadu_pd`), so nothing past the leaf is read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn scan_avx512<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
+    use std::arch::x86_64::*;
+    let rows = block.rows;
+    match block.metric {
+        Metric::Euclidean => scan_chunks::<64, _, _>(
+            rows,
+            |base, len| {
+                by_groups!(groups_avx512, 8, block, base, len, |a, q, x| {
+                    let delta = _mm512_sub_pd(q, x);
+                    _mm512_add_pd(a, _mm512_mul_pd(delta, delta))
+                })
+            },
+            on_match,
+        ),
+        Metric::Manhattan => scan_chunks::<64, _, _>(
+            rows,
+            |base, len| {
+                by_groups!(groups_avx512, 8, block, base, len, |a, q, x| {
+                    _mm512_add_pd(a, _mm512_abs_pd(_mm512_sub_pd(q, x)))
+                })
+            },
+            on_match,
+        ),
+        // `f64::max(a, v)` returns `a` when `v` is NaN, and `a` starts
+        // at 0.0 so it is never NaN itself; `maxpd(v, a)` returns its
+        // second operand when either is NaN, which is the same value
+        Metric::Chebyshev => scan_chunks::<64, _, _>(
+            rows,
+            |base, len| {
+                by_groups!(groups_avx512, 8, block, base, len, |a, q, x| {
+                    _mm512_max_pd(_mm512_abs_pd(_mm512_sub_pd(q, x)), a)
+                })
+            },
+            on_match,
+        ),
+    }
+}
+
+/// The hit mask of one AVX-512 chunk of `len` rows in `G` groups
+/// (`8 * (G - 1) < len <= 8 * G`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn groups_avx512<const G: usize, S>(b: &SoaBlock, base: usize, len: usize, step: S) -> u64
+where
+    S: Fn(
+        std::arch::x86_64::__m512d,
+        std::arch::x86_64::__m512d,
+        std::arch::x86_64::__m512d,
+    ) -> std::arch::x86_64::__m512d,
+{
+    use std::arch::x86_64::*;
+    // the loads below rely on it: every group before the last is whole
+    assert!(8 * (G - 1) < len && len <= 8 * G, "{len} rows are not {G} 8-lane groups");
+    let tail = (0xFFu32 >> (8 * G - len)) as __mmask8;
+    let mut acc = [_mm512_setzero_pd(); G];
+    for (q, col) in b.columns(base, len) {
+        let q = _mm512_set1_pd(q);
+        for (g, a) in acc.iter_mut().enumerate() {
+            let lanes = if g + 1 == G { tail } else { 0xFF };
+            // SAFETY: `col` holds `len` values and `8 * (G - 1) < len`
+            // (asserted above), so the lanes `lanes` enables are rows
+            // below `len`; masked-off lanes are not read.
+            let x = unsafe { _mm512_maskz_loadu_pd(lanes, col.as_ptr().add(8 * g)) };
+            *a = step(*a, q, x);
+        }
+    }
+    let thr = _mm512_set1_pd(b.thr);
+    acc.iter().enumerate().fold(0, |mask, (g, &a)| {
+        mask | u64::from(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, thr)) << (8 * g)
+    })
+}
+
+/// The AVX2 body: the AVX-512 structure on ymm registers, so 32-row
+/// chunks as eight 4-lane groups, with the last group loaded through
+/// `_mm256_maskload_pd`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
-    scan_groups(block, |acc, thr| threshold_avx2(acc, thr), on_match)
+    use std::arch::x86_64::*;
+    let rows = block.rows;
+    // clears the sign bit: `f64::abs`
+    let abs = |v| _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+    match block.metric {
+        Metric::Euclidean => scan_chunks::<32, _, _>(
+            rows,
+            |base, len| {
+                by_groups!(groups_avx2, 4, block, base, len, |a, q, x| {
+                    let delta = _mm256_sub_pd(q, x);
+                    _mm256_add_pd(a, _mm256_mul_pd(delta, delta))
+                })
+            },
+            on_match,
+        ),
+        Metric::Manhattan => scan_chunks::<32, _, _>(
+            rows,
+            |base, len| {
+                by_groups!(groups_avx2, 4, block, base, len, |a, q, x| {
+                    _mm256_add_pd(a, abs(_mm256_sub_pd(q, x)))
+                })
+            },
+            on_match,
+        ),
+        // the operand order of `scan_avx512`'s Chebyshev, for the same
+        // `f64::max` NaN rule
+        Metric::Chebyshev => scan_chunks::<32, _, _>(
+            rows,
+            |base, len| {
+                by_groups!(groups_avx2, 4, block, base, len, |a, q, x| {
+                    _mm256_max_pd(abs(_mm256_sub_pd(q, x)), a)
+                })
+            },
+            on_match,
+        ),
+    }
 }
 
-/// [`threshold`] with AVX2: one `vcmppd LE_OQ` + `vmovmskpd` per four
-/// lanes (`LE_OQ` is false on NaN, like `<=`). The distances stay the
-/// shared safe code, which the AVX2 wrappers compile on ymm registers
-/// (Rust never contracts a multiply and an add into an FMA). From the
-/// portable fold LLVM emits packs, `pmovmskb` and about 20 scalar bit
-/// operations per group instead, which at d = 2 cost a third of the
-/// leaf-scan throughput (EXPERIMENTS.md, "Kernel body").
+/// The hit mask of one AVX2 chunk of `len` rows in `G` groups
+/// (`4 * (G - 1) < len <= 4 * G`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn threshold_avx2(acc: &[f64; LANES], thr: f64) -> u32 {
+fn groups_avx2<const G: usize, S>(b: &SoaBlock, base: usize, len: usize, step: S) -> u64
+where
+    S: Fn(
+        std::arch::x86_64::__m256d,
+        std::arch::x86_64::__m256d,
+        std::arch::x86_64::__m256d,
+    ) -> std::arch::x86_64::__m256d,
+{
     use std::arch::x86_64::*;
-    let thr = _mm256_set1_pd(thr);
-    let (quads, _) = acc.as_chunks::<4>();
-    quads.iter().enumerate().fold(0, |mask, (c, quad)| {
-        // SAFETY: `quad` is four contiguous f64.
-        let a = unsafe { _mm256_loadu_pd(quad.as_ptr()) };
+    // the loads below rely on it: every group before the last is whole
+    assert!(4 * (G - 1) < len && len <= 4 * G, "{len} rows are not {G} 4-lane groups");
+    // lane i of the last group is loaded iff its sign bit is set
+    let tail = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x((len - 4 * (G - 1)) as i64),
+        _mm256_setr_epi64x(0, 1, 2, 3),
+    );
+    let mut acc = [_mm256_setzero_pd(); G];
+    for (q, col) in b.columns(base, len) {
+        let q = _mm256_set1_pd(q);
+        for (g, a) in acc.iter_mut().enumerate() {
+            let p = col.as_ptr().wrapping_add(4 * g);
+            // SAFETY: `col` holds `len` values and `4 * (G - 1) < len`
+            // (asserted above): a group before the last is four whole
+            // rows below `len`, and the last group reads only the lanes
+            // `tail` enables, which are below `len`.
+            let x = unsafe {
+                if g + 1 == G {
+                    _mm256_maskload_pd(p, tail)
+                } else {
+                    _mm256_loadu_pd(p)
+                }
+            };
+            *a = step(*a, q, x);
+        }
+    }
+    let thr = _mm256_set1_pd(b.thr);
+    acc.iter().enumerate().fold(0, |mask, (g, &a)| {
         let hits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a, thr)) as u32;
-        mask | hits << (4 * c)
+        mask | u64::from(hits) << (4 * g)
     })
 }
 
@@ -563,15 +691,17 @@ mod tests {
         out
     }
 
-    /// Every lane-group body this CPU can run. Dispatch runs only the
-    /// AVX2 build on an AVX2 host, so these tests are what executes the
-    /// portable one there.
+    /// Every chunk-scan body this CPU can run. Dispatch runs only the
+    /// widest one, so these tests are what executes the others there.
     fn bodies() -> Vec<Body> {
         let mut v = vec![Body::Portable];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 v.push(Body::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                v.push(Body::Avx512);
             }
         }
         v
@@ -615,33 +745,98 @@ mod tests {
         }
     }
 
+    /// The query the chunk-boundary tests scan with, and its radius:
+    /// both exactly representable, so rows placed one radius away along
+    /// an axis sit exactly at the threshold under every metric.
+    fn boundary_query(dim: usize) -> (Vec<f64>, f64) {
+        ((0..dim).map(|k| 1.5 + k as f64).collect(), 2.0)
+    }
+
+    /// A leaf of `rows` rows around `q`: copies of `q` (hit at every
+    /// threshold), rows exactly one `eps` away along one axis, rows
+    /// holding a NaN or an infinity, and a spread of ordinary rows.
+    fn boundary_leaf(q: &[f64], eps: f64, rows: usize) -> Vec<f64> {
+        let dim = q.len();
+        let mut out = Vec::with_capacity(rows * dim);
+        for i in 0..rows {
+            let mut row = q.to_vec();
+            let k = i % dim;
+            match i % 6 {
+                0 => {}
+                1 => row[k] += if i % 4 == 1 { eps } else { -eps },
+                2 => row[k] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i / 6 % 3],
+                _ => {
+                    for (j, c) in row.iter_mut().enumerate() {
+                        *c += (((i * dim + j) as f64) * 7.31).sin() * 3.0;
+                    }
+                }
+            }
+            out.extend(row);
+        }
+        out
+    }
+
+    /// `leaf`'s dimension-major mirror between values a scan must never
+    /// report — the query's first coordinate and non-finite values, as a
+    /// neighbouring leaf of a tree's mirror can hold: `(mirror, start)`,
+    /// the leaf at `mirror[start..start + leaf.len()]`.
+    fn poisoned_mirror(q: &[f64], leaf: &[f64]) -> (Vec<f64>, usize) {
+        let pad = [q[0], f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut mirror: Vec<f64> = pad.iter().copied().cycle().take(8).collect();
+        let start = mirror.len();
+        mirror.extend(soa_of(leaf, q.len()));
+        mirror.extend(pad.iter().copied().cycle().take(128 * q.len()));
+        (mirror, start)
+    }
+
+    fn row_major_hits(
+        m: Metric,
+        q: &[f64],
+        leaf: &[f64],
+        thr: f64,
+        cap: usize,
+    ) -> (bool, Vec<usize>) {
+        let mut hits = Vec::new();
+        let done = scan_block_generic(m, q.len(), q, leaf, thr, |i| {
+            hits.push(i);
+            hits.len() < cap
+        });
+        (done, hits)
+    }
+
     #[test]
     fn soa_scan_matches_row_major_scan() {
-        // 0..=2 full lane groups, every remainder length in between
-        for rows in 0..=2 * LANES + 3 {
-            for dim in 1..=8 {
-                let data = block(dim, rows);
-                let soa = soa_of(&data, dim);
-                let q: Vec<f64> = (0..dim).map(|k| (k as f64) * 1.3).collect();
+        // 0..=130 rows crosses the 4-, 8-, 32- and 64-row group and
+        // chunk edges of every body at once
+        for dim in 1..=12 {
+            let (q, eps) = boundary_query(dim);
+            let mut odd_q = q.clone();
+            odd_q[0] = f64::NAN;
+            odd_q[dim - 1] = f64::INFINITY;
+            for rows in 0..=130 {
+                let leaf = boundary_leaf(&q, eps, rows);
+                let (mirror, start) = poisoned_mirror(&q, &leaf);
+                let soa = &mirror[start..start + leaf.len()];
                 for m in METRICS {
-                    for thr in [0.0, 10.0, 1000.0, f64::INFINITY] {
-                        let mut row_major = Vec::new();
-                        assert!(scan_block(m, dim, &q, &data, thr, |i| {
-                            row_major.push(i);
-                            true
-                        }));
-                        let sb = SoaBlock { metric: m, query: &q, soa: &soa, rows, thr };
-                        for body in bodies() {
-                            let mut lane = Vec::new();
-                            // SAFETY: `bodies` lists only bodies this CPU runs.
-                            let done = unsafe {
-                                body.scan(&sb, |i| {
-                                    lane.push(i);
-                                    true
-                                })
-                            };
-                            assert!(done);
-                            assert_eq!(row_major, lane, "rows={rows} dim={dim} {m:?} {body:?}");
+                    for thr in [0.0, m.threshold(eps), 1000.0, f64::INFINITY] {
+                        for query in [&q, &odd_q] {
+                            let want = row_major_hits(m, query, &leaf, thr, usize::MAX);
+                            let sb = SoaBlock { metric: m, query, soa, rows, thr };
+                            for body in bodies() {
+                                let mut hits = Vec::new();
+                                // SAFETY: `bodies` lists only bodies this CPU runs.
+                                let done = unsafe {
+                                    body.scan(&sb, |i| {
+                                        hits.push(i);
+                                        true
+                                    })
+                                };
+                                assert_eq!(
+                                    (done, hits),
+                                    want,
+                                    "rows={rows} dim={dim} {m:?} thr={thr} {body:?}"
+                                );
+                            }
                         }
                     }
                 }
@@ -650,34 +845,45 @@ mod tests {
     }
 
     #[test]
+    fn soa_scan_keeps_rows_at_the_threshold() {
+        // the boundary rows are exactly at the threshold, and `<=`
+        // keeps them: a body that compared `<` would drop them
+        for m in METRICS {
+            let (q, eps) = boundary_query(3);
+            let leaf = boundary_leaf(&q, eps, 70);
+            let (_, hits) = row_major_hits(m, &q, &leaf, m.threshold(eps), usize::MAX);
+            assert!(hits.contains(&1) && hits.contains(&67), "{m:?}: {hits:?}");
+        }
+    }
+
+    #[test]
     fn soa_scan_early_exit_matches_row_major() {
-        let data = block(3, 100);
-        let soa = soa_of(&data, 3);
-        let q = [0.0, 0.0, 0.0];
-        let thr = 2500.0;
-        let sb = SoaBlock { metric: Metric::Euclidean, query: &q, soa: &soa, rows: 100, thr };
-        for cap in [1usize, 3, 7, LANES + 1, 2 * LANES + 2] {
-            let mut want = Vec::new();
-            let want_done = scan_block(Metric::Euclidean, 3, &q, &data, thr, |i| {
-                want.push(i);
-                want.len() < cap
-            });
-            let mut hits = Vec::new();
-            let done = scan_block_soa(Metric::Euclidean, 3, &q, &soa, 100, thr, |i| {
-                hits.push(i);
-                hits.len() < cap
-            });
-            assert_eq!((done, &hits), (want_done, &want), "cap={cap}");
-            for body in bodies() {
-                hits.clear();
-                // SAFETY: `bodies` lists only bodies this CPU runs.
-                let done = unsafe {
-                    body.scan(&sb, |i| {
+        let (q, eps) = boundary_query(3);
+        let leaf = boundary_leaf(&q, eps, 130);
+        let soa = soa_of(&leaf, 3);
+        for m in METRICS {
+            for thr in [m.threshold(eps), f64::INFINITY] {
+                let sb = SoaBlock { metric: m, query: &q, soa: &soa, rows: 130, thr };
+                for cap in [1usize, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 129, 130, 131] {
+                    let want = row_major_hits(m, &q, &leaf, thr, cap);
+                    let mut hits = Vec::new();
+                    let done = scan_block_soa(m, 3, &q, &soa, 130, thr, |i| {
                         hits.push(i);
                         hits.len() < cap
-                    })
-                };
-                assert_eq!((done, &hits), (want_done, &want), "cap={cap} {body:?}");
+                    });
+                    assert_eq!((done, &hits), (want.0, &want.1), "cap={cap} {m:?}");
+                    for body in bodies() {
+                        hits.clear();
+                        // SAFETY: `bodies` lists only bodies this CPU runs.
+                        let done = unsafe {
+                            body.scan(&sb, |i| {
+                                hits.push(i);
+                                hits.len() < cap
+                            })
+                        };
+                        assert_eq!((done, &hits), (want.0, &want.1), "cap={cap} {m:?} {body:?}");
+                    }
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Property tests for the dimension-monomorphized and lane-blocked
-//! kernels: the specialized `D = 2..=6` paths and the SoA lane kernels
+//! kernels: the specialized `D = 2..=6` paths and the SoA chunk scan
 //! must be **byte-identical** to the generic dynamic-length loops —
 //! same matched rows, same `f64` bits, same early-exit row — and the
 //! indexes wired through them must still agree with each other.
@@ -22,10 +22,44 @@ fn dataset_strategy(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 1..120)
 }
 
-/// Leaf-sized blocks: 1..=80 rows covers up to five 16-lane groups and
-/// every remainder length 0..=15.
+/// Leaf-sized blocks: 1..=80 rows covers one and two 64-row chunks
+/// and every 8-lane tail length.
 fn block_strategy(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 1..=80)
+}
+
+/// One coordinate of a chunk-boundary row relative to the query: the
+/// query's own value, one radius off (exactly at the threshold along
+/// that axis), an ordinary offset, or a non-finite value.
+fn coordinate_strategy() -> impl Strategy<Value = Coord> {
+    (0usize..15, -3.0f64..3.0).prop_map(|(pick, x)| match pick {
+        0..4 => Coord::Same,
+        4..6 => Coord::Radius(1.0),
+        6..8 => Coord::Radius(-1.0),
+        8..12 => Coord::Offset(x),
+        12 => Coord::Value(f64::NAN),
+        13 => Coord::Value(f64::INFINITY),
+        _ => Coord::Value(f64::NEG_INFINITY),
+    })
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Coord {
+    Same,
+    Radius(f64),
+    Offset(f64),
+    Value(f64),
+}
+
+impl Coord {
+    fn at(self, q: f64, eps: f64) -> f64 {
+        match self {
+            Coord::Same => q,
+            Coord::Radius(sign) => q + sign * eps,
+            Coord::Offset(x) => q + x * eps,
+            Coord::Value(v) => v,
+        }
+    }
 }
 
 proptest! {
@@ -191,5 +225,57 @@ proptest! {
             cap.is_none_or(|c| hits.len() < c)
         });
         prop_assert_eq!(&(finished, hits), &scalar);
+    }
+
+    /// The chunk scan at its boundaries: 0..=130 rows (empty, single
+    /// rows, every 8-lane tail, one to three 64-row chunks), d = 1..=12,
+    /// rows at exactly the threshold, NaN and infinite coordinates, and
+    /// values past the leaf that every query would hit or that are not
+    /// finite. The rows reported, the order and the early-exit row must
+    /// be the row-major scan's, and nothing past the leaf is reported.
+    #[test]
+    fn soa_chunk_boundaries_match_scalar(
+        dim in 1usize..=12,
+        rows in 0usize..=130,
+        cells in prop::collection::vec(coordinate_strategy(), 130 * 12..=130 * 12),
+        pad_idx in 0usize..4,
+        thr_idx in 0usize..4,
+        metric_idx in 0usize..3,
+        cap_raw in 0usize..140,
+    ) {
+        let metric = METRICS[metric_idx];
+        // exactly representable query and radius: rows one radius away
+        // along an axis sit exactly at the threshold
+        let (eps, q) = (0.5, (0..dim).map(|k| 0.25 * k as f64).collect::<Vec<f64>>());
+        let thr = [0.0, metric.threshold(eps), 2.0, f64::INFINITY][thr_idx];
+        let cap = (cap_raw > 0).then_some(cap_raw);
+        let pad = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pad_idx];
+        let block: Vec<f64> = (0..rows)
+            .flat_map(|i| (0..dim).map(move |k| (i, k)))
+            .map(|(i, k)| cells[i * 12 + k].at(q[k], eps))
+            .collect();
+        // the leaf's mirror inside a longer buffer, as a tree stores it
+        let mut mirror = vec![pad; 8];
+        let start = mirror.len();
+        mirror.resize(start + block.len(), 0.0);
+        transpose_block(&block, dim, &mut mirror[start..]);
+        mirror.resize(mirror.len() + 128 * dim, pad);
+        let soa = &mirror[start..start + block.len()];
+        let scan = |soa_path: bool| {
+            let mut hits = Vec::new();
+            let stop = |i: usize, hits: &mut Vec<usize>| {
+                hits.push(i);
+                cap.is_none_or(|c| hits.len() < c)
+            };
+            let finished = if soa_path {
+                scan_block_soa(metric, dim, &q, soa, rows, thr, |i| stop(i, &mut hits))
+            } else {
+                scan_block_generic(metric, dim, &q, &block, thr, |i| stop(i, &mut hits))
+            };
+            (finished, hits)
+        };
+        let soa_result = scan(true);
+        prop_assert!(soa_result.1.iter().all(|&i| i < rows));
+        prop_assert_eq!(soa_result, scan(false));
     }
 }
