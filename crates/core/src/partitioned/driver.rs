@@ -13,7 +13,7 @@ use crate::label::Clustering;
 use crate::model::{PartialCluster, PartitionRanges};
 use crate::params::DbscanParams;
 use crate::partitioned::executor_side::{
-    local_partial_clusters_scratch, ExecutorScratch, ExecutorStats, TreeNeighborSource,
+    local_partial_clusters_source, ExecutorScratch, ExecutorStats, TreeNeighborSource,
 };
 use crate::partitioned::merge::{fill_owner, merge_partial_clusters, union_seeds, MergeStrategy};
 use crate::partitioned::planner::{plan_partitions, Balance};
@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 const POINT_WORKING_BYTES: u64 = 48;
 
 thread_local! {
-    /// Per-worker reusable scratch: the kd-query traversal stack plus
-    /// the epoch-stamped executor state. Worker threads persist across
+    /// Per-worker reusable scratch: the kd-query traversal stack and
+    /// hit-mask buffer plus the stamped executor state. Worker threads persist across
     /// tasks (and runs), so steady-state tasks allocate nothing on the
     /// expansion hot path.
     static WORKER_SCRATCH: RefCell<(QueryScratch, ExecutorScratch)> =
@@ -313,13 +313,14 @@ impl SparkDbscan {
                     qscratch.counters = KernelCounters::default();
                     let mut source =
                         TreeNeighborSource::new(&info.tree, qscratch, info.params.eps, info.prune);
-                    let mut local = local_partial_clusters_scratch(
-                        |q, out| source.neighbors_of(q, out),
+                    let mut local = local_partial_clusters_source(
+                        &mut source,
                         info.params,
                         &info.ranges,
                         part,
                         info.seed_policy,
                         escratch,
+                        info.tree.kernel_config(),
                     );
                     local.stats.kernel = qscratch.counters;
                     local

@@ -23,19 +23,31 @@
 //! visited state and a `LinkedList` queue for candidates. We keep the
 //! FIFO queue (a `Vec` and a read cursor, since each own point enters
 //! it at most once per task) but replace every hashtable with a **dense
-//! stamped array**: visited/assigned flags indexed by local offset and
-//! stamped per task, and Algorithm 3's SEED tables indexed by partition
-//! or by global point and stamped per cluster. An `O(1)` array probe
-//! beats hashing — and keeps per-point cost independent of partition
-//! size (a `HashSet` sized to the whole partition penalizes the
-//! 1-partition baseline through cache misses and would *inflate* the
-//! reported speedups).
+//! stamped array**: visited flags indexed by local offset and stamped
+//! per task; one mark table indexed by global point that holds both the
+//! claims and the per-point SEEDs, with a stamp per cluster (an own
+//! point is claimed in this task iff its mark is at least the stamp of
+//! the task's first cluster; a foreign point is a SEED of the open
+//! cluster iff its mark equals that cluster's stamp); and Algorithm 3's
+//! per-partition table, stamped the same way. An `O(1)`
+//! array probe beats hashing — and keeps per-point cost independent of
+//! partition size (a `HashSet` sized to the whole partition penalizes
+//! the 1-partition baseline through cache misses and would *inflate*
+//! the reported speedups).
+//!
+//! On the tree path ([`local_partial_clusters_source`]) a query leaves
+//! its neighbourhood as the walk's chunk hit masks, and admission
+//! decodes them in place: no neighbour list is built. The closure entry
+//! points list each neighbourhood into a buffer and admit it through
+//! the same steps, so there is one implementation of Algorithms 2
+//! and 3.
 
 use crate::model::{PartialCluster, PartitionRanges};
 use crate::params::DbscanParams;
 use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{
-    BkdTree, KernelConfig, KernelCounters, PointId, PruneConfig, QueryScratch, SpatialIndex,
+    BkdTree, HitMask, KernelConfig, KernelCounters, PointId, PruneConfig, QueryScratch,
+    SpatialIndex,
 };
 use std::mem::replace;
 
@@ -75,14 +87,12 @@ pub struct LocalClustering {
 
 /// Reusable executor working state. Every array and buffer keeps its
 /// high-water size across clusters, tasks and jobs, and the stamped
-/// arrays are cleared only when their stamp wraps, so steady-state
-/// tasks allocate nothing but their output.
+/// arrays are cleared only when their stamps run out, so steady-state
+/// tasks on the tree path allocate nothing but their output.
 #[derive(Debug, Default)]
 pub struct ExecutorScratch {
     /// The stamp tables and queue an [`Expansion`] works on.
     marks: Marks,
-    /// Neighborhood query buffer, reused across all queries.
-    nbuf: Vec<PointId>,
 }
 
 impl ExecutorScratch {
@@ -96,10 +106,10 @@ impl ExecutorScratch {
         self.marks.visited_epoch.len()
     }
 
-    /// High-water length of the per-point SEED table (test hook).
+    /// High-water length of the per-point mark table (test hook).
     #[cfg(test)]
-    fn seed_capacity(&self) -> usize {
-        self.marks.seeded_point_stamp.len()
+    fn mark_capacity(&self) -> usize {
+        self.marks.mark.len()
     }
 
     /// Points the last task enqueued (test hook).
@@ -108,44 +118,58 @@ impl ExecutorScratch {
         self.marks.queue.len()
     }
 
-    /// Scratch whose next cluster takes the SEED stamp `u32::MAX`, so
-    /// the one after it wraps (test hook).
+    /// Scratch whose last cluster took the stamp `stamp`, with every
+    /// mark set to it, as if a task had just claimed or seeded every
+    /// point (test hook).
     #[cfg(test)]
-    fn near_seed_wrap() -> Self {
+    fn at_stamp(stamp: u32, points: usize, partitions: usize) -> Self {
         let mut s = Self::new();
-        s.marks.seed_stamp = u32::MAX - 1;
+        s.marks.stamp = stamp;
+        s.marks.mark = vec![stamp; points];
+        s.marks.seeded_partition_stamp = vec![stamp; partitions];
         s
     }
 }
 
 /// The stamped arrays of Algorithms 2 and 3, the FIFO queue and the
 /// open cluster's SEED buffer.
+///
+/// One mark table, keyed by global point id, holds both the claims of
+/// Algorithm 2 and the per-point SEEDs of Algorithm 3. Every cluster
+/// takes the next `stamp`, and a mark only ever holds a stamp already
+/// taken, so no mark exceeds the open cluster's stamp. With `first` the
+/// stamp of the task's first cluster:
+///
+/// * an own point is claimed in this task iff its mark is `>= first`;
+/// * a foreign point is a SEED of the open cluster iff its mark equals
+///   the cluster's stamp.
+///
+/// Both tests are one compare against a bound, `first` or the stamp,
+/// so every neighbour costs one load and one compare. A task opens at
+/// most one cluster per own point, so a task that begins with at least
+/// that many stamps left never wraps; one that does not resets every
+/// mark first.
 #[derive(Debug, Default)]
 struct Marks {
-    /// Current task epoch; `visited`/`assigned` entries are live iff
-    /// stamped with it.
+    /// Current task epoch; `visited` entries are live iff stamped with
+    /// it.
     epoch: u32,
     /// Own point at local offset `i` is visited iff
     /// `visited_epoch[i] == epoch`.
     visited_epoch: Vec<u32>,
-    /// Own point `i` already belongs to a cluster of this task iff
-    /// `assigned_epoch[i] == epoch` (first assignment wins; *which*
-    /// cluster claimed it lives in the cluster's member list). An
-    /// assigned point is always visited.
-    assigned_epoch: Vec<u32>,
+    /// Stamp of the open cluster (of the last one between clusters),
+    /// carried across tasks and jobs.
+    stamp: u32,
+    /// The claim-or-SEED mark of every global point (see above).
+    mark: Vec<u32>,
+    /// Algorithm 3's `place_flg`, one entry per partition
+    /// ([`SeedPolicy::OnePerPartition`]): the partition has a SEED in
+    /// the open cluster iff its entry equals the cluster's stamp.
+    seeded_partition_stamp: Vec<u32>,
     /// FIFO expansion queue (Algorithm 2): the own points the task has
     /// claimed through [`Expansion::admit`], each once, in claim order.
     /// The task reads it through a cursor and clears it when it begins.
     queue: Vec<u32>,
-    /// Per-cluster stamp, carried across tasks and jobs so the SEED
-    /// tables below are cleared only when it wraps: an entry belongs to
-    /// the current cluster iff it holds the cluster's stamp.
-    seed_stamp: u32,
-    /// Algorithm 3's `place_flg`, one entry per partition
-    /// ([`SeedPolicy::OnePerPartition`]).
-    seeded_partition_stamp: Vec<u32>,
-    /// One entry per global point ([`SeedPolicy::PerBoundaryEdge`]).
-    seeded_point_stamp: Vec<u32>,
     /// SEEDs of the open cluster in placement order, appended to its
     /// members when it closes.
     seeds: Vec<u32>,
@@ -158,14 +182,18 @@ struct Expansion<'a> {
     ranges: &'a PartitionRanges,
     policy: SeedPolicy,
     epoch: u32,
+    /// Stamp of the task's first cluster: own points marked at or above
+    /// it are claimed.
+    first: u32,
     owner: u32,
     start: u32,
     end: u32,
 }
 
 impl<'a> Expansion<'a> {
-    /// Start the task for `partition`: bump the epoch and grow (never
-    /// shrink) the arrays.
+    /// Start the task for `partition`: bump the epoch, grow (never
+    /// shrink) the arrays, and reset the marks when fewer stamps are
+    /// left than the task could take.
     fn begin(
         marks: &'a mut Marks,
         ranges: &'a PartitionRanges,
@@ -173,27 +201,33 @@ impl<'a> Expansion<'a> {
         policy: SeedPolicy,
     ) -> Self {
         let (start, end) = ranges.range(partition);
-        let local_n = (end - start) as usize;
+        let local_n = end - start;
         if marks.epoch == u32::MAX {
-            // epoch wrap: hard-reset the stamps once every 2^32 tasks
-            marks.visited_epoch.iter_mut().for_each(|s| *s = 0);
-            marks.assigned_epoch.iter_mut().for_each(|s| *s = 0);
+            // epoch wrap: hard-reset the visited stamps once every 2^32
+            // tasks
+            marks.visited_epoch.fill(0);
             marks.epoch = 0;
         }
         marks.epoch += 1;
-        if marks.visited_epoch.len() < local_n {
-            marks.visited_epoch.resize(local_n, 0);
-            marks.assigned_epoch.resize(local_n, 0);
+        if u32::MAX - marks.stamp < local_n.max(1) {
+            // this task could run the stamp past u32::MAX, which would
+            // forget its claims: start the marks over
+            marks.mark.fill(0);
+            marks.seeded_partition_stamp.fill(0);
+            marks.stamp = 0;
+        }
+        if marks.visited_epoch.len() < local_n as usize {
+            marks.visited_epoch.resize(local_n as usize, 0);
+        }
+        if marks.mark.len() < ranges.num_points() {
+            marks.mark.resize(ranges.num_points(), 0);
         }
         if marks.seeded_partition_stamp.len() < ranges.num_partitions() {
             marks.seeded_partition_stamp.resize(ranges.num_partitions(), 0);
         }
-        if marks.seeded_point_stamp.len() < ranges.num_points() {
-            marks.seeded_point_stamp.resize(ranges.num_points(), 0);
-        }
         marks.queue.clear();
-        let epoch = marks.epoch;
-        Expansion { marks, ranges, policy, epoch, owner: partition as u32, start, end }
+        let (epoch, first) = (marks.epoch, marks.stamp + 1);
+        Expansion { marks, ranges, policy, epoch, first, owner: partition as u32, start, end }
     }
 
     /// Mark own point `q` visited; whether it was unvisited.
@@ -201,32 +235,16 @@ impl<'a> Expansion<'a> {
         replace(&mut self.marks.visited_epoch[(q - self.start) as usize], self.epoch) != self.epoch
     }
 
-    /// Algorithm 2 lines 13-22 for own point `q`: claim it for
-    /// `cluster` unless a cluster already holds it (border-point
-    /// claim). Returns whether it was unclaimed.
-    fn claim(&mut self, q: u32, cluster: &mut PartialCluster) -> bool {
-        let assigned = &mut self.marks.assigned_epoch[(q - self.start) as usize];
-        let fresh = replace(assigned, self.epoch) != self.epoch;
-        if fresh {
-            cluster.members.push(q);
-        }
-        fresh
-    }
-
     /// Algorithm 2 line 8: a new cluster around the visited core point
-    /// `p`, with a fresh SEED stamp.
+    /// `p`, with a fresh stamp. `p` is unclaimed: every claimed point
+    /// is queued, and the queue drains before the next top-level point.
     fn open(&mut self, p: u32) -> PartialCluster {
-        if self.marks.seed_stamp == u32::MAX {
-            // stamp wrap: hard-reset the SEED tables once every 2^32
-            // clusters
-            self.marks.seeded_partition_stamp.iter_mut().for_each(|s| *s = 0);
-            self.marks.seeded_point_stamp.iter_mut().for_each(|s| *s = 0);
-            self.marks.seed_stamp = 0;
-        }
-        self.marks.seed_stamp += 1;
+        self.marks.stamp += 1;
+        debug_assert!(self.marks.mark[p as usize] < self.first, "a visited point was claimed");
+        self.marks.mark[p as usize] = self.marks.stamp;
         self.marks.seeds.clear();
         let mut cluster = PartialCluster::new(self.owner, (self.start, self.end));
-        self.claim(p, &mut cluster);
+        cluster.members.push(p);
         cluster
     }
 
@@ -238,31 +256,99 @@ impl<'a> Expansion<'a> {
         cluster
     }
 
-    /// Admit a core point's neighborhood `nbrs` into `cluster`. A
-    /// foreign index meets Algorithm 3 at once and becomes a SEED or
-    /// nothing — "each executor only computes the points that belong
-    /// to it". An own index no cluster holds is claimed and enqueued;
-    /// a claimed one has nothing left to do, so each own point enters
-    /// the queue at most once per task.
-    fn admit(&mut self, nbrs: &[PointId], cluster: &mut PartialCluster) {
-        let stamp = self.marks.seed_stamp;
-        for &PointId(r) in nbrs {
-            if r >= self.start && r < self.end {
-                if self.claim(r, cluster) {
-                    self.marks.queue.push(r);
+    /// Admit a core point's neighbourhood into `cluster`, in query
+    /// order: neighbour `ids[pos + j]` for every set bit `j` of every
+    /// chunk mask, decoded in place. An own index no cluster of the task
+    /// holds is claimed (Algorithm 2 lines 13-22, border claims
+    /// included) and enqueued; a claimed one has nothing left to do, so
+    /// each own point enters the queue at most once per task. A foreign
+    /// index meets Algorithm 3 at once and becomes a SEED or nothing —
+    /// "each executor only computes the points that belong to it".
+    fn admit(&mut self, (ids, masks): (&[u32], &[HitMask]), cluster: &mut PartialCluster) {
+        let Marks { mark, stamp, seeded_partition_stamp, queue, seeds, .. } = &mut *self.marks;
+        let (start, len, first, stamp) = (self.start, self.end - self.start, self.first, *stamp);
+        let (mark, members) = (&mut mark[..], &mut cluster.members);
+        let neighbours = masks.iter().flat_map(|h| h.rows()).map(|pos| ids[pos]);
+        match self.policy {
+            SeedPolicy::PerBoundaryEdge => {
+                for r in neighbours {
+                    // one load and one compare: own points against the
+                    // task's first stamp, foreign ones against the
+                    // cluster's; the bound is a select, not a branch
+                    let own = r.wrapping_sub(start) < len;
+                    let bound = stamp - ((stamp - first) & 0u32.wrapping_sub(own as u32));
+                    let m = &mut mark[r as usize];
+                    if *m < bound {
+                        *m = stamp;
+                        if own {
+                            members.push(r);
+                            queue.push(r);
+                        } else {
+                            seeds.push(r);
+                        }
+                    }
                 }
-                continue;
             }
-            let seeded = match self.policy {
-                SeedPolicy::OnePerPartition => {
-                    &mut self.marks.seeded_partition_stamp[self.ranges.partition_of(r)]
+            SeedPolicy::OnePerPartition => {
+                for r in neighbours {
+                    if r.wrapping_sub(start) < len {
+                        let m = &mut mark[r as usize];
+                        if *m < first {
+                            *m = stamp;
+                            members.push(r);
+                            queue.push(r);
+                        }
+                    } else {
+                        let s = &mut seeded_partition_stamp[self.ranges.partition_of(r)];
+                        if replace(s, stamp) != stamp {
+                            seeds.push(r);
+                        }
+                    }
                 }
-                SeedPolicy::PerBoundaryEdge => &mut self.marks.seeded_point_stamp[r as usize],
-            };
-            if replace(seeded, stamp) != stamp {
-                self.marks.seeds.push(r);
             }
         }
+    }
+}
+
+/// Where one task's ε-neighbourhoods come from: a query for one point,
+/// then its neighbours as chunk masks over an id table.
+trait Neighbourhoods {
+    /// Query the ε-neighbourhood of point `q` over the whole dataset;
+    /// returns its size.
+    fn query(&mut self, q: u32) -> usize;
+
+    /// The last query's neighbours, in query order: `ids[pos + j]` for
+    /// every set bit `j` of every mask.
+    fn hits(&self) -> (&[u32], &[HitMask]);
+}
+
+/// Neighbourhoods listed by a closure: the list, as ids under whole
+/// chunk masks.
+struct Listed<F> {
+    neighbors_of: F,
+    buf: Vec<PointId>,
+    ids: Vec<u32>,
+    masks: Vec<HitMask>,
+}
+
+impl<F: FnMut(u32, &mut Vec<PointId>)> Neighbourhoods for Listed<F> {
+    fn query(&mut self, q: u32) -> usize {
+        self.buf.clear();
+        (self.neighbors_of)(q, &mut self.buf);
+        self.ids.clear();
+        self.ids.extend(self.buf.iter().map(|p| p.0));
+        let n = self.ids.len();
+        self.masks.clear();
+        self.masks.extend(
+            (0..n)
+                .step_by(64)
+                .map(|pos| HitMask { pos: pos as u32, mask: u64::MAX >> (64 - (n - pos).min(64)) }),
+        );
+        n
+    }
+
+    fn hits(&self) -> (&[u32], &[HitMask]) {
+        (&self.ids, &self.masks)
     }
 }
 
@@ -295,6 +381,20 @@ impl<'a> TreeNeighborSource<'a> {
     }
 }
 
+/// The tree path: the walk leaves each neighbourhood as chunk masks in
+/// the query scratch, and admission decodes them in place through the
+/// tree's order.
+impl Neighbourhoods for TreeNeighborSource<'_> {
+    fn query(&mut self, q: u32) -> usize {
+        let row = self.tree.dataset().point(PointId(q));
+        self.tree.range_masks(row, self.eps, self.prune, self.scratch)
+    }
+
+    fn hits(&self) -> (&[u32], &[HitMask]) {
+        (self.tree.tree_order(), self.scratch.hit_masks())
+    }
+}
+
 /// Run Algorithms 2+3 for one partition with throwaway scratch.
 ///
 /// `neighbors_of(idx, out)` must append the eps-neighborhood of point
@@ -318,19 +418,50 @@ pub fn local_partial_clusters(
     )
 }
 
-/// [`local_partial_clusters`] against caller-owned scratch, the hot
-/// path for executors that process many partitions: steady-state tasks
-/// allocate nothing but the output itself.
+/// [`local_partial_clusters`] against caller-owned scratch. The task
+/// lists each neighbourhood into one buffer of its own, then admits it
+/// through the same steps as [`local_partial_clusters_source`].
 pub fn local_partial_clusters_scratch(
-    mut neighbors_of: impl FnMut(u32, &mut Vec<PointId>),
+    neighbors_of: impl FnMut(u32, &mut Vec<PointId>),
     params: DbscanParams,
     ranges: &PartitionRanges,
     partition: usize,
     seed_policy: SeedPolicy,
     scratch: &mut ExecutorScratch,
 ) -> LocalClustering {
-    let ExecutorScratch { marks, nbuf } = scratch;
-    let mut x = Expansion::begin(marks, ranges, partition, seed_policy);
+    let mut listed = Listed { neighbors_of, buf: Vec::new(), ids: Vec::new(), masks: Vec::new() };
+    expand(&mut listed, params, ranges, partition, seed_policy, scratch)
+}
+
+/// Algorithms 2+3 for one partition over a [`TreeNeighborSource`], the
+/// executors' hot path: admission reads each neighbourhood straight
+/// from the walk's chunk masks, so steady-state tasks allocate nothing
+/// but their output. `kernel` is unused: the leaf layout is fixed when
+/// the tree is built, and every layout gives the same clustering.
+pub fn local_partial_clusters_source(
+    source: &mut TreeNeighborSource<'_>,
+    params: DbscanParams,
+    ranges: &PartitionRanges,
+    partition: usize,
+    seed_policy: SeedPolicy,
+    scratch: &mut ExecutorScratch,
+    _kernel: KernelConfig,
+) -> LocalClustering {
+    expand(source, params, ranges, partition, seed_policy, scratch)
+}
+
+/// The one Algorithm 2 loop: visit each own point in index order, open a
+/// cluster at each unvisited core point and drain the queue its
+/// admissions fill.
+fn expand(
+    source: &mut impl Neighbourhoods,
+    params: DbscanParams,
+    ranges: &PartitionRanges,
+    partition: usize,
+    seed_policy: SeedPolicy,
+    scratch: &mut ExecutorScratch,
+) -> LocalClustering {
+    let mut x = Expansion::begin(&mut scratch.marks, ranges, partition, seed_policy);
     // the queue's read cursor: every cluster drains the queue, so the
     // next one starts where the last stopped
     let mut head = 0usize;
@@ -343,11 +474,10 @@ pub fn local_partial_clusters_scratch(
         if !x.visit(p) {
             continue;
         }
-        nbuf.clear();
-        neighbors_of(p, nbuf);
+        let found = source.query(p);
         stats.neighbor_queries += 1;
-        stats.neighbors_found += nbuf.len();
-        if nbuf.len() < params.min_pts {
+        stats.neighbors_found += found;
+        if found < params.min_pts {
             // Algorithm 2 line 9: "mark p as noise" (it may later be
             // claimed as a border point by an expanding cluster)
             stats.local_noise += 1;
@@ -356,7 +486,7 @@ pub fn local_partial_clusters_scratch(
 
         let mut cluster = x.open(p);
         core_points.push(p);
-        x.admit(nbuf, &mut cluster);
+        x.admit(source.hits(), &mut cluster);
         while let Some(&q) = x.marks.queue.get(head) {
             head += 1;
             // a point claimed as a border of this cluster may have been
@@ -364,41 +494,18 @@ pub fn local_partial_clusters_scratch(
             if !x.visit(q) {
                 continue;
             }
-            nbuf.clear();
-            neighbors_of(q, nbuf);
+            let found = source.query(q);
             stats.neighbor_queries += 1;
-            stats.neighbors_found += nbuf.len();
-            if nbuf.len() >= params.min_pts {
+            stats.neighbors_found += found;
+            if found >= params.min_pts {
                 core_points.push(q);
-                x.admit(nbuf, &mut cluster);
+                x.admit(source.hits(), &mut cluster);
             }
         }
         clusters.push(x.close(cluster, &mut stats));
     }
 
     LocalClustering { clusters, core_points, stats }
-}
-
-/// [`local_partial_clusters_scratch`] over a [`TreeNeighborSource`].
-/// `kernel` is unused: the leaf layout is fixed when the tree is built,
-/// and every layout gives the same clustering.
-pub fn local_partial_clusters_source(
-    source: &mut TreeNeighborSource<'_>,
-    params: DbscanParams,
-    ranges: &PartitionRanges,
-    partition: usize,
-    seed_policy: SeedPolicy,
-    scratch: &mut ExecutorScratch,
-    _kernel: KernelConfig,
-) -> LocalClustering {
-    local_partial_clusters_scratch(
-        |q, out| source.neighbors_of(q, out),
-        params,
-        ranges,
-        partition,
-        seed_policy,
-        scratch,
-    )
 }
 
 #[cfg(test)]
@@ -599,9 +706,9 @@ mod tests {
         assert_eq!(scratch.capacity(), 20);
         go(8, 3, &mut scratch); // local_n = 5: keeps high-water capacity
         assert_eq!(scratch.capacity(), 20);
-        // the per-point SEED table spans the whole dataset and keeps its
+        // the per-point mark table spans the whole dataset and keeps its
         // high-water length when a smaller dataset follows
-        assert_eq!(scratch.seed_capacity(), 40);
+        assert_eq!(scratch.mark_capacity(), 40);
         for (n, len) in [(60usize, 60usize), (25, 60)] {
             let tree = chain_tree(n);
             let ranges = PartitionRanges::new(n, 3);
@@ -615,7 +722,7 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(fresh, reused, "n={n}");
-            assert_eq!(scratch.seed_capacity(), len, "n={n}");
+            assert_eq!(scratch.mark_capacity(), len, "n={n}");
         }
     }
 
@@ -651,31 +758,42 @@ mod tests {
 
     #[test]
     fn seed_stamp_wrap_matches_fresh_scratch() {
-        // the first cluster takes stamp u32::MAX and the second wraps it,
-        // which must reset the SEED tables rather than reuse stale stamps
+        // every task runs on scratch whose stamp sits `left` below
+        // u32::MAX with every mark stale at it: with fewer stamps left
+        // than the task has points it must reset the marks, with enough
+        // it must run up to u32::MAX without one, and either way (and
+        // for the tasks after it) match fresh scratch. At min_pts = 1
+        // and a tiny eps every point opens its own cluster, so a task
+        // takes one stamp per own point, the most it can
         let ds = Arc::new(Dataset::from_rows(blob_rows()));
         let tree = KdTree::build(ds.clone());
-        let params = DbscanParams::new(1.1, 3).unwrap();
         let n = ds.len();
-        for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
-            for parts in [1, 2, 4] {
-                let ranges = PartitionRanges::new(n, parts);
-                let mut scratch = ExecutorScratch::near_seed_wrap();
-                let mut clusters = 0;
-                for part in 0..parts {
-                    let fresh = run(&tree, params, &ranges, part, policy);
-                    let wrapped = local_partial_clusters_scratch(
-                        |q, out| tree.range_into(ds.point(PointId(q)), params.eps, out),
-                        params,
-                        &ranges,
-                        part,
-                        policy,
-                        &mut scratch,
-                    );
-                    assert_eq!(fresh, wrapped, "{part}/{parts} {policy:?}");
-                    clusters += fresh.clusters.len();
+        for (eps, min_pts) in [(1.1, 3), (0.01, 1)] {
+            let params = DbscanParams::new(eps, min_pts).unwrap();
+            for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+                for parts in [1, 2, 4] {
+                    let ranges = PartitionRanges::new(n, parts);
+                    let fresh: Vec<LocalClustering> =
+                        (0..parts).map(|part| run(&tree, params, &ranges, part, policy)).collect();
+                    let clusters: usize = fresh.iter().map(|l| l.clusters.len()).sum();
+                    assert!(clusters >= 2, "the tasks must open clusters: {clusters}");
+                    let local_n = (n / parts) as u32;
+                    for left in [0, 1, 2, 3, local_n - 1, local_n, local_n + 1, n as u32] {
+                        let mut scratch = ExecutorScratch::at_stamp(u32::MAX - left, n, parts);
+                        for (part, want) in fresh.iter().enumerate() {
+                            let got = local_partial_clusters_scratch(
+                                |q, out| tree.range_into(ds.point(PointId(q)), params.eps, out),
+                                params,
+                                &ranges,
+                                part,
+                                policy,
+                                &mut scratch,
+                            );
+                            let tag = format!("eps={eps} {part}/{parts} {policy:?} left={left}");
+                            assert_eq!(*want, got, "{tag}");
+                        }
+                    }
                 }
-                assert!(clusters >= 2, "the stamp must wrap: {clusters} clusters");
             }
         }
     }
@@ -701,10 +819,11 @@ mod tests {
 
     #[test]
     fn tree_neighbor_source_matches_closure_source() {
-        // the real executor-side source (BkdTree + QueryScratch) under
-        // both leaf layouts against a plain closure over the
-        // scalar-layout tree — neighbor order, hence member order, must
-        // match
+        // the real executor-side source (BkdTree + QueryScratch, whose
+        // chunk masks admission decodes in place) under both leaf
+        // layouts against a plain closure listing the scalar-layout
+        // tree's neighbourhoods — neighbour order, hence member order,
+        // and the kernel counters must match, exact and pruned
         let ds = Arc::new(Dataset::from_rows(blob_rows()));
         // 16-point leaves: the 37 points span several leaves
         let build = |kernel| {
@@ -713,48 +832,62 @@ mod tests {
         };
         let scalar = build(KernelConfig::scalar());
         let n = ds.len();
-        let params = DbscanParams::new(1.1, 3).unwrap();
         let ranges = PartitionRanges::new(n, 3);
-        for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
-            for part in 0..3 {
-                let mut base_scratch = QueryScratch::new();
-                let baseline = local_partial_clusters(
-                    |q, out| {
-                        scalar.range_into_scratch(
-                            ds.point(PointId(q)),
-                            params.eps,
-                            &mut base_scratch,
-                            out,
-                        )
-                    },
-                    params,
-                    &ranges,
-                    part,
-                    policy,
-                );
-                for kernel in [KernelConfig::default(), KernelConfig::scalar()] {
-                    let bkd = build(kernel);
-                    let mut qscratch = QueryScratch::new();
-                    let mut source = TreeNeighborSource::new(
-                        &bkd,
-                        &mut qscratch,
-                        params.eps,
-                        PruneConfig::EXACT,
-                    );
-                    let mut scratch = ExecutorScratch::new();
-                    let got = local_partial_clusters_source(
-                        &mut source,
-                        params,
-                        &ranges,
-                        part,
-                        policy,
-                        &mut scratch,
-                        kernel,
-                    );
-                    assert_eq!(baseline, got, "{kernel:?} part={part} {policy:?}");
+        let prunes = [
+            PruneConfig::EXACT,
+            PruneConfig::cap_neighbors(1),
+            PruneConfig::cap_neighbors(4),
+            PruneConfig::cap_neighbors(7),
+            PruneConfig { max_neighbors: None, max_visited: Some(3) },
+            PruneConfig { max_neighbors: Some(5), max_visited: Some(6) },
+        ];
+        let mut seeds_placed = 0;
+        for (eps, min_pts) in [(1.1, 3), (2.5, 4)] {
+            let params = DbscanParams::new(eps, min_pts).unwrap();
+            for prune in prunes {
+                for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+                    for part in 0..3 {
+                        let mut base_scratch = QueryScratch::new();
+                        let baseline = local_partial_clusters(
+                            |q, out| {
+                                scalar.range_pruned_scratch(
+                                    ds.point(PointId(q)),
+                                    params.eps,
+                                    prune,
+                                    &mut base_scratch,
+                                    out,
+                                );
+                            },
+                            params,
+                            &ranges,
+                            part,
+                            policy,
+                        );
+                        seeds_placed += baseline.stats.seeds_placed;
+                        for kernel in [KernelConfig::default(), KernelConfig::scalar()] {
+                            let bkd = build(kernel);
+                            let mut qscratch = QueryScratch::new();
+                            let mut source =
+                                TreeNeighborSource::new(&bkd, &mut qscratch, params.eps, prune);
+                            let mut scratch = ExecutorScratch::new();
+                            let got = local_partial_clusters_source(
+                                &mut source,
+                                params,
+                                &ranges,
+                                part,
+                                policy,
+                                &mut scratch,
+                                kernel,
+                            );
+                            let tag = format!("{kernel:?} {prune:?} part={part} {policy:?}");
+                            assert_eq!(baseline, got, "{tag}");
+                            assert_eq!(base_scratch.counters, qscratch.counters, "{tag}");
+                        }
+                    }
                 }
             }
         }
+        assert!(seeds_placed > 0, "the inputs must place SEEDs");
     }
 
     /// Algorithms 2 and 3 transcribed directly, with SEEDs placed when

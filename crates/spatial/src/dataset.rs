@@ -18,37 +18,86 @@ pub struct Dataset {
     coords: Vec<f64>,
 }
 
+/// Why a coordinate buffer or a row list cannot become a [`Dataset`].
+/// Non-finite coordinates are not an error: they are data (a NaN or
+/// infinite point is within `eps` of nothing).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DatasetError {
+    /// No rows, so no dimension to infer (use [`Dataset::empty`]).
+    NoRows,
+    /// A point of no coordinates: `dim == 0`, or an empty first row.
+    ZeroDim,
+    /// Row `row` has `len` coordinates where the first row has `dim`.
+    RaggedRow { row: usize, len: usize, dim: usize },
+    /// A flat buffer of `len` values is not whole rows of `dim`.
+    RaggedBuffer { len: usize, dim: usize },
+}
+
+impl std::fmt::Display for DatasetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DatasetError::NoRows => write!(f, "use Dataset::empty(dim) for empty data"),
+            DatasetError::ZeroDim => {
+                write!(f, "dimension must be positive: points must have at least one coordinate")
+            }
+            DatasetError::RaggedRow { row, len, dim } => {
+                write!(f, "row {row} has dimension {len} != {dim}")
+            }
+            DatasetError::RaggedBuffer { len, dim } => {
+                write!(f, "coordinate buffer length {len} is not a multiple of dim {dim}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DatasetError {}
+
 impl Dataset {
     /// Create a dataset from a flat row-major coordinate buffer.
     ///
     /// # Panics
-    /// Panics if `dim == 0` or `coords.len()` is not a multiple of `dim`.
+    /// Panics with the [`DatasetError`] of [`Dataset::try_from_flat`].
     pub fn from_flat(dim: usize, coords: Vec<f64>) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        assert!(
-            coords.len().is_multiple_of(dim),
-            "coordinate buffer length {} is not a multiple of dim {}",
-            coords.len(),
-            dim
-        );
-        Dataset { dim, coords }
+        Self::try_from_flat(dim, coords).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Create a dataset from a flat row-major coordinate buffer, or say
+    /// why it is not one: `dim == 0`, or a length that is not a multiple
+    /// of `dim`.
+    pub fn try_from_flat(dim: usize, coords: Vec<f64>) -> Result<Self, DatasetError> {
+        if dim == 0 {
+            return Err(DatasetError::ZeroDim);
+        }
+        if !coords.len().is_multiple_of(dim) {
+            return Err(DatasetError::RaggedBuffer { len: coords.len(), dim });
+        }
+        Ok(Dataset { dim, coords })
     }
 
     /// Create a dataset from per-point rows.
     ///
     /// # Panics
-    /// Panics if rows have inconsistent lengths or `rows` is empty with no
-    /// way to infer a dimension (use [`Dataset::empty`] instead).
+    /// Panics with the [`DatasetError`] of [`Dataset::try_from_rows`].
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
-        assert!(!rows.is_empty(), "use Dataset::empty(dim) for empty data");
-        let dim = rows[0].len();
-        assert!(dim > 0, "points must have at least one coordinate");
+        Self::try_from_rows(rows).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Create a dataset from per-point rows, or say why they are not
+    /// one: no rows (use [`Dataset::empty`]), an empty first row, or a
+    /// row whose length differs from the first's.
+    pub fn try_from_rows(rows: Vec<Vec<f64>>) -> Result<Self, DatasetError> {
+        let dim = rows.first().ok_or(DatasetError::NoRows)?.len();
+        if dim == 0 {
+            return Err(DatasetError::ZeroDim);
+        }
         let mut coords = Vec::with_capacity(rows.len() * dim);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), dim, "row {i} has dimension {} != {dim}", r.len());
+        for (row, r) in rows.iter().enumerate() {
+            if r.len() != dim {
+                return Err(DatasetError::RaggedRow { row, len: r.len(), dim });
+            }
             coords.extend_from_slice(r);
         }
-        Dataset { dim, coords }
+        Ok(Dataset { dim, coords })
     }
 
     /// An empty dataset of the given dimensionality.
@@ -191,6 +240,38 @@ mod tests {
     #[should_panic(expected = "dimension")]
     fn from_rows_rejects_ragged_rows() {
         let _ = Dataset::from_rows(vec![vec![1.0], vec![1.0, 2.0]]);
+    }
+
+    #[test]
+    fn try_from_rows_reports_a_ragged_row() {
+        let err = Dataset::try_from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0]]);
+        assert_eq!(err, Err(DatasetError::RaggedRow { row: 2, len: 1, dim: 2 }));
+    }
+
+    #[test]
+    fn try_from_rows_reports_no_rows() {
+        assert_eq!(Dataset::try_from_rows(Vec::new()), Err(DatasetError::NoRows));
+    }
+
+    #[test]
+    fn try_constructors_report_zero_dim() {
+        assert_eq!(Dataset::try_from_rows(vec![vec![], vec![]]), Err(DatasetError::ZeroDim));
+        assert_eq!(Dataset::try_from_flat(0, Vec::new()), Err(DatasetError::ZeroDim));
+    }
+
+    #[test]
+    fn try_from_flat_reports_a_ragged_buffer() {
+        let err = Dataset::try_from_flat(3, vec![1.0; 7]);
+        assert_eq!(err, Err(DatasetError::RaggedBuffer { len: 7, dim: 3 }));
+    }
+
+    #[test]
+    fn try_constructors_accept_non_finite_coordinates() {
+        let rows = vec![vec![f64::NAN, 1.0], vec![f64::INFINITY, f64::NEG_INFINITY]];
+        let ds = Dataset::try_from_rows(rows).expect("non-finite coordinates are data");
+        assert!(ds.row(0)[0].is_nan());
+        let flat = Dataset::try_from_flat(2, ds.flat().to_vec()).expect("same buffer");
+        assert_eq!(flat.len(), 2);
     }
 
     #[test]

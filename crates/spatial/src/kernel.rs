@@ -11,7 +11,7 @@
 //! work is a fixed-trip-count, bounds-check-free loop.
 //!
 //! On top of the row-major kernels sits the **SoA chunk scan**
-//! ([`scan_block_soa`]): it scans a leaf block stored dimension-major
+//! ([`LeafScan::masks`]): it scans a leaf block stored dimension-major
 //! (all `x`s, then all `y`s, …) one chunk of up to 64 rows at a time
 //! (longer leaves take several chunks). The coordinate loop runs
 //! outermost and every row of the chunk keeps its accumulator in a
@@ -19,15 +19,25 @@
 //! add per lane (abs and add, or abs and max, for the other metrics).
 //! The last lane group loads only the rows the chunk holds, with a
 //! masked load, so there is no scalar remainder loop and nothing past
-//! the leaf is read. The compares become one `u64` hit mask per chunk,
-//! whose bits past the leaf's end are cleared, and the hits are emitted
-//! in row order. Three bodies run this structure, picked at run time:
-//! AVX-512F (64-row chunks in eight zmm accumulators), AVX2 (32-row
-//! chunks in eight ymm accumulators) and safe Rust for every other
-//! target. One lane per point: each point's per-dimension sum runs in
-//! the exact sequential coordinate order of the scalar kernels, so
-//! every distance is the same `f64` bit for bit — vectorization happens
-//! *across* points, never inside one point's accumulation.
+//! the leaf is read. Three bodies run this structure, picked at run
+//! time: AVX-512F (64-row chunks in eight zmm accumulators), AVX2
+//! (32-row chunks in eight ymm accumulators) and safe Rust for every
+//! other target. One lane per point: each point's per-dimension sum
+//! runs in the exact sequential coordinate order of the scalar kernels,
+//! so every distance is the same `f64` bit for bit — vectorization
+//! happens *across* points, never inside one point's accumulation.
+//!
+//! **Masks are the kernel's output.** The compares of a chunk become
+//! one `u64` hit mask, whose bits past the leaf's end are cleared, and
+//! every mask that holds a hit goes to the caller as `(first row,
+//! mask)`. The tree walk records them as they come
+//! ([`crate::bkdtree::HitMask`]) and the executors decode them in place,
+//! so no hit crosses a per-row callback on the hot path. A
+//! [`LeafScan`] is resolved once per walk: the metric, the query, its
+//! threshold and the arm — the row-major scalar kernel under
+//! [`KernelLayout::Scalar`], which builds its masks from its own
+//! per-row decisions and stays the reference, or the body detected for
+//! [`KernelLayout::Lanes`].
 //!
 //! Two invariants make the kernels safe to wire everywhere:
 //!
@@ -38,11 +48,12 @@
 //!   paths return byte-identical neighborhoods (property-tested in
 //!   `tests/proptest_kernels.rs`). Chebyshev follows `f64::max`, which
 //!   ignores a NaN operand, by the operand order of `maxpd`.
-//! * **Same early-exit semantics.** [`scan_block`] and
-//!   [`scan_block_soa`] report matches through a callback that can stop
-//!   the scan, row by row in row order, so pruned queries
-//!   (`max_neighbors`) behave exactly like the generic traversal they
-//!   replace.
+//! * **Same early-exit semantics.** [`scan_block`] reports matches row
+//!   by row through a callback that can stop the scan, and
+//!   [`scan_block_soa`] replays the chunk masks through the same kind of
+//!   callback, so both stop on the same row. The mask emitter can stop
+//!   a scan after any chunk, which is where the tree walk cuts a
+//!   `max_neighbors` cap.
 //!
 //! Callers: [`crate::BkdTree`] leaf scans, [`crate::BruteForceIndex`]
 //! whole-matrix scans, and [`crate::Metric::reduced_distance`] (single
@@ -228,7 +239,110 @@ fn scan_rows<const D: usize, G: Fn(&[f64; D]) -> f64, F: FnMut(usize) -> bool>(
     true
 }
 
-// ---- chunked SoA kernels ----------------------------------------------
+// ---- chunk masks --------------------------------------------------------
+
+/// One query's leaf scanner, resolved once per tree walk: the metric,
+/// the query and its threshold, and the arm that scans — the row-major
+/// scalar kernel under [`KernelLayout::Scalar`], the widest chunk-scan
+/// body the CPU runs under [`KernelLayout::Lanes`], detected here once.
+/// Every arm reports the same hits; the tree walk records them as chunk
+/// masks.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafScan<'a> {
+    metric: Metric,
+    dim: usize,
+    query: &'a [f64],
+    thr: f64,
+    arm: Arm,
+}
+
+/// How a [`LeafScan`] reads a leaf block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arm {
+    /// A row-major block, one row at a time through [`scan_block`]: the
+    /// reference arm.
+    RowMajor,
+    /// A dimension-major block, one chunk at a time through a body.
+    Chunked(Body),
+}
+
+impl<'a> LeafScan<'a> {
+    /// The scanner for `query` (`dim` coordinates) at threshold `thr`
+    /// (in [`Metric::threshold`] space) over blocks stored in `layout`.
+    #[inline]
+    pub fn new(
+        layout: KernelLayout,
+        metric: Metric,
+        dim: usize,
+        query: &'a [f64],
+        thr: f64,
+    ) -> Self {
+        let arm = match layout {
+            KernelLayout::Scalar => Arm::RowMajor,
+            KernelLayout::Lanes => Arm::Chunked(Body::detect()),
+        };
+        Self::with_arm(arm, metric, dim, query, thr)
+    }
+
+    /// The scanner through an explicit arm (tests pit every body the
+    /// CPU runs against the others).
+    #[inline]
+    pub(crate) fn with_arm(
+        arm: Arm,
+        metric: Metric,
+        dim: usize,
+        query: &'a [f64],
+        thr: f64,
+    ) -> Self {
+        LeafScan { metric, dim, query, thr, arm }
+    }
+
+    /// Report the hits of one leaf block of `rows` rows as chunk masks:
+    /// `emit(base, mask)` for every chunk of up to 64 rows that holds a
+    /// hit, in row order, where bit `j` of `mask` is set iff row
+    /// `base + j` is within the threshold. `block` holds `rows * dim`
+    /// values, row-major under [`KernelLayout::Scalar`] and
+    /// dimension-major under [`KernelLayout::Lanes`]. `emit` returns
+    /// `false` to stop the scan; `masks` returns `false` iff it was
+    /// stopped.
+    #[inline]
+    pub fn masks<E: FnMut(usize, u64) -> bool>(&self, block: &[f64], rows: usize, emit: E) -> bool {
+        assert_eq!(block.len(), rows * self.dim, "a leaf block holds rows * dim values");
+        if rows == 0 || self.dim == 0 {
+            return true;
+        }
+        match self.arm {
+            Arm::RowMajor => {
+                let (m, d, q, thr) = (self.metric, self.dim, self.query, self.thr);
+                scan_chunks::<64, _, _>(
+                    rows,
+                    |base, len| {
+                        let mut mask = 0u64;
+                        scan_block(m, d, q, &block[base * d..(base + len) * d], thr, |i| {
+                            mask |= 1 << i;
+                            true
+                        });
+                        mask
+                    },
+                    emit,
+                )
+            }
+            Arm::Chunked(body) => {
+                let soa = SoaBlock {
+                    metric: self.metric,
+                    query: &self.query[..self.dim],
+                    soa: block,
+                    rows,
+                    thr: self.thr,
+                };
+                // SAFETY: `Body::detect` only returns a body this CPU can
+                // run, and tests build a `Chunked` arm only from
+                // `Body::runnable`.
+                unsafe { body.scan(&soa, emit) }
+            }
+        }
+    }
+}
 
 /// Scan a dimension-major (SoA) coordinate block of `rows` points
 /// (`soa[k * rows + i]` = coordinate `k` of point `i`,
@@ -237,7 +351,8 @@ fn scan_rows<const D: usize, G: Fn(&[f64; D]) -> f64, F: FnMut(usize) -> bool>(
 /// included, as [`scan_block`] over the row-major transpose of the
 /// block. Distances are bit-identical to the scalar path: lanes run
 /// across points, each point still accumulates coordinate `0..dim`
-/// sequentially.
+/// sequentially. The rows come from the chunk masks of
+/// [`LeafScan::masks`].
 #[inline]
 pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     metric: Metric,
@@ -246,15 +361,24 @@ pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     soa: &[f64],
     rows: usize,
     thr: f64,
-    on_match: F,
+    mut on_match: F,
 ) -> bool {
-    assert_eq!(soa.len(), rows * dim, "a dimension-major block holds rows * dim values");
-    if rows == 0 || dim == 0 {
-        return true;
+    LeafScan::new(KernelLayout::Lanes, metric, dim, query, thr)
+        .masks(soa, rows, |base, mask| each_row(base, mask, &mut on_match))
+}
+
+/// `on_match(base + j)` for every set bit `j` of `mask`, ascending,
+/// until it returns `false`; whether it never did.
+#[inline]
+fn each_row(base: usize, mask: u64, mut on_match: impl FnMut(usize) -> bool) -> bool {
+    let mut rest = mask;
+    while rest != 0 {
+        if !on_match(base + rest.trailing_zeros() as usize) {
+            return false;
+        }
+        rest &= rest - 1;
     }
-    let block = SoaBlock { metric, query: &query[..dim], soa, rows, thr };
-    // SAFETY: `Body::detect` only returns a body this CPU can run.
-    unsafe { Body::detect().scan(&block, on_match) }
+    true
 }
 
 /// One SoA leaf scan: `query` (one coordinate per dimension) against
@@ -282,30 +406,27 @@ impl SoaBlock<'_> {
     }
 }
 
-/// Report the rows of `block` within its threshold in row order, one
-/// chunk of up to `C` rows at a time: `hits(base, len)` is the chunk's
-/// hit mask (bit `j` set iff row `base + j` is within the threshold).
-/// Bits at and past `len` are cleared here, so a body may leave
-/// anything in the lanes past the leaf's end. Returns `false` iff
-/// `on_match` stopped the scan.
+/// Emit the hit masks of a block of `rows` rows, one chunk of up to `C`
+/// rows at a time: `hits(base, len)` is the chunk's hit mask (bit `j`
+/// set iff row `base + j` is within the threshold), and `emit(base,
+/// mask)` receives every mask that holds a hit, in row order. Bits at
+/// and past `len` are cleared here, so a body may leave anything in the
+/// lanes past the leaf's end. Returns `false` iff `emit` stopped the
+/// scan.
 #[inline(always)]
-fn scan_chunks<const C: usize, H: FnMut(usize, usize) -> u64, F: FnMut(usize) -> bool>(
+fn scan_chunks<const C: usize, H: FnMut(usize, usize) -> u64, E: FnMut(usize, u64) -> bool>(
     rows: usize,
     mut hits: H,
-    mut on_match: F,
+    mut emit: E,
 ) -> bool {
     const { assert!(C <= 64, "a chunk's hit mask is one u64") };
     let mut base = 0usize;
     while base < rows {
         let len = C.min(rows - base);
-        // the usual all-zero mask skips the emission loop entirely
-        let mut mask = hits(base, len) & (u64::MAX >> (64 - len));
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            if !on_match(base + j) {
-                return false;
-            }
-            mask &= mask - 1;
+        let mask = hits(base, len) & (u64::MAX >> (64 - len));
+        // the usual all-zero mask costs one branch
+        if mask != 0 && !emit(base, mask) {
+            return false;
         }
         base += len;
     }
@@ -345,28 +466,45 @@ impl Body {
         Body::Portable
     }
 
-    /// [`scan_block_soa`] through this body.
+    /// Every body this CPU can run, narrowest first. Dispatch runs only
+    /// the widest one, so tests are what executes the others there.
+    #[cfg(test)]
+    pub(crate) fn runnable() -> Vec<Body> {
+        let mut v = vec![Body::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                v.push(Body::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                v.push(Body::Avx512);
+            }
+        }
+        v
+    }
+
+    /// The chunk masks of `block` through this body ([`scan_chunks`]).
     ///
     /// # Safety
     ///
     /// The CPU must support the body's instruction set.
     #[inline]
-    unsafe fn scan<F: FnMut(usize) -> bool>(self, block: &SoaBlock, on_match: F) -> bool {
+    unsafe fn scan<E: FnMut(usize, u64) -> bool>(self, block: &SoaBlock, emit: E) -> bool {
         match self {
-            Body::Portable => scan_portable(block, on_match),
+            Body::Portable => scan_portable(block, emit),
             // SAFETY: the caller guarantees the CPU has AVX2.
             #[cfg(target_arch = "x86_64")]
-            Body::Avx2 => unsafe { scan_avx2(block, on_match) },
+            Body::Avx2 => unsafe { scan_avx2(block, emit) },
             // SAFETY: the caller guarantees the CPU has AVX-512F.
             #[cfg(target_arch = "x86_64")]
-            Body::Avx512 => unsafe { scan_avx512(block, on_match) },
+            Body::Avx512 => unsafe { scan_avx512(block, emit) },
         }
     }
 }
 
 /// The portable body: the chunk's accumulators in a `[f64; 64]`, one
 /// per row, updated column by column.
-fn scan_portable<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
+fn scan_portable<E: FnMut(usize, u64) -> bool>(block: &SoaBlock, emit: E) -> bool {
     /// One coordinate's contribution folded into a row's accumulator:
     /// `step(acc, q, x)` with the scalar kernels' operations.
     #[inline(always)]
@@ -389,17 +527,17 @@ fn scan_portable<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool
                     a + delta * delta
                 })
             },
-            on_match,
+            emit,
         ),
         Metric::Manhattan => scan_chunks::<64, _, _>(
             rows,
             |base, len| hits(block, base, len, |a, q, x| a + (q - x).abs()),
-            on_match,
+            emit,
         ),
         Metric::Chebyshev => scan_chunks::<64, _, _>(
             rows,
             |base, len| hits(block, base, len, |a, q, x| f64::max(a, (q - x).abs())),
-            on_match,
+            emit,
         ),
     }
 }
@@ -430,7 +568,7 @@ macro_rules! by_groups {
 /// (`_mm512_maskz_loadu_pd`), so nothing past the leaf is read.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn scan_avx512<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
+fn scan_avx512<E: FnMut(usize, u64) -> bool>(block: &SoaBlock, emit: E) -> bool {
     use std::arch::x86_64::*;
     let rows = block.rows;
     match block.metric {
@@ -442,7 +580,7 @@ fn scan_avx512<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
                     _mm512_add_pd(a, _mm512_mul_pd(delta, delta))
                 })
             },
-            on_match,
+            emit,
         ),
         Metric::Manhattan => scan_chunks::<64, _, _>(
             rows,
@@ -451,7 +589,7 @@ fn scan_avx512<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
                     _mm512_add_pd(a, _mm512_abs_pd(_mm512_sub_pd(q, x)))
                 })
             },
-            on_match,
+            emit,
         ),
         // `f64::max(a, v)` returns `a` when `v` is NaN, and `a` starts
         // at 0.0 so it is never NaN itself; `maxpd(v, a)` returns its
@@ -463,7 +601,7 @@ fn scan_avx512<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
                     _mm512_max_pd(_mm512_abs_pd(_mm512_sub_pd(q, x)), a)
                 })
             },
-            on_match,
+            emit,
         ),
     }
 }
@@ -508,7 +646,7 @@ where
 /// `_mm256_maskload_pd`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
+fn scan_avx2<E: FnMut(usize, u64) -> bool>(block: &SoaBlock, emit: E) -> bool {
     use std::arch::x86_64::*;
     let rows = block.rows;
     // clears the sign bit: `f64::abs`
@@ -522,7 +660,7 @@ fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
                     _mm256_add_pd(a, _mm256_mul_pd(delta, delta))
                 })
             },
-            on_match,
+            emit,
         ),
         Metric::Manhattan => scan_chunks::<32, _, _>(
             rows,
@@ -531,7 +669,7 @@ fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
                     _mm256_add_pd(a, abs(_mm256_sub_pd(q, x)))
                 })
             },
-            on_match,
+            emit,
         ),
         // the operand order of `scan_avx512`'s Chebyshev, for the same
         // `f64::max` NaN rule
@@ -542,7 +680,7 @@ fn scan_avx2<F: FnMut(usize) -> bool>(block: &SoaBlock, on_match: F) -> bool {
                     _mm256_max_pd(abs(_mm256_sub_pd(q, x)), a)
                 })
             },
-            on_match,
+            emit,
         ),
     }
 }
@@ -691,22 +829,6 @@ mod tests {
         out
     }
 
-    /// Every chunk-scan body this CPU can run. Dispatch runs only the
-    /// widest one, so these tests are what executes the others there.
-    fn bodies() -> Vec<Body> {
-        let mut v = vec![Body::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(Body::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                v.push(Body::Avx512);
-            }
-        }
-        v
-    }
-
     #[test]
     fn dispatch_matches_generic_bit_for_bit() {
         for dim in 1..=8 {
@@ -804,6 +926,22 @@ mod tests {
         (done, hits)
     }
 
+    /// The rows `body` reports for `sb` through its chunk masks, stopped
+    /// at the `cap`-th hit, with whether the scan ran to the end.
+    fn body_hits(body: Body, sb: &SoaBlock, cap: usize) -> (bool, Vec<usize>) {
+        let mut hits = Vec::new();
+        // SAFETY: `Body::runnable` lists only bodies this CPU runs.
+        let done = unsafe {
+            body.scan(sb, |base, mask| {
+                each_row(base, mask, |i| {
+                    hits.push(i);
+                    hits.len() < cap
+                })
+            })
+        };
+        (done, hits)
+    }
+
     #[test]
     fn soa_scan_matches_row_major_scan() {
         // 0..=130 rows crosses the 4-, 8-, 32- and 64-row group and
@@ -822,17 +960,9 @@ mod tests {
                         for query in [&q, &odd_q] {
                             let want = row_major_hits(m, query, &leaf, thr, usize::MAX);
                             let sb = SoaBlock { metric: m, query, soa, rows, thr };
-                            for body in bodies() {
-                                let mut hits = Vec::new();
-                                // SAFETY: `bodies` lists only bodies this CPU runs.
-                                let done = unsafe {
-                                    body.scan(&sb, |i| {
-                                        hits.push(i);
-                                        true
-                                    })
-                                };
+                            for body in Body::runnable() {
                                 assert_eq!(
-                                    (done, hits),
+                                    body_hits(body, &sb, usize::MAX),
                                     want,
                                     "rows={rows} dim={dim} {m:?} thr={thr} {body:?}"
                                 );
@@ -872,16 +1002,8 @@ mod tests {
                         hits.len() < cap
                     });
                     assert_eq!((done, &hits), (want.0, &want.1), "cap={cap} {m:?}");
-                    for body in bodies() {
-                        hits.clear();
-                        // SAFETY: `bodies` lists only bodies this CPU runs.
-                        let done = unsafe {
-                            body.scan(&sb, |i| {
-                                hits.push(i);
-                                hits.len() < cap
-                            })
-                        };
-                        assert_eq!((done, &hits), (want.0, &want.1), "cap={cap} {m:?} {body:?}");
+                    for body in Body::runnable() {
+                        assert_eq!(body_hits(body, &sb, cap), want, "cap={cap} {m:?} {body:?}");
                     }
                 }
             }

@@ -40,10 +40,10 @@ pub mod rtree;
 
 pub use aabb::Aabb;
 pub use bkdtree::{
-    lpt_makespan_nanos, BkdTree, BuildConfig, BuildReport, BuildShard, QueryScratch,
+    lpt_makespan_nanos, BkdTree, BuildConfig, BuildReport, BuildShard, HitMask, QueryScratch,
 };
 pub use bruteforce::BruteForceIndex;
-pub use dataset::Dataset;
+pub use dataset::{Dataset, DatasetError};
 pub use grid::GridIndex;
 pub use index::SpatialIndex;
 pub use kdtree::{KdTree, PruneConfig};

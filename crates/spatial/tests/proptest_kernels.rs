@@ -6,7 +6,8 @@
 
 use dbscan_spatial::{
     scan_block, scan_block_generic, scan_block_soa, transpose_block, BkdTree, BruteForceIndex,
-    Dataset, Metric, PointId, QueryScratch, SpatialIndex, SPECIALIZED_DIMS,
+    BuildConfig, Dataset, KernelConfig, KernelCounters, KernelLayout, Metric, PointId, PruneConfig,
+    QueryScratch, SpatialIndex, SPECIALIZED_DIMS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -277,5 +278,236 @@ proptest! {
         let soa_result = scan(true);
         prop_assert!(soa_result.1.iter().all(|&i| i < rows));
         prop_assert_eq!(soa_result, scan(false));
+    }
+}
+
+// ---- the mask walk against a reference walk --------------------------
+
+/// A kd-tree built by the bucketed tree's documented rule, written out
+/// here apart from it: split on the axis of widest spread (`min`/`max`
+/// skip NaN; the first axis wins ties) at the median in `total_cmp`
+/// order, the left side taking `[0, mid)`, until at most `bucket` rows
+/// are left.
+enum RefNode {
+    Leaf(Vec<u32>),
+    Split { axis: usize, split: f64, left: Box<RefNode>, right: Box<RefNode> },
+}
+
+fn ref_build(rows: &[Vec<f64>], ids: &mut [u32], bucket: usize) -> RefNode {
+    if ids.len() <= bucket {
+        return RefNode::Leaf(ids.to_vec());
+    }
+    let spread = |axis: usize| {
+        let values = ids.iter().map(|&i| rows[i as usize][axis]);
+        let (lo, hi) =
+            values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        hi - lo
+    };
+    let best = (0..rows[0].len())
+        .map(|axis| (axis, spread(axis)))
+        .fold((0, f64::NEG_INFINITY), |best, (axis, s)| if s > best.1 { (axis, s) } else { best });
+    let axis = best.0;
+    let mid = ids.len() / 2;
+    ids.select_nth_unstable_by(mid, |&p, &q| {
+        rows[p as usize][axis].total_cmp(&rows[q as usize][axis])
+    });
+    let split = rows[ids[mid] as usize][axis];
+    let (lo, hi) = ids.split_at_mut(mid);
+    let left = Box::new(ref_build(rows, lo, bucket));
+    let right = Box::new(ref_build(rows, hi, bucket));
+    RefNode::Split { axis, split, left, right }
+}
+
+fn ref_leaf_order(node: &RefNode, out: &mut Vec<u32>) {
+    match node {
+        RefNode::Leaf(ids) => out.extend(ids),
+        RefNode::Split { left, right, .. } => {
+            ref_leaf_order(left, out);
+            ref_leaf_order(right, out);
+        }
+    }
+}
+
+/// The reduced distance, query minus row in coordinate order.
+fn ref_distance(metric: Metric, q: &[f64], row: &[f64]) -> f64 {
+    let pairs = q.iter().zip(row);
+    match metric {
+        Metric::Euclidean => pairs.fold(0.0, |a, (x, y)| a + (x - y) * (x - y)),
+        Metric::Manhattan => pairs.fold(0.0, |a, (x, y)| a + (x - y).abs()),
+        Metric::Chebyshev => pairs.fold(0.0, |a, (x, y)| f64::max(a, (x - y).abs())),
+    }
+}
+
+/// One reference range walk: its hits in order, the nodes it visited
+/// and the kernel counters it would count.
+#[derive(Debug, Default, PartialEq)]
+struct RefWalk {
+    hits: Vec<u32>,
+    visited: usize,
+    counters: KernelCounters,
+    /// Cumulative hit count at the end of each scanned leaf.
+    leaf_ends: Vec<usize>,
+}
+
+struct RefQuery<'a> {
+    rows: &'a [Vec<f64>],
+    metric: Metric,
+    q: &'a [f64],
+    thr: f64,
+    cap: usize,
+    max_visited: Option<usize>,
+}
+
+impl RefQuery<'_> {
+    /// Depth first, the near side of each split before the far side,
+    /// which is skipped only when the split plane alone puts it beyond
+    /// the threshold. Returns whether the walk may go on.
+    fn walk(&self, node: &RefNode, w: &mut RefWalk) -> bool {
+        if self.max_visited.is_some_and(|m| w.visited >= m) {
+            w.counters.early_exits += 1;
+            return false;
+        }
+        w.visited += 1;
+        match node {
+            RefNode::Leaf(ids) => {
+                w.counters.blocks_scanned += 1;
+                w.counters.rows_scanned += ids.len() as u64;
+                for &id in ids {
+                    if ref_distance(self.metric, self.q, &self.rows[id as usize]) <= self.thr {
+                        w.hits.push(id);
+                        w.counters.range_hits += 1;
+                        if w.hits.len() >= self.cap {
+                            w.leaf_ends.push(w.hits.len());
+                            w.counters.early_exits += 1;
+                            return false;
+                        }
+                    }
+                }
+                w.leaf_ends.push(w.hits.len());
+                true
+            }
+            RefNode::Split { axis, split, left, right } => {
+                let delta = self.q[*axis] - split;
+                let (near, far) = if delta <= 0.0 { (left, right) } else { (right, left) };
+                let plane = match self.metric {
+                    Metric::Euclidean => delta * delta,
+                    _ => delta.abs(),
+                };
+                let far_reachable = plane <= self.thr || delta.is_nan();
+                self.walk(near, w) && (!far_reachable || self.walk(far, w))
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The mask walk, decoded through `tree_order()`, against a
+    /// reference walk that shares no code with the tree (hit order,
+    /// visited count, kernel counters) and, unpruned, against the
+    /// brute-force index (hit set). Both layouts, all metrics, leaves
+    /// of 1..=130 rows (several 64-row chunks), caps that land inside a
+    /// chunk, on its last bit and on a leaf's last hit, visit budgets,
+    /// non-finite rows and queries, and thresholds 0, exact and +inf.
+    #[test]
+    fn mask_walk_matches_reference_walk(
+        dim in (0usize..7).prop_map(|i| [1, 2, 3, 4, 6, 7, 10][i]),
+        n in 1usize..=220,
+        bucket in 1usize..=130,
+        cells in prop::collection::vec(coordinate_strategy(), 220 * 10..=220 * 10),
+        metric_idx in 0usize..3,
+        eps_idx in 0usize..3,
+        poison in (0usize..10, 0usize..3),
+    ) {
+        let metric = METRICS[metric_idx];
+        let eps = [0.0, 0.5, f64::INFINITY][eps_idx];
+        let base: Vec<f64> = (0..dim).map(|k| 0.25 * k as f64).collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..dim).map(|k| cells[i * 10 + k].at(base[k], 0.5)).collect())
+            .collect();
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let reference = ref_build(&rows, &mut ids, bucket);
+        let mut order = Vec::new();
+        ref_leaf_order(&reference, &mut order);
+        // queries: the base point, a few data rows, and the base point
+        // with one coordinate NaN or infinite
+        let mut odd = base.clone();
+        odd[poison.0 % dim] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison.1];
+        let queries: Vec<Vec<f64>> =
+            [base.clone(), odd].into_iter().chain(rows.iter().take(3).cloned()).collect();
+        let ds = Arc::new(Dataset::from_rows(rows.clone()));
+        let bf = BruteForceIndex::with_metric(ds.clone(), metric);
+        for layout in [KernelLayout::Scalar, KernelLayout::Lanes] {
+            let cfg = BuildConfig::default()
+                .with_bucket_size(bucket)
+                .with_kernel(KernelConfig::default().with_layout(layout));
+            let tree = BkdTree::build_with_config(ds.clone(), metric, cfg);
+            prop_assert_eq!(tree.tree_order(), &order[..], "the reference rebuilds the tree");
+            for q in &queries {
+                let rq = |cap: usize, max_visited| RefQuery {
+                    rows: &rows, metric, q, thr: metric.threshold(eps), cap, max_visited,
+                };
+                let mut exact = RefWalk::default();
+                rq(usize::MAX, None).walk(&reference, &mut exact);
+                // Chebyshev's `f64::max` skips a NaN coordinate, so a row
+                // with one can be a hit on the far side of a split that
+                // bounds every other row out: the split-plane pruning
+                // holds for such rows only under the other metrics
+                if metric != Metric::Chebyshev || rows.iter().flatten().all(|x| !x.is_nan()) {
+                    let mut want = exact.hits.iter().map(|&i| PointId(i)).collect::<Vec<_>>();
+                    want.sort_unstable();
+                    prop_assert_eq!(want, sorted(bf.range(q, eps)), "{:?} {:?} q={:?}", layout, metric, q);
+                }
+
+                // caps inside a chunk, on a chunk's last bit and on a
+                // leaf's last hit, from the tree's own exact masks and
+                // the reference's leaves
+                let mut scratch = QueryScratch::new();
+                tree.range_masks(q, eps, PruneConfig::EXACT, &mut scratch);
+                let mut caps = vec![0, 1, 2, exact.hits.len(), exact.hits.len() + 1];
+                let mut seen = 0;
+                for h in scratch.hit_masks() {
+                    let count = h.mask.count_ones() as usize;
+                    caps.extend([seen + count / 2 + 1, seen + count]);
+                    seen += count;
+                }
+                caps.extend(exact.leaf_ends.iter().copied());
+                let mut prunes: Vec<PruneConfig> =
+                    caps.into_iter().map(PruneConfig::cap_neighbors).collect();
+                for budget in [0, 1, 2, exact.visited / 2, exact.visited - 1, exact.visited] {
+                    prunes.push(PruneConfig { max_neighbors: None, max_visited: Some(budget) });
+                }
+                prunes.push(PruneConfig { max_neighbors: Some(3), max_visited: Some(exact.visited / 2) });
+                prunes.push(PruneConfig::EXACT);
+
+                for prune in prunes {
+                    let mut want = RefWalk::default();
+                    let cap = prune.max_neighbors.map_or(usize::MAX, |k| k.max(1));
+                    rq(cap, prune.max_visited).walk(&reference, &mut want);
+                    let tag = format!("{layout:?} {metric:?} {prune:?} q={q:?}");
+
+                    let mut scratch = QueryScratch::new();
+                    let found = tree.range_masks(q, eps, prune, &mut scratch);
+                    let masks = scratch.hit_masks().to_vec();
+                    prop_assert!(masks.iter().all(|h| h.mask != 0), "{}", tag);
+                    let decoded: Vec<u32> = masks
+                        .iter()
+                        .flat_map(|h| h.rows())
+                        .map(|pos| tree.tree_order()[pos])
+                        .collect();
+                    prop_assert_eq!(found, want.hits.len(), "{}", tag);
+                    prop_assert_eq!(&decoded, &want.hits, "{}", tag);
+                    prop_assert_eq!(scratch.counters, want.counters, "{}", tag);
+
+                    let mut scratch = QueryScratch::new();
+                    let mut out = Vec::new();
+                    let visited = tree.range_pruned_scratch(q, eps, prune, &mut scratch, &mut out);
+                    prop_assert_eq!(visited, want.visited, "{}", tag);
+                    prop_assert!(out.iter().map(|p| p.0).eq(want.hits.iter().copied()), "{}", tag);
+                    prop_assert_eq!(scratch.counters, want.counters, "{}", tag);
+                }
+            }
+        }
     }
 }
