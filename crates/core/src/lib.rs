@@ -53,7 +53,7 @@ pub mod validate;
 pub use explore::{clustering_fingerprint, DbscanExploreJob};
 pub use filter::filter_small_partials;
 pub use label::{Clustering, Label};
-pub use model::{PartialCluster, PartitionRanges};
+pub use model::{PartialArena, PartialCluster, PartialView, PartitionRanges};
 pub use mr::{MrDbscan, MrDbscanResult};
 pub use mr_iterative::{MrDbscanIterative, MrIterativeResult, PointState};
 pub use params::{DbscanParams, ParamError};
@@ -63,8 +63,8 @@ pub use partitioned::executor_side::{
     ExecutorScratch, ExecutorStats, LocalClustering, TreeNeighborSource,
 };
 pub use partitioned::merge::{
-    extract_seed_edges, merge_partial_clusters, merge_union_find, merge_with_edges, MergeOutcome,
-    MergeStrategy,
+    extract_seed_edges, merge_partial_clusters, merge_union_find, merge_union_find_arenas,
+    merge_with_edges, MergeOutcome, MergeStrategy,
 };
 pub use partitioned::planner::{plan_partitions, Balance, CostPlan};
 pub use partitioned::SeedPolicy;

@@ -123,29 +123,20 @@ impl PartialCluster {
 
     /// Whether `members` keeps the layout contract: no regular member
     /// after a SEED.
+    #[cfg(test)]
     pub(crate) fn has_contract_layout(&self) -> bool {
         self.members.iter().skip_while(|&&m| self.is_regular(m)).all(|&m| !self.is_regular(m))
-    }
-
-    /// `members` split at the first SEED: `(regulars, seeds)`. A linear
-    /// scan over the regulars, not a binary search: the merge reads the
-    /// regulars anyway, and on merge-bound inputs most partials hold one
-    /// or two regulars ahead of dozens of SEEDs, where a binary search
-    /// would first load the middle of the list.
-    pub(crate) fn split_at_seeds(&self) -> (&[u32], &[u32]) {
-        let k = self.members.iter().position(|&m| !self.is_regular(m));
-        self.members.split_at(k.unwrap_or(self.members.len()))
     }
 
     /// The SEEDs: members outside the owner's range, the suffix of
     /// `members`.
     pub fn seeds(&self) -> impl Iterator<Item = u32> + '_ {
-        self.split_at_seeds().1.iter().copied()
+        self.view().seeds.iter().copied()
     }
 
     /// Regular members only, the prefix of `members`.
     pub fn regulars(&self) -> impl Iterator<Item = u32> + '_ {
-        self.split_at_seeds().0.iter().copied()
+        self.view().regulars.iter().copied()
     }
 
     /// Number of members (regulars + SEEDs).
@@ -156,6 +147,113 @@ impl PartialCluster {
     /// Whether the cluster has no members.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
+    }
+
+    /// The cluster as the merge reads it: `members` split at the first
+    /// SEED. A linear scan over the regulars, not a binary search: the
+    /// merge reads the regulars anyway, and on merge-bound inputs most
+    /// partials hold one or two regulars ahead of dozens of SEEDs, where
+    /// a binary search would first load the middle of the list.
+    pub fn view(&self) -> PartialView<'_> {
+        let k = self.members.iter().position(|&m| !self.is_regular(m));
+        let (regulars, seeds) = self.members.split_at(k.unwrap_or(self.members.len()));
+        PartialView { range: self.range, regulars, seeds }
+    }
+}
+
+/// A borrowed partial cluster: its owner's range, its regular members
+/// and its SEEDs, each in the order the executor recorded them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartialView<'a> {
+    /// The owner's index range `[start, end)`.
+    pub range: (u32, u32),
+    /// Members inside the range, in claim order.
+    pub regulars: &'a [u32],
+    /// Members outside the range, in placement order.
+    pub seeds: &'a [u32],
+}
+
+/// One task's partial clusters in one buffer: every partial's members
+/// back to back, each in the [`PartialCluster`] layout (regulars, then
+/// SEEDs), with the offsets that split them. An executor appends to it
+/// as it clusters, so a task's output is a handful of buffers however
+/// many partials it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartialArena {
+    /// Partition that built these partials.
+    pub owner: u32,
+    /// The owner's index range `[start, end)`.
+    pub range: (u32, u32),
+    /// Every partial's members; the open partial's regulars at the end.
+    pub(crate) members: Vec<u32>,
+    /// Per closed partial, where its SEEDs start in `members` and where
+    /// it ends; it starts where the one before it ends.
+    bounds: Vec<(u32, u32)>,
+}
+
+impl PartialArena {
+    /// An empty arena for a partition.
+    pub fn new(owner: u32, range: (u32, u32)) -> Self {
+        PartialArena { owner, range, members: Vec::new(), bounds: Vec::new() }
+    }
+
+    /// Number of partial clusters.
+    pub fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Whether the arena holds no partial cluster.
+    pub fn is_empty(&self) -> bool {
+        self.bounds.is_empty()
+    }
+
+    /// Close the partial whose regulars were appended since the last
+    /// one closed: append `seeds` after them.
+    pub(crate) fn close(&mut self, seeds: &[u32]) {
+        let at = |len: usize| u32::try_from(len).expect("a task's partials hold < 2^32 members");
+        let seed_start = at(self.members.len());
+        self.members.extend_from_slice(seeds);
+        self.bounds.push((seed_start, at(self.members.len())));
+    }
+
+    /// Append a partial cluster of this arena's partition.
+    pub fn push(&mut self, cluster: &PartialCluster) {
+        assert_eq!((cluster.owner, cluster.range), (self.owner, self.range), "foreign partial");
+        let PartialView { regulars, seeds, .. } = cluster.view();
+        self.members.extend_from_slice(regulars);
+        self.close(seeds);
+    }
+
+    /// Where the `i`-th partial starts, where its SEEDs start and where
+    /// it ends in `members`.
+    fn span(&self, i: usize) -> [usize; 3] {
+        let start = i.checked_sub(1).map_or(0, |j| self.bounds[j].1);
+        let (seed_start, end) = self.bounds[i];
+        [start as usize, seed_start as usize, end as usize]
+    }
+
+    /// The `i`-th partial cluster.
+    fn view(&self, i: usize) -> PartialView<'_> {
+        let [start, seed_start, end] = self.span(i);
+        PartialView {
+            range: self.range,
+            regulars: &self.members[start..seed_start],
+            seeds: &self.members[seed_start..end],
+        }
+    }
+
+    /// Every partial cluster, in the order the executor closed them.
+    pub fn views(&self) -> impl ExactSizeIterator<Item = PartialView<'_>> + Clone {
+        (0..self.len()).map(|i| self.view(i))
+    }
+
+    /// The partials as owned clusters, one `Vec` each.
+    pub fn into_partials(self) -> Vec<PartialCluster> {
+        let (owner, range) = (self.owner, self.range);
+        let members = |[start, _, end]: [usize; 3]| self.members[start..end].to_vec();
+        (0..self.len())
+            .map(|i| PartialCluster { owner, range, members: members(self.span(i)) })
+            .collect()
     }
 }
 
@@ -176,6 +274,35 @@ mod tests {
             }
             assert!(covered.iter().all(|&c| c == 1), "n={n} p={p}");
         }
+    }
+
+    #[test]
+    fn arena_round_trips_partial_clusters() {
+        // partials with and without SEEDs, and one with no regulars, as
+        // hand-built inputs can hold
+        let members: [&[u32]; 4] = [&[3, 1, 12, 20], &[4], &[], &[2, 15, 11]];
+        let partials: Vec<PartialCluster> = members
+            .iter()
+            .map(|m| PartialCluster { owner: 1, range: (0, 10), members: m.to_vec() })
+            .collect();
+        let mut arena = PartialArena::new(1, (0, 10));
+        assert!(arena.is_empty());
+        for c in &partials {
+            arena.push(c);
+        }
+        assert_eq!(arena.len(), 4);
+        let views: Vec<PartialView> = arena.views().collect();
+        let want: Vec<PartialView> = partials.iter().map(PartialCluster::view).collect();
+        assert_eq!(views, want);
+        assert_eq!((views[0].regulars, views[0].seeds), (&[3, 1][..], &[12, 20][..]));
+        assert_eq!((views[2].regulars, views[2].seeds), (&[][..], &[][..]));
+        assert_eq!(arena.into_partials(), partials);
+    }
+
+    #[test]
+    #[should_panic(expected = "foreign partial")]
+    fn arena_refuses_a_foreign_partial() {
+        PartialArena::new(0, (0, 10)).push(&PartialCluster::new(1, (10, 20)));
     }
 
     #[test]

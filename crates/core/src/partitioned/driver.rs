@@ -10,12 +10,14 @@
 
 use crate::filter::filter_small_partials;
 use crate::label::Clustering;
-use crate::model::{PartialCluster, PartitionRanges};
+use crate::model::{PartialArena, PartialCluster, PartialView, PartitionRanges};
 use crate::params::DbscanParams;
 use crate::partitioned::executor_side::{
-    local_partial_clusters_source, ExecutorScratch, ExecutorStats, TreeNeighborSource,
+    local_partial_arena, ExecutorScratch, ExecutorStats, TreeNeighborSource,
 };
-use crate::partitioned::merge::{fill_owner, merge_partial_clusters, union_seeds, MergeStrategy};
+use crate::partitioned::merge::{
+    fill_owner, merge_partial_clusters, union_seeds, MergeOutcome, MergeStrategy,
+};
 use crate::partitioned::planner::{plan_partitions, Balance};
 use crate::partitioned::SeedPolicy;
 use crate::reorder::{apply_permutation, zorder_permutation};
@@ -23,7 +25,7 @@ use crate::resources::Resources;
 use dbscan_spatial::{
     BkdTree, BuildReport, Dataset, KernelCounters, Metric, PruneConfig, QueryScratch,
 };
-use sparklet::{Context, JobMetrics, MemoryStats};
+use sparklet::{Context, JobMetrics, MemoryStats, TraceHandle};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,9 +266,9 @@ impl SparkDbscan {
         // ---- executors: local clustering, streamed to the driver ----
         // A single accumulator whose *fold* runs on the driver thread
         // the moment each task succeeds (the scheduler's drain
-        // callback): partial clusters are appended and core flags are
-        // written straight into the dense array the merge's edge
-        // extraction reads — prep work overlapped with the tasks still
+        // callback): each task's partial-cluster arena is kept and core
+        // flags are written straight into the dense array the merge's
+        // owner fill reads — prep work overlapped with the tasks still
         // running, instead of deferred behind a full-stage barrier.
         // Exactly-once holds because folds only apply on task success.
         // Collected partials are the merge's input, part of the driver's
@@ -275,7 +277,7 @@ impl SparkDbscan {
         let collected_acc =
             ctx.accumulator_with(Collected::default(), move |state: &mut Collected, feed: Feed| {
                 match feed {
-                    Feed::Partials(partials) => state.partials.extend(partials),
+                    Feed::Partials(arena) => state.arenas.push(arena),
                     Feed::Cores(cs) => {
                         if state.core.len() < n {
                             state.core.resize(n, false);
@@ -313,14 +315,13 @@ impl SparkDbscan {
                     qscratch.counters = KernelCounters::default();
                     let mut source =
                         TreeNeighborSource::new(&info.tree, qscratch, info.params.eps, info.prune);
-                    let mut local = local_partial_clusters_source(
+                    let mut local = local_partial_arena(
                         &mut source,
                         info.params,
                         &info.ranges,
                         part,
                         info.seed_policy,
                         escratch,
-                        info.tree.kernel_config(),
                     );
                     local.stats.kernel = qscratch.counters;
                     local
@@ -332,7 +333,7 @@ impl SparkDbscan {
                 th.task_kernel(k.blocks_scanned, k.rows_scanned, k.range_hits, k.early_exits);
                 // Algorithm 2 lines 26-28: send partial clusters to the
                 // driver through the accumulator at closure end
-                acc.add(Feed::Partials(local.clusters));
+                acc.add(Feed::Partials(local.partials));
                 acc.add(Feed::Cores(local.core_points));
                 acc.add(Feed::Stats(part as u32, local.stats));
             })
@@ -341,7 +342,7 @@ impl SparkDbscan {
         let job = ctx.last_job().expect("job metrics recorded");
 
         // ---- driver: merge (Algorithm 4) ----
-        let Collected { mut partials, mut core, stats: mut executor_stats } = collected_acc.take();
+        let Collected { mut arenas, mut core, stats: mut executor_stats } = collected_acc.take();
         // core flags gate the merge (only core SEEDs may weld clusters
         // together — see merge docs); empty partitions may leave the
         // lazily-sized array short
@@ -349,40 +350,45 @@ impl SparkDbscan {
         // The accumulator folds in task *completion* order, which
         // varies with scheduling and retries. The merge must be a pure
         // function of the data, so restore the canonical order first:
-        // by owner, then first member. Each task's partials arrive
-        // whole and in ascending first-member order (a partial opens at
+        // by owner, then first member. Each task's arena holds its
+        // partials in ascending first-member order (a partial opens at
         // its first member, and the executor opens them in index
-        // order), so a stable sort by owner alone yields it.
-        partials.sort_by_key(|c| c.owner);
-        debug_assert!(partials
-            .windows(2)
-            .all(|w| (w[0].owner, w[0].members.first()) < (w[1].owner, w[1].members.first())));
-        let before_filter = partials.len();
-        if let Some(min) = self.min_partial_size {
-            partials = filter_small_partials(partials, min);
-        }
-        let filtered = before_filter - partials.len();
-        let num_partial_clusters = partials.len();
+        // order), so sorting the arenas by owner yields it.
+        arenas.sort_unstable_by_key(|a| a.owner);
+        debug_assert!(arenas.windows(2).all(|w| w[0].owner < w[1].owner));
+        let before_filter: usize = arenas.iter().map(PartialArena::len).sum();
+        // the union-find reads the arenas in place; the paper strategies
+        // and the small-partial filter take owned partials
+        let owned = (self.merge_strategy != MergeStrategy::UnionFind
+            || self.min_partial_size.is_some())
+        .then(|| {
+            let partials = arenas.drain(..).flat_map(PartialArena::into_partials).collect();
+            match self.min_partial_size {
+                Some(min) => filter_small_partials(partials, min),
+                None => partials,
+            }
+        });
+        let num_partial_clusters = owned.as_ref().map_or(before_filter, Vec::len);
+        let filtered = before_filter - num_partial_clusters;
 
         let t = Instant::now();
         trace.phase_start("merge");
-        let outcome = match self.merge_strategy {
-            MergeStrategy::UnionFind => {
-                // exact queries under PerBoundaryEdge record every
-                // core–core boundary edge from both ends, so forward
-                // unions suffice (see merge docs)
-                let symmetric = self.seed_policy == SeedPolicy::PerBoundaryEdge
-                    && self.prune == PruneConfig::EXACT;
-                trace.phase_start("merge_extract");
-                let owner = fill_owner(n, &partials, &core);
-                trace.phase_end("merge_extract");
-                trace.phase_start("merge_union");
-                let outcome = union_seeds(&partials, owner, symmetric);
-                trace.phase_end("merge_union");
-                outcome
+        // exact queries under PerBoundaryEdge record every core–core
+        // boundary edge from both ends, so forward unions suffice (see
+        // merge docs)
+        let symmetric =
+            self.seed_policy == SeedPolicy::PerBoundaryEdge && self.prune == PruneConfig::EXACT;
+        let outcome = match &owned {
+            None => {
+                let views = || arenas.iter().flat_map(PartialArena::views);
+                traced_union_find(&trace, n, views, num_partial_clusters, &core, symmetric)
+            }
+            Some(partials) if self.merge_strategy == MergeStrategy::UnionFind => {
+                let views = || partials.iter().map(PartialCluster::view);
+                traced_union_find(&trace, n, views, num_partial_clusters, &core, symmetric)
             }
             // paper-literal strategies stay the serial baseline arm
-            s => merge_partial_clusters(n, &partials, s, &core),
+            Some(partials) => merge_partial_clusters(n, partials, self.merge_strategy, &core),
         };
         trace.phase_end("merge");
         let merge = t.elapsed();
@@ -426,6 +432,26 @@ impl SparkDbscan {
     }
 }
 
+/// The union-find merge over the `m` partials `views()` yields, its
+/// owner fill and SEED scan traced as the `merge_extract` and
+/// `merge_union` phases.
+fn traced_union_find<'a, I: Iterator<Item = PartialView<'a>>>(
+    trace: &TraceHandle,
+    n: usize,
+    views: impl Fn() -> I,
+    m: usize,
+    core: &[bool],
+    symmetric: bool,
+) -> MergeOutcome {
+    trace.phase_start("merge_extract");
+    let owner = fill_owner(n, views(), core);
+    trace.phase_end("merge_extract");
+    trace.phase_start("merge_union");
+    let outcome = union_seeds(views(), m, owner, symmetric);
+    trace.phase_end("merge_union");
+    outcome
+}
+
 /// Everything an executor needs, shipped once as a broadcast variable
 /// ("eps, minimum number of points, partition information, and
 /// especially, the kdtree").
@@ -440,7 +466,7 @@ struct SharedInfo {
 /// Driver-side state grown by the streaming fold as each task finishes.
 #[derive(Default)]
 struct Collected {
-    partials: Vec<PartialCluster>,
+    arenas: Vec<PartialArena>,
     core: Vec<bool>,
     stats: Vec<(u32, ExecutorStats)>,
 }
@@ -448,7 +474,7 @@ struct Collected {
 /// One streamed fragment of an executor's result.
 enum Feed {
     /// One task's partial clusters.
-    Partials(Vec<PartialCluster>),
+    Partials(PartialArena),
     Cores(Vec<u32>),
     Stats(u32, ExecutorStats),
 }

@@ -15,7 +15,10 @@
 //! dequeue-time claim would see them: every partial keeps the same
 //! members and SEEDs. A partial's members are its regular points in
 //! claim order, then its SEEDs in placement order — the
-//! [`PartialCluster`] layout contract the merge relies on.
+//! [`PartialCluster`] layout contract the merge relies on. A task
+//! appends every partial it closes to one [`PartialArena`], the output
+//! the driver collects; the public entry points convert it once into
+//! owned partials.
 //! Neighborhoods are computed over the **full broadcast dataset**, so
 //! core status is globally exact even though expansion is local.
 //!
@@ -24,7 +27,7 @@
 //! FIFO queue (a `Vec` and a read cursor, since each own point enters
 //! it at most once per task) but replace every hashtable with a **dense
 //! stamped array**: visited flags indexed by local offset and stamped
-//! per task; one mark table indexed by global point that holds both the
+//! per task; one mark table with a slot per point that holds both the
 //! claims and the per-point SEEDs, with a stamp per cluster (an own
 //! point is claimed in this task iff its mark is at least the stamp of
 //! the task's first cluster; a foreign point is a SEED of the open
@@ -37,12 +40,14 @@
 //!
 //! On the tree path ([`local_partial_clusters_source`]) a query leaves
 //! its neighbourhood as the walk's chunk hit masks, and admission
-//! decodes them in place: no neighbour list is built. The closure entry
-//! points list each neighbourhood into a buffer and admit it through
-//! the same steps, so there is one implementation of Algorithms 2
-//! and 3.
+//! decodes them in place: no neighbour list is built. Its marks are
+//! keyed by tree position ([`BkdTree::tree_position`]), so the marks of
+//! one neighbourhood lie in the few runs of the table its leaves cover.
+//! The closure entry points list each neighbourhood into a buffer, key
+//! the marks by point id and admit it through the same steps, so there
+//! is one implementation of Algorithms 2 and 3.
 
-use crate::model::{PartialCluster, PartitionRanges};
+use crate::model::{PartialArena, PartialCluster, PartitionRanges};
 use crate::params::DbscanParams;
 use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{
@@ -134,7 +139,8 @@ impl ExecutorScratch {
 /// The stamped arrays of Algorithms 2 and 3, the FIFO queue and the
 /// open cluster's SEED buffer.
 ///
-/// One mark table, keyed by global point id, holds both the claims of
+/// One mark table, with one slot per point (by tree position on the
+/// tree path, by point id otherwise), holds both the claims of
 /// Algorithm 2 and the per-point SEEDs of Algorithm 3. Every cluster
 /// takes the next `stamp`, and a mark only ever holds a stamp already
 /// taken, so no mark exceeds the open cluster's stamp. With `first` the
@@ -148,7 +154,8 @@ impl ExecutorScratch {
 /// so every neighbour costs one load and one compare. A task opens at
 /// most one cluster per own point, so a task that begins with at least
 /// that many stamps left never wraps; one that does not resets every
-/// mark first.
+/// mark first. Tasks keyed either way may share the table: every mark
+/// an earlier task left is below the next task's first stamp.
 #[derive(Debug, Default)]
 struct Marks {
     /// Current task epoch; `visited` entries are live iff stamped with
@@ -160,7 +167,7 @@ struct Marks {
     /// Stamp of the open cluster (of the last one between clusters),
     /// carried across tasks and jobs.
     stamp: u32,
-    /// The claim-or-SEED mark of every global point (see above).
+    /// The claim-or-SEED mark of every point, at its slot (see above).
     mark: Vec<u32>,
     /// Algorithm 3's `place_flg`, one entry per partition
     /// ([`SeedPolicy::OnePerPartition`]): the partition has a SEED in
@@ -185,7 +192,6 @@ struct Expansion<'a> {
     /// Stamp of the task's first cluster: own points marked at or above
     /// it are claimed.
     first: u32,
-    owner: u32,
     start: u32,
     end: u32,
 }
@@ -227,7 +233,7 @@ impl<'a> Expansion<'a> {
         }
         marks.queue.clear();
         let (epoch, first) = (marks.epoch, marks.stamp + 1);
-        Expansion { marks, ranges, policy, epoch, first, owner: partition as u32, start, end }
+        Expansion { marks, ranges, policy, epoch, first, start, end }
     }
 
     /// Mark own point `q` visited; whether it was unvisited.
@@ -236,48 +242,50 @@ impl<'a> Expansion<'a> {
     }
 
     /// Algorithm 2 line 8: a new cluster around the visited core point
-    /// `p`, with a fresh stamp. `p` is unclaimed: every claimed point
+    /// `p`, whose mark sits at `slot`, with a fresh stamp; its first
+    /// member goes to the arena. `p` is unclaimed: every claimed point
     /// is queued, and the queue drains before the next top-level point.
-    fn open(&mut self, p: u32) -> PartialCluster {
+    fn open(&mut self, p: u32, slot: usize, arena: &mut PartialArena) {
         self.marks.stamp += 1;
-        debug_assert!(self.marks.mark[p as usize] < self.first, "a visited point was claimed");
-        self.marks.mark[p as usize] = self.marks.stamp;
+        debug_assert!(self.marks.mark[slot] < self.first, "a visited point was claimed");
+        self.marks.mark[slot] = self.marks.stamp;
         self.marks.seeds.clear();
-        let mut cluster = PartialCluster::new(self.owner, (self.start, self.end));
-        cluster.members.push(p);
-        cluster
+        arena.members.push(p);
     }
 
-    /// Finish `cluster`: its regulars in claim order, then its SEEDs in
-    /// placement order.
-    fn close(&mut self, mut cluster: PartialCluster, stats: &mut ExecutorStats) -> PartialCluster {
+    /// Close the open cluster: its SEEDs, in placement order, after the
+    /// regulars the arena holds in claim order.
+    fn close(&mut self, arena: &mut PartialArena, stats: &mut ExecutorStats) {
         stats.seeds_placed += self.marks.seeds.len();
-        cluster.members.append(&mut self.marks.seeds);
-        cluster
+        arena.close(&self.marks.seeds);
     }
 
-    /// Admit a core point's neighbourhood into `cluster`, in query
-    /// order: neighbour `ids[pos + j]` for every set bit `j` of every
-    /// chunk mask, decoded in place. An own index no cluster of the task
-    /// holds is claimed (Algorithm 2 lines 13-22, border claims
-    /// included) and enqueued; a claimed one has nothing left to do, so
-    /// each own point enters the queue at most once per task. A foreign
-    /// index meets Algorithm 3 at once and becomes a SEED or nothing —
-    /// "each executor only computes the points that belong to it".
-    fn admit(&mut self, (ids, masks): (&[u32], &[HitMask]), cluster: &mut PartialCluster) {
+    /// Admit the last query's neighbourhood into the open cluster, in
+    /// query order: neighbour `ids[pos + j]` for every set bit `j` of
+    /// every chunk mask, decoded in place, its mark at
+    /// `S::hit_slot(pos, id)`. An own index no cluster of the task holds
+    /// is claimed (Algorithm 2 lines 13-22, border claims included),
+    /// appended to `members` and enqueued; a claimed one has nothing
+    /// left to do, so each own point enters the queue at most once per
+    /// task. A foreign index meets Algorithm 3 at once and becomes a
+    /// SEED or nothing — "each executor only computes the points that
+    /// belong to it".
+    fn admit<S: Neighbourhoods>(&mut self, source: &S, members: &mut Vec<u32>) {
+        let (ids, masks) = source.hits();
         let Marks { mark, stamp, seeded_partition_stamp, queue, seeds, .. } = &mut *self.marks;
         let (start, len, first, stamp) = (self.start, self.end - self.start, self.first, *stamp);
-        let (mark, members) = (&mut mark[..], &mut cluster.members);
-        let neighbours = masks.iter().flat_map(|h| h.rows()).map(|pos| ids[pos]);
+        let mark = &mut mark[..];
+        let neighbours =
+            masks.iter().flat_map(|h| h.rows()).map(|pos| (S::hit_slot(pos, ids[pos]), ids[pos]));
         match self.policy {
             SeedPolicy::PerBoundaryEdge => {
-                for r in neighbours {
+                for (slot, r) in neighbours {
                     // one load and one compare: own points against the
                     // task's first stamp, foreign ones against the
                     // cluster's; the bound is a select, not a branch
                     let own = r.wrapping_sub(start) < len;
                     let bound = stamp - ((stamp - first) & 0u32.wrapping_sub(own as u32));
-                    let m = &mut mark[r as usize];
+                    let m = &mut mark[slot];
                     if *m < bound {
                         *m = stamp;
                         if own {
@@ -290,9 +298,9 @@ impl<'a> Expansion<'a> {
                 }
             }
             SeedPolicy::OnePerPartition => {
-                for r in neighbours {
+                for (slot, r) in neighbours {
                     if r.wrapping_sub(start) < len {
-                        let m = &mut mark[r as usize];
+                        let m = &mut mark[slot];
                         if *m < first {
                             *m = stamp;
                             members.push(r);
@@ -311,7 +319,8 @@ impl<'a> Expansion<'a> {
 }
 
 /// Where one task's ε-neighbourhoods come from: a query for one point,
-/// then its neighbours as chunk masks over an id table.
+/// then its neighbours as chunk masks over an id table, and where each
+/// point's mark sits in the mark table.
 trait Neighbourhoods {
     /// Query the ε-neighbourhood of point `q` over the whole dataset;
     /// returns its size.
@@ -320,10 +329,17 @@ trait Neighbourhoods {
     /// The last query's neighbours, in query order: `ids[pos + j]` for
     /// every set bit `j` of every mask.
     fn hits(&self) -> (&[u32], &[HitMask]);
+
+    /// The mark slot of point `p`: a bijection of `0..n` onto itself.
+    fn slot(&self, p: u32) -> usize;
+
+    /// The mark slot of the hit at `pos` of [`Neighbourhoods::hits`],
+    /// whose point is `id`: `slot(id)`, cheaper.
+    fn hit_slot(pos: usize, id: u32) -> usize;
 }
 
 /// Neighbourhoods listed by a closure: the list, as ids under whole
-/// chunk masks.
+/// chunk masks, with marks keyed by point id.
 struct Listed<F> {
     neighbors_of: F,
     buf: Vec<PointId>,
@@ -349,6 +365,14 @@ impl<F: FnMut(u32, &mut Vec<PointId>)> Neighbourhoods for Listed<F> {
 
     fn hits(&self) -> (&[u32], &[HitMask]) {
         (&self.ids, &self.masks)
+    }
+
+    fn slot(&self, p: u32) -> usize {
+        p as usize
+    }
+
+    fn hit_slot(_pos: usize, id: u32) -> usize {
+        id as usize
     }
 }
 
@@ -383,7 +407,8 @@ impl<'a> TreeNeighborSource<'a> {
 
 /// The tree path: the walk leaves each neighbourhood as chunk masks in
 /// the query scratch, and admission decodes them in place through the
-/// tree's order.
+/// tree's order. Marks are keyed by tree position, so a neighbourhood's
+/// marks lie in the few runs of the table its leaves cover.
 impl Neighbourhoods for TreeNeighborSource<'_> {
     fn query(&mut self, q: u32) -> usize {
         let row = self.tree.dataset().point(PointId(q));
@@ -392,6 +417,14 @@ impl Neighbourhoods for TreeNeighborSource<'_> {
 
     fn hits(&self) -> (&[u32], &[HitMask]) {
         (self.tree.tree_order(), self.scratch.hit_masks())
+    }
+
+    fn slot(&self, p: u32) -> usize {
+        self.tree.tree_position()[p as usize] as usize
+    }
+
+    fn hit_slot(pos: usize, _id: u32) -> usize {
+        pos
     }
 }
 
@@ -430,14 +463,13 @@ pub fn local_partial_clusters_scratch(
     scratch: &mut ExecutorScratch,
 ) -> LocalClustering {
     let mut listed = Listed { neighbors_of, buf: Vec::new(), ids: Vec::new(), masks: Vec::new() };
-    expand(&mut listed, params, ranges, partition, seed_policy, scratch)
+    expand(&mut listed, params, ranges, partition, seed_policy, scratch).into()
 }
 
 /// Algorithms 2+3 for one partition over a [`TreeNeighborSource`], the
-/// executors' hot path: admission reads each neighbourhood straight
-/// from the walk's chunk masks, so steady-state tasks allocate nothing
-/// but their output. `kernel` is unused: the leaf layout is fixed when
-/// the tree is built, and every layout gives the same clustering.
+/// executors' hot path, as owned partials: the task's arena converted
+/// once. `kernel` is unused: the leaf layout is fixed when the tree is
+/// built, and every layout gives the same clustering.
 pub fn local_partial_clusters_source(
     source: &mut TreeNeighborSource<'_>,
     params: DbscanParams,
@@ -447,25 +479,56 @@ pub fn local_partial_clusters_source(
     scratch: &mut ExecutorScratch,
     _kernel: KernelConfig,
 ) -> LocalClustering {
+    local_partial_arena(source, params, ranges, partition, seed_policy, scratch).into()
+}
+
+/// One task's output as the driver collects it: its partial clusters in
+/// one arena, the core points it certified, and stats.
+#[derive(Debug)]
+pub(crate) struct TaskPartials {
+    pub(crate) partials: PartialArena,
+    pub(crate) core_points: Vec<u32>,
+    pub(crate) stats: ExecutorStats,
+}
+
+impl From<TaskPartials> for LocalClustering {
+    fn from(task: TaskPartials) -> Self {
+        let TaskPartials { partials, core_points, stats } = task;
+        LocalClustering { clusters: partials.into_partials(), core_points, stats }
+    }
+}
+
+/// [`local_partial_clusters_source`] with the partials left in the
+/// task's arena, as the driver takes them: admission reads each
+/// neighbourhood straight from the walk's chunk masks, so steady-state
+/// tasks allocate nothing but the arena and the core list.
+pub(crate) fn local_partial_arena(
+    source: &mut TreeNeighborSource<'_>,
+    params: DbscanParams,
+    ranges: &PartitionRanges,
+    partition: usize,
+    seed_policy: SeedPolicy,
+    scratch: &mut ExecutorScratch,
+) -> TaskPartials {
     expand(source, params, ranges, partition, seed_policy, scratch)
 }
 
 /// The one Algorithm 2 loop: visit each own point in index order, open a
 /// cluster at each unvisited core point and drain the queue its
 /// admissions fill.
-fn expand(
-    source: &mut impl Neighbourhoods,
+fn expand<S: Neighbourhoods>(
+    source: &mut S,
     params: DbscanParams,
     ranges: &PartitionRanges,
     partition: usize,
     seed_policy: SeedPolicy,
     scratch: &mut ExecutorScratch,
-) -> LocalClustering {
+) -> TaskPartials {
     let mut x = Expansion::begin(&mut scratch.marks, ranges, partition, seed_policy);
+    let mut arena = PartialArena::new(partition as u32, (x.start, x.end));
     // the queue's read cursor: every cluster drains the queue, so the
     // next one starts where the last stopped
     let mut head = 0usize;
-    let mut clusters: Vec<PartialCluster> = Vec::new();
     let mut core_points: Vec<u32> = Vec::new();
     let mut stats = ExecutorStats::default();
 
@@ -484,9 +547,9 @@ fn expand(
             continue;
         }
 
-        let mut cluster = x.open(p);
+        x.open(p, source.slot(p), &mut arena);
         core_points.push(p);
-        x.admit(source.hits(), &mut cluster);
+        x.admit(source, &mut arena.members);
         while let Some(&q) = x.marks.queue.get(head) {
             head += 1;
             // a point claimed as a border of this cluster may have been
@@ -499,13 +562,16 @@ fn expand(
             stats.neighbors_found += found;
             if found >= params.min_pts {
                 core_points.push(q);
-                x.admit(source.hits(), &mut cluster);
+                x.admit(source, &mut arena.members);
             }
         }
-        clusters.push(x.close(cluster, &mut stats));
+        x.close(&mut arena, &mut stats);
     }
 
-    LocalClustering { clusters, core_points, stats }
+    // the arena waits for the merge: hand its growth slack back first
+    // (on `d2-p128` the 128 arenas hold about 29 MB between them)
+    arena.members.shrink_to_fit();
+    TaskPartials { partials: arena, core_points, stats }
 }
 
 #[cfg(test)]
@@ -888,6 +954,72 @@ mod tests {
             }
         }
         assert!(seeds_placed > 0, "the inputs must place SEEDs");
+    }
+
+    #[test]
+    fn arena_views_match_the_converted_partials() {
+        // the arena the driver collects against the owned partials of
+        // the public tree-path entry point, exact and pruned, under
+        // both SEED policies; one executor scratch serves every task
+        let ds = Arc::new(Dataset::from_rows(blob_rows()));
+        let cfg = BuildConfig::default().with_bucket_size(16);
+        let tree = BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg);
+        let ranges = PartitionRanges::new(ds.len(), 3);
+        let prunes = [
+            PruneConfig::EXACT,
+            PruneConfig::cap_neighbors(1),
+            PruneConfig::cap_neighbors(4),
+            PruneConfig { max_neighbors: None, max_visited: Some(3) },
+            PruneConfig { max_neighbors: Some(5), max_visited: Some(6) },
+        ];
+        let mut reused = ExecutorScratch::new();
+        let (mut partials, mut seeds_placed) = (0, 0);
+        for (eps, min_pts) in [(1.1, 3), (2.5, 4)] {
+            let params = DbscanParams::new(eps, min_pts).unwrap();
+            for prune in prunes {
+                for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+                    for part in 0..3 {
+                        let tag = format!("eps={eps} {prune:?} part={part} {policy:?}");
+                        let mut qscratch = QueryScratch::new();
+                        let mut source =
+                            TreeNeighborSource::new(&tree, &mut qscratch, params.eps, prune);
+                        let want = local_partial_clusters_source(
+                            &mut source,
+                            params,
+                            &ranges,
+                            part,
+                            policy,
+                            &mut ExecutorScratch::new(),
+                            KernelConfig::default(),
+                        );
+                        let mut qscratch = QueryScratch::new();
+                        let mut source =
+                            TreeNeighborSource::new(&tree, &mut qscratch, params.eps, prune);
+                        let got = local_partial_arena(
+                            &mut source,
+                            params,
+                            &ranges,
+                            part,
+                            policy,
+                            &mut reused,
+                        );
+                        let arena = &got.partials;
+                        assert_eq!((arena.owner, arena.range), (part as u32, ranges.range(part)));
+                        assert_eq!(arena.len(), want.clusters.len(), "{tag}");
+                        for (view, c) in arena.views().zip(&want.clusters) {
+                            assert_eq!((c.owner, c.range), (arena.owner, arena.range), "{tag}");
+                            assert_eq!(view, c.view(), "{tag}");
+                            assert_eq!([view.regulars, view.seeds].concat(), c.members, "{tag}");
+                        }
+                        assert_eq!(got.core_points, want.core_points, "{tag}");
+                        assert_eq!(got.stats, want.stats, "{tag}");
+                        partials += arena.len();
+                        seeds_placed += got.stats.seeds_placed;
+                    }
+                }
+            }
+        }
+        assert!(partials > 0 && seeds_placed > 0, "{partials} partials, {seeds_placed} SEEDs");
     }
 
     /// Algorithms 2 and 3 transcribed directly, with SEEDs placed when

@@ -21,8 +21,12 @@
 //!
 //! **Union-find merge**: three sequential loops and no edge list. It
 //! rests on the [`PartialCluster`] layout contract — regulars first,
-//! then SEEDs — so each loop reads only the prefix or the suffix it
-//! needs:
+//! then SEEDs — and reads each partial through a borrowed
+//! [`PartialView`] of the two parts, so each loop reads only the part
+//! it needs. The views come from a slice of owned partials
+//! ([`merge_union_find`]) or straight from the executors' per-task
+//! arenas ([`merge_union_find_arenas`], the driver's path), through the
+//! same loops:
 //!
 //! 1. *owner fill* over the regulars: one `n`-sized table names, for
 //!    each point, the partial holding it as a regular member, flagged
@@ -69,7 +73,7 @@
 //! [`SeedPolicy::OnePerPartition`]: crate::SeedPolicy::OnePerPartition
 
 use crate::label::{Clustering, Label};
-use crate::model::PartialCluster;
+use crate::model::{PartialArena, PartialCluster, PartialView};
 use crate::unionfind::DisjointSet;
 
 /// Owner-table flag of a point that is not a core point: a SEED on it
@@ -117,26 +121,34 @@ pub struct MergeOutcome {
 /// partial cluster holding `p` as a *regular* element (unique by
 /// construction — one assignment per point per partition, ranges
 /// disjoint), flagged `NOT_CORE` unless `p` is a core point; `UNOWNED`
-/// for a point no partial holds as a regular. Reads only the regulars
-/// prefix of each partial, so an unflagged entry under a SEED is
-/// exactly a core SEED's master.
-pub(crate) fn fill_owner(n: usize, partials: &[PartialCluster], core: &[bool]) -> Vec<u32> {
+/// for a point no partial holds as a regular. Partials are indexed in
+/// the order `partials` yields them. Reads only the regulars of each
+/// partial, so an unflagged entry under a SEED is exactly a core SEED's
+/// master.
+pub(crate) fn fill_owner<'a>(
+    n: usize,
+    partials: impl Iterator<Item = PartialView<'a>>,
+    core: &[bool],
+) -> Vec<u32> {
     assert_eq!(core.len(), n, "core flags must cover every point");
-    assert!(partials.len() < NOT_CORE as usize, "partial indices must leave the flag bit free");
-    debug_assert!(
-        partials.iter().all(PartialCluster::has_contract_layout),
-        "partial cluster members must list regulars before SEEDs"
-    );
     let mut owner = vec![UNOWNED; n];
-    for (i, c) in partials.iter().enumerate() {
-        for &r in c.split_at_seeds().0 {
+    let mut m = 0usize;
+    for (i, c) in partials.enumerate() {
+        debug_assert!(
+            c.regulars.iter().all(|&r| (c.range.0..c.range.1).contains(&r))
+                && c.seeds.iter().all(|&s| !(c.range.0..c.range.1).contains(&s)),
+            "partial cluster members must list regulars before SEEDs"
+        );
+        for &r in c.regulars {
             debug_assert!(
                 owner[r as usize] == UNOWNED,
                 "point {r} regular in two partial clusters"
             );
             owner[r as usize] = if core[r as usize] { i as u32 } else { i as u32 | NOT_CORE };
         }
+        m = i + 1;
     }
+    assert!(m < NOT_CORE as usize, "partial indices must leave the flag bit free");
     owner
 }
 
@@ -151,30 +163,48 @@ pub fn merge_union_find(
     core: &[bool],
     symmetric_seeds: bool,
 ) -> MergeOutcome {
-    let owner = fill_owner(n, partials, core);
-    union_seeds(partials, owner, symmetric_seeds)
+    let views = || partials.iter().map(PartialCluster::view);
+    let owner = fill_owner(n, views(), core);
+    union_seeds(views(), partials.len(), owner, symmetric_seeds)
 }
 
-/// Loops 2 and 3 of the union-find merge over a filled `owner` table:
-/// union each partial with the master of every core SEED as the scan
-/// meets it (only SEEDs above the partial's range when
-/// `symmetric_seeds`), list the other SEEDs, then relabel the regulars
-/// and that list, reusing the table for the labels. `merge_ops` counts
-/// the unions that join two components.
-pub(crate) fn union_seeds(
-    partials: &[PartialCluster],
+/// [`merge_union_find`] over the partials of `arenas`, read in place:
+/// arena by arena, each in its own order. It equals
+/// [`merge_union_find`] over the arenas converted with
+/// [`PartialArena::into_partials`] and concatenated.
+pub fn merge_union_find_arenas(
+    n: usize,
+    arenas: &[PartialArena],
+    core: &[bool],
+    symmetric_seeds: bool,
+) -> MergeOutcome {
+    let views = || arenas.iter().flat_map(PartialArena::views);
+    let owner = fill_owner(n, views(), core);
+    let m = arenas.iter().map(PartialArena::len).sum();
+    union_seeds(views(), m, owner, symmetric_seeds)
+}
+
+/// Loops 2 and 3 of the union-find merge over the `m` partials of
+/// `partials` and their filled `owner` table: union each partial with
+/// the master of every core SEED as the scan meets it (only SEEDs above
+/// the partial's range when `symmetric_seeds`), list the other SEEDs,
+/// then relabel the regulars and that list, reusing the table for the
+/// labels. `merge_ops` counts the unions that join two components.
+pub(crate) fn union_seeds<'a>(
+    partials: impl Iterator<Item = PartialView<'a>>,
+    m: usize,
     mut owner: Vec<u32>,
     symmetric_seeds: bool,
 ) -> MergeOutcome {
-    let mut dsu = DisjointSet::new(partials.len());
+    let mut dsu = DisjointSet::new(m);
     let mut merge_ops = 0usize;
     // (point, partial) for every SEED on a point that is not an owned
     // core point
     let mut border: Vec<(u32, u32)> = Vec::new();
-    for (i, c) in partials.iter().enumerate() {
+    for (i, c) in partials.enumerate() {
         // the smallest SEED this partial unions through
         let first = if symmetric_seeds { c.range.1 } else { 0 };
-        for &s in c.split_at_seeds().1 {
+        for &s in c.seeds {
             let j = owner[s as usize];
             if j & NOT_CORE != 0 {
                 border.push((s, i as u32));
@@ -200,7 +230,7 @@ pub(crate) fn union_seeds(
         let w = &mut owner[p as usize];
         *w = (*w).min(keys[i as usize]);
     }
-    number_groups(owner, partials.len(), merge_ops, 1)
+    number_groups(owner, m, merge_ops, 1)
 }
 
 /// Extract the core SEED → master edges in partial order: `(i, master)`
@@ -222,10 +252,10 @@ pub fn extract_seed_edges(
     core: &[bool],
     _threads: usize,
 ) -> Vec<(u32, u32)> {
-    let owner = fill_owner(n, partials, core);
+    let owner = fill_owner(n, partials.iter().map(PartialCluster::view), core);
     let mut edges = Vec::new();
     for (i, c) in partials.iter().enumerate() {
-        for &s in c.split_at_seeds().1 {
+        for &s in c.view().seeds {
             let j = owner[s as usize];
             if j & NOT_CORE == 0 {
                 edges.push((i as u32, j));
@@ -322,7 +352,7 @@ pub fn merge_partial_clusters(
         MergeStrategy::PaperSinglePass => false,
         MergeStrategy::PaperFixpoint => true,
     };
-    let owner = fill_owner(n, partials, core);
+    let owner = fill_owner(n, partials.iter().map(PartialCluster::view), core);
     let (keys, merge_ops, passes) = paper_groups(partials, &owner, fixpoint);
     relabel(n, partials, &keys, merge_ops, passes)
 }

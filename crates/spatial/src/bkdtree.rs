@@ -289,6 +289,9 @@ pub struct BkdTree {
     soa: Vec<f64>,
     /// `ids[pos]` = original dataset index of tree-order position `pos`.
     ids: Vec<u32>,
+    /// The inverse of `ids`: `pos_of[id]` = tree-order position of the
+    /// original point `id`.
+    pos_of: Vec<u32>,
     metric: Metric,
     bucket_size: usize,
     /// Leaf-scan kernel configuration the tree was built for.
@@ -359,10 +362,12 @@ impl BkdTree {
         } else {
             Vec::new()
         };
-        (
-            BkdTree { dataset, nodes, coords, soa, ids, metric, bucket_size, kernel: cfg.kernel },
-            report,
-        )
+        let mut pos_of = vec![0u32; n];
+        for (pos, &id) in ids.iter().enumerate() {
+            pos_of[id as usize] = pos as u32;
+        }
+        let kernel = cfg.kernel;
+        (BkdTree { dataset, nodes, coords, soa, ids, pos_of, metric, bucket_size, kernel }, report)
     }
 
     /// Whether two trees are structurally identical: same flat node
@@ -416,6 +421,14 @@ impl BkdTree {
         &self.ids
     }
 
+    /// The inverse of [`BkdTree::tree_order`]: `tree_position()[id]` is
+    /// the tree-order position of the original point `id`. State keyed
+    /// by it sits in the order of the leaves, so a neighbourhood's
+    /// entries fall on a few cache lines.
+    pub fn tree_position(&self) -> &[u32] {
+        &self.pos_of
+    }
+
     /// Maximum node depth (root = 1); 0 for an empty tree. Iterative —
     /// safe for any tree shape.
     pub fn depth(&self) -> usize {
@@ -435,24 +448,29 @@ impl BkdTree {
         deepest
     }
 
-    /// Logical size in bytes of the serialized tree (what broadcasting
-    /// it would ship in a real cluster): nodes + permuted coordinates +
-    /// the id permutation.
+    /// Size in bytes of the tree in memory: nodes + permuted
+    /// coordinates + the SoA leaf mirror + the id permutation and its
+    /// inverse.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<BNode>()
-            + self.coords.len() * std::mem::size_of::<f64>()
+        self.shipped_bytes()
             + self.soa.len() * std::mem::size_of::<f64>()
-            + self.ids.len() * std::mem::size_of::<u32>()
-            + std::mem::size_of::<Self>()
+            + std::mem::size_of_val(&self.pos_of)
+            + self.pos_of.len() * std::mem::size_of::<u32>()
     }
 
-    /// Bytes a broadcast of this tree logically ships. Unlike
-    /// [`BkdTree::size_bytes`] this excludes the SoA leaf mirror: the
-    /// mirror is a local transposition of `coords`, rebuildable on the
-    /// receiving side, so the shipped payload — and with it the trace —
-    /// is identical across kernel layouts.
+    /// Bytes a broadcast of this tree logically ships (what broadcasting
+    /// it would ship in a real cluster): nodes + permuted coordinates +
+    /// the id permutation. Unlike [`BkdTree::size_bytes`] this excludes
+    /// the SoA leaf mirror and [`BkdTree::tree_position`]: both are
+    /// derived locally (a transposition of `coords`, the inverse of the
+    /// permutation), rebuildable on the receiving side, so the shipped
+    /// payload — and with it the trace — is identical across kernel
+    /// layouts.
     pub fn shipped_bytes(&self) -> usize {
-        self.size_bytes() - self.soa.len() * std::mem::size_of::<f64>()
+        self.nodes.len() * std::mem::size_of::<BNode>()
+            + self.coords.len() * std::mem::size_of::<f64>()
+            + self.ids.len() * std::mem::size_of::<u32>()
+            + (std::mem::size_of::<Self>() - std::mem::size_of_val(&self.pos_of))
     }
 
     /// The one range walk: an iterative depth-first descent that scans
@@ -529,8 +547,8 @@ impl BkdTree {
                 // push far first so the near side is explored first —
                 // matters once budgets cut the walk short. A NaN delta (a
                 // NaN query coordinate or split, or inf - inf) bounds
-                // nothing: Chebyshev ignores a NaN coordinate, so the far
-                // side can still hold hits
+                // nothing: a NaN split says nothing of the rows on either
+                // side
                 if metric.axis_bound(delta) <= thr || delta.is_nan() {
                     stack.push(far);
                 }
@@ -1157,6 +1175,29 @@ mod tests {
                 sorted(seq.range(&[100.0, 100.0], 30.0)),
                 sorted(par.range(&[100.0, 100.0], 30.0)),
             );
+        }
+    }
+
+    #[test]
+    fn tree_position_inverts_tree_order_and_ships_nothing() {
+        let ds = scatter_dataset(3000);
+        let base = BuildConfig::default().with_bucket_size(8).with_par_cutoff(64);
+        for threads in [1, 2, 3, 8] {
+            for kernel in [KernelConfig::scalar(), KernelConfig::default()] {
+                let cfg = base.with_threads(threads).with_kernel(kernel);
+                let t = BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg);
+                let (order, position) = (t.tree_order(), t.tree_position());
+                assert_eq!(position.len(), ds.len());
+                for (pos, &id) in order.iter().enumerate() {
+                    assert_eq!(position[id as usize] as usize, pos, "threads={threads}");
+                }
+                // the broadcast payload of this tree before the inverse
+                // existed: derived state adds to `size_bytes` only
+                assert_eq!(t.shipped_bytes(), 84_672, "threads={threads} {kernel:?}");
+                let soa = if kernel == KernelConfig::scalar() { 0 } else { 3000 * 2 * 8 };
+                let derived = soa + 3000 * 4 + std::mem::size_of::<Vec<u32>>();
+                assert_eq!(t.size_bytes(), t.shipped_bytes() + derived);
+            }
         }
     }
 

@@ -46,8 +46,10 @@
 //!   operations (the intrinsics bodies use no FMA, and Rust never
 //!   contracts one), so every distance is the exact same `f64` — all
 //!   paths return byte-identical neighborhoods (property-tested in
-//!   `tests/proptest_kernels.rs`). Chebyshev follows `f64::max`, which
-//!   ignores a NaN operand, by the operand order of `maxpd`.
+//!   `tests/proptest_kernels.rs`). A NaN coordinate makes every
+//!   metric's distance NaN, Chebyshev included: its bodies keep a NaN
+//!   accumulator through `maxpd`'s operand order and take a NaN
+//!   difference by a masked max or a blend.
 //! * **Same early-exit semantics.** [`scan_block`] reports matches row
 //!   by row through a callback that can stop the scan, and
 //!   [`scan_block_soa`] replays the chunk masks through the same kind of
@@ -59,7 +61,7 @@
 //! whole-matrix scans, and [`crate::Metric::reduced_distance`] (single
 //! pairs).
 
-use crate::metric::Metric;
+use crate::metric::{nan_max, Metric};
 
 /// Dimensions with a monomorphized kernel; anything else takes the
 /// generic fallback. Exposed so benches and tests can iterate the
@@ -536,7 +538,7 @@ fn scan_portable<E: FnMut(usize, u64) -> bool>(block: &SoaBlock, emit: E) -> boo
         ),
         Metric::Chebyshev => scan_chunks::<64, _, _>(
             rows,
-            |base, len| hits(block, base, len, |a, q, x| f64::max(a, (q - x).abs())),
+            |base, len| hits(block, base, len, |a, q, x| nan_max(a, (q - x).abs())),
             emit,
         ),
     }
@@ -591,14 +593,16 @@ fn scan_avx512<E: FnMut(usize, u64) -> bool>(block: &SoaBlock, emit: E) -> bool 
             },
             emit,
         ),
-        // `f64::max(a, v)` returns `a` when `v` is NaN, and `a` starts
-        // at 0.0 so it is never NaN itself; `maxpd(v, a)` returns its
-        // second operand when either is NaN, which is the same value
+        // `nan_max(a, v)`: `maxpd(v, a)` returns its second operand when
+        // either is NaN, which keeps a NaN `a`; the lanes where `v` is
+        // NaN take `v` instead, so a NaN in one coordinate is not lost
+        // by the next
         Metric::Chebyshev => scan_chunks::<64, _, _>(
             rows,
             |base, len| {
                 by_groups!(groups_avx512, 8, block, base, len, |a, q, x| {
-                    _mm512_max_pd(_mm512_abs_pd(_mm512_sub_pd(q, x)), a)
+                    let v = _mm512_abs_pd(_mm512_sub_pd(q, x));
+                    _mm512_mask_max_pd(v, _mm512_cmp_pd_mask::<_CMP_ORD_Q>(v, v), v, a)
                 })
             },
             emit,
@@ -671,13 +675,14 @@ fn scan_avx2<E: FnMut(usize, u64) -> bool>(block: &SoaBlock, emit: E) -> bool {
             },
             emit,
         ),
-        // the operand order of `scan_avx512`'s Chebyshev, for the same
-        // `f64::max` NaN rule
+        // `scan_avx512`'s Chebyshev: `maxpd(v, a)` keeps a NaN `a`, and
+        // a blend takes `v` where it is NaN
         Metric::Chebyshev => scan_chunks::<32, _, _>(
             rows,
             |base, len| {
                 by_groups!(groups_avx2, 4, block, base, len, |a, q, x| {
-                    _mm256_max_pd(abs(_mm256_sub_pd(q, x)), a)
+                    let v = abs(_mm256_sub_pd(q, x));
+                    _mm256_blendv_pd(_mm256_max_pd(v, a), v, _mm256_cmp_pd::<_CMP_UNORD_Q>(v, v))
                 })
             },
             emit,
@@ -808,7 +813,7 @@ pub fn manhattan_fixed<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
 pub fn chebyshev_fixed<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
     let mut acc = 0.0;
     for k in 0..D {
-        acc = f64::max(acc, (a[k] - b[k]).abs());
+        acc = nan_max(acc, (a[k] - b[k]).abs());
     }
     acc
 }
@@ -968,6 +973,47 @@ mod tests {
                                 );
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chebyshev_nan_in_one_coordinate_is_not_lost_by_the_next() {
+        // `maxpd` returns its second operand when either is NaN, so a
+        // NaN met in coordinate 0 would fall to a finite coordinate 1
+        // unless the body tracks it: every row below holds one NaN next
+        // to coordinates within any threshold, and none may be a hit
+        let m = Metric::Chebyshev;
+        for dim in 2..=6 {
+            let q: Vec<f64> = (0..dim).map(|k| 0.5 * k as f64).collect();
+            for rows in [1, 5, 8, 9, 33, 64, 70] {
+                let leaf: Vec<f64> = (0..rows)
+                    .flat_map(|i| {
+                        let mut row = q.clone();
+                        row[i % dim] = f64::NAN;
+                        row[(i + 1) % dim] += 0.25;
+                        row
+                    })
+                    .collect();
+                let soa = soa_of(&leaf, dim);
+                for thr in [1.0, f64::INFINITY] {
+                    let tag = format!("dim={dim} rows={rows} thr={thr}");
+                    assert_eq!(row_major_hits(m, &q, &leaf, thr, usize::MAX), (true, vec![]));
+                    let mut fixed = Vec::new();
+                    scan_block(m, dim, &q, &leaf, thr, |i| {
+                        fixed.push(i);
+                        true
+                    });
+                    assert_eq!(fixed, Vec::<usize>::new(), "{tag}");
+                    let sb = SoaBlock { metric: m, query: &q, soa: &soa, rows, thr };
+                    for body in Body::runnable() {
+                        assert_eq!(
+                            body_hits(body, &sb, usize::MAX),
+                            (true, vec![]),
+                            "{tag} {body:?}"
+                        );
                     }
                 }
             }

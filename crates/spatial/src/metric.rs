@@ -92,11 +92,24 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Chebyshev (L∞) distance.
+/// Chebyshev (L∞) distance. A NaN coordinate difference makes the
+/// distance NaN, as it does for the other metrics, so a row with a NaN
+/// coordinate is never within any radius.
 #[inline]
 pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+    a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).fold(0.0, nan_max)
+}
+
+/// The larger of `acc` and `v`, NaN when either is: the Chebyshev step.
+/// Unlike `f64::max`, which skips a NaN operand, a NaN stays once met.
+#[inline(always)]
+pub(crate) fn nan_max(acc: f64, v: f64) -> f64 {
+    if v > acc || v.is_nan() {
+        v
+    } else {
+        acc
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +168,22 @@ mod tests {
             let delta = A[0] - B[0];
             assert!(m.axis_bound(delta) <= m.reduced_distance(&A, &B) + 1e-12);
         }
+    }
+
+    #[test]
+    fn chebyshev_is_nan_when_any_coordinate_is() {
+        // a NaN before, between and after finite differences, and next
+        // to an infinite one
+        for (a, b) in [
+            ([f64::NAN, 0.0, 0.0], [0.0, 5.0, 1.0]),
+            ([0.0, f64::NAN, 0.0], [3.0, 0.0, 1.0]),
+            ([0.0, 0.0, f64::NAN], [3.0, 5.0, 0.0]),
+            ([f64::INFINITY, 0.0, 0.0], [0.0, f64::NAN, 1.0]),
+        ] {
+            assert!(chebyshev(&a, &b).is_nan(), "{a:?} {b:?}");
+            assert!(Metric::Chebyshev.reduced_distance(&a, &b).is_nan(), "{a:?} {b:?}");
+        }
+        assert_eq!(chebyshev(&[f64::INFINITY, 0.0], &[0.0, 1.0]), f64::INFINITY);
     }
 
     #[test]

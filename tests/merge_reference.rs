@@ -20,9 +20,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use scalable_dbscan::datagen::{ClusterGenerator, GeneratorParams, StandardDataset};
 use scalable_dbscan::dbscan::{
-    extract_seed_edges, local_partial_clusters, merge_partial_clusters, merge_union_find,
-    merge_with_edges, DbscanParams, Label, MergeStrategy, PartialCluster, PartitionRanges,
-    SeedPolicy, SparkDbscan,
+    extract_seed_edges, filter_small_partials, local_partial_clusters, merge_partial_clusters,
+    merge_union_find, merge_union_find_arenas, merge_with_edges, DbscanParams, Label,
+    MergeStrategy, PartialArena, PartialCluster, PartitionRanges, SeedPolicy, SparkDbscan,
 };
 use scalable_dbscan::engine::{ClusterConfig, Context};
 use scalable_dbscan::spatial::{BkdTree, Dataset, PruneConfig, QueryScratch};
@@ -403,4 +403,95 @@ fn full_edge_path_matches_reference_on_asymmetric_topologies() {
         assert_eq!(run.clustering.labels, labels, "{name}: driver labels");
         assert_eq!(run.merge_ops, ops, "{name}: driver merge_ops");
     }
+}
+
+/// The partials grouped into arenas as the executors emit them: one per
+/// run of consecutive partials of one owner, in order.
+fn arenas_of(partials: &[PartialCluster]) -> Vec<PartialArena> {
+    let mut arenas: Vec<PartialArena> = Vec::new();
+    for c in partials {
+        if arenas.last().is_none_or(|a| a.owner != c.owner) {
+            arenas.push(PartialArena::new(c.owner, c.range));
+        }
+        arenas.last_mut().expect("an arena for this owner").push(c);
+    }
+    arenas
+}
+
+/// The union-find read in place over arenas against `merge_union_find`
+/// over the same arenas converted to owned partials, forward-only and
+/// full. Returns how many partials shared an arena with another.
+fn assert_arena_merge_matches(
+    n: usize,
+    partials: &[PartialCluster],
+    core: &[bool],
+    case: &str,
+) -> usize {
+    let arenas = arenas_of(partials);
+    let converted: Vec<PartialCluster> =
+        arenas.iter().cloned().flat_map(PartialArena::into_partials).collect();
+    assert_eq!(converted, partials, "{case}: the arenas convert back to their partials");
+    for symmetric in [false, true] {
+        let want = merge_union_find(n, &converted, core, symmetric);
+        let got = merge_union_find_arenas(n, &arenas, core, symmetric);
+        let tag = format!("{case} (symmetric {symmetric})");
+        assert_eq!(got.clustering, want.clustering, "{tag}: clustering");
+        assert_eq!(got.merged_clusters, want.merged_clusters, "{tag}: merged_clusters");
+        assert_eq!(got.merge_ops, want.merge_ops, "{tag}: merge_ops");
+        assert_eq!(got.passes, want.passes, "{tag}: passes");
+    }
+    partials.len() - arenas.len()
+}
+
+/// The executors hand the driver one arena per task and the driver
+/// merges them in place; every other caller merges owned partials. Both
+/// must give the same outcome: on random and symmetric topologies, on
+/// corner cases with unowned and non-core SEEDs, and on real partials
+/// under both SEED policies, whole and with small partials filtered
+/// out (which leaves SEEDs whose master is gone).
+#[test]
+fn arena_merge_matches_merge_over_converted_partials() {
+    let mut rng = StdRng::seed_from_u64(0xA7E4A);
+    for trial in 0..60u64 {
+        let (n, mut partials, mut core) = random_topology(0xABCD + trial);
+        let case = format!("trial {trial}");
+        assert_arena_merge_matches(n, &partials, &core, &case);
+        symmetrize(n, &mut partials, &mut core);
+        assert_arena_merge_matches(n, &partials, &core, &format!("symmetric {case}"));
+        partials.shuffle(&mut rng);
+        assert_arena_merge_matches(n, &partials, &core, &format!("shuffled {case}"));
+    }
+
+    let all_core = vec![true; 30];
+    let unowned = [pc(0, (0, 10), &[1, 2, 15]), pc(1, (10, 20), &[11, 12])];
+    assert_arena_merge_matches(30, &unowned, &all_core, "SEED on an unowned point");
+    let mut core = all_core.clone();
+    core[12] = false;
+    let border =
+        [pc(0, (0, 10), &[1, 2, 12]), pc(1, (10, 20), &[12, 13, 14]), pc(1, (10, 20), &[16])];
+    assert_arena_merge_matches(30, &border, &core, "non-core SEED");
+    assert_arena_merge_matches(30, &[], &all_core, "no partials");
+
+    let (data, params) = clumpy_2d(13);
+    let n = data.len();
+    let mut shared = 0;
+    for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+        for prune in [PruneConfig::EXACT, PruneConfig::cap_neighbors(8)] {
+            let (partials, core) = real_partials(&data, params, 24, policy, prune);
+            let case = format!("{policy:?} {prune:?}");
+            shared += assert_arena_merge_matches(n, &partials, &core, &case);
+            let kept = filter_small_partials(partials.clone(), 3);
+            assert!(kept.len() < partials.len(), "{case}: the filter must drop partials");
+            let held = |ps: &[PartialCluster]| -> HashSet<u32> {
+                ps.iter().flat_map(PartialCluster::regulars).collect()
+            };
+            let (before, after) = (held(&partials), held(&kept));
+            let dangling = kept.iter().flat_map(PartialCluster::seeds);
+            let dangling = dangling.filter(|&s| core[s as usize] && before.contains(&s));
+            let dangling = dangling.filter(|s| !after.contains(s)).count();
+            assert!(dangling > 0, "{case}: the filter must leave core SEEDs without a master");
+            shared += assert_arena_merge_matches(n, &kept, &core, &format!("{case} filtered"));
+        }
+    }
+    assert!(shared > 1000, "tasks must emit many partials per arena: {shared}");
 }
