@@ -178,6 +178,12 @@ pub struct PartialView<'a> {
 /// SEEDs), with the offsets that split them. An executor appends to it
 /// as it clusters, so a task's output is a handful of buffers however
 /// many partials it holds.
+///
+/// A *forward-only* arena, which only the driver's exact union-find
+/// path asks for, holds only the SEEDs above `range`, plus a short list
+/// of border candidates that stands in for the SEEDs below it (see
+/// [`crate::partitioned::merge`], "Who records each edge"). Its
+/// partials are not whole, so it cannot be converted into owned ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialArena {
     /// Partition that built these partials.
@@ -189,12 +195,28 @@ pub struct PartialArena {
     /// Per closed partial, where its SEEDs start in `members` and where
     /// it ends; it starts where the one before it ends.
     bounds: Vec<(u32, u32)>,
+    /// `None` for an arena holding every SEED. For a forward-only one,
+    /// `(s, q)` for each non-core own point `s` and each neighbour `q`
+    /// of it above `range`, in query order.
+    pub(crate) border_candidates: Option<Vec<(u32, u32)>>,
 }
 
 impl PartialArena {
     /// An empty arena for a partition.
     pub fn new(owner: u32, range: (u32, u32)) -> Self {
-        PartialArena { owner, range, members: Vec::new(), bounds: Vec::new() }
+        let (members, bounds) = (Vec::new(), Vec::new());
+        PartialArena { owner, range, members, bounds, border_candidates: None }
+    }
+
+    /// An empty forward-only arena for a partition.
+    pub(crate) fn forward_only(owner: u32, range: (u32, u32)) -> Self {
+        PartialArena { border_candidates: Some(Vec::new()), ..Self::new(owner, range) }
+    }
+
+    /// The border candidates of a forward-only arena; none for an arena
+    /// holding every SEED.
+    pub(crate) fn border_candidates(&self) -> &[(u32, u32)] {
+        self.border_candidates.as_deref().unwrap_or_default()
     }
 
     /// Number of partial clusters.
@@ -248,7 +270,12 @@ impl PartialArena {
     }
 
     /// The partials as owned clusters, one `Vec` each.
+    ///
+    /// # Panics
+    /// Panics on a forward-only arena: its partials lack the SEEDs
+    /// below their range.
     pub fn into_partials(self) -> Vec<PartialCluster> {
+        assert!(self.border_candidates.is_none(), "a forward-only arena lacks its backward SEEDs");
         let (owner, range) = (self.owner, self.range);
         let members = |[start, _, end]: [usize; 3]| self.members[start..end].to_vec();
         (0..self.len())
@@ -297,6 +324,12 @@ mod tests {
         assert_eq!((views[0].regulars, views[0].seeds), (&[3, 1][..], &[12, 20][..]));
         assert_eq!((views[2].regulars, views[2].seeds), (&[][..], &[][..]));
         assert_eq!(arena.into_partials(), partials);
+    }
+
+    #[test]
+    #[should_panic(expected = "a forward-only arena lacks its backward SEEDs")]
+    fn forward_only_arena_refuses_conversion() {
+        let _ = PartialArena::forward_only(0, (0, 10)).into_partials();
     }
 
     #[test]

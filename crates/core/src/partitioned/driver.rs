@@ -16,7 +16,7 @@ use crate::partitioned::executor_side::{
     local_partial_arena, ExecutorScratch, ExecutorStats, TreeNeighborSource,
 };
 use crate::partitioned::merge::{
-    fill_owner, merge_partial_clusters, union_seeds, MergeOutcome, MergeStrategy,
+    border_candidates, fill_owner, merge_partial_clusters, union_seeds, MergeOutcome, MergeStrategy,
 };
 use crate::partitioned::planner::{plan_partitions, Balance};
 use crate::partitioned::SeedPolicy;
@@ -252,6 +252,14 @@ impl SparkDbscan {
         // locally from the broadcast coords, so the accounted payload
         // (and the trace) stays identical across kernel layouts
         let broadcast_size = data.size_bytes() + tree.shipped_bytes();
+        // exact queries under PerBoundaryEdge record every edge from both
+        // ends, so forward unions suffice; where the union-find also
+        // reads the arenas in place, the executors ship only forward
+        // SEEDs (see merge docs, "Who records each edge")
+        let symmetric =
+            self.seed_policy == SeedPolicy::PerBoundaryEdge && self.prune == PruneConfig::EXACT;
+        let in_place =
+            self.merge_strategy == MergeStrategy::UnionFind && self.min_partial_size.is_none();
         let shared = ctx.broadcast_sized(
             SharedInfo {
                 tree,
@@ -259,6 +267,7 @@ impl SparkDbscan {
                 ranges: ranges.clone(),
                 seed_policy: self.seed_policy,
                 prune: self.prune,
+                forward_only: symmetric && in_place,
             },
             broadcast_size,
         );
@@ -321,6 +330,7 @@ impl SparkDbscan {
                         &info.ranges,
                         part,
                         info.seed_policy,
+                        info.forward_only,
                         escratch,
                     );
                     local.stats.kernel = qscratch.counters;
@@ -359,9 +369,7 @@ impl SparkDbscan {
         let before_filter: usize = arenas.iter().map(PartialArena::len).sum();
         // the union-find reads the arenas in place; the paper strategies
         // and the small-partial filter take owned partials
-        let owned = (self.merge_strategy != MergeStrategy::UnionFind
-            || self.min_partial_size.is_some())
-        .then(|| {
+        let owned = (!in_place).then(|| {
             let partials = arenas.drain(..).flat_map(PartialArena::into_partials).collect();
             match self.min_partial_size {
                 Some(min) => filter_small_partials(partials, min),
@@ -373,19 +381,17 @@ impl SparkDbscan {
 
         let t = Instant::now();
         trace.phase_start("merge");
-        // exact queries under PerBoundaryEdge record every core–core
-        // boundary edge from both ends, so forward unions suffice (see
-        // merge docs)
-        let symmetric =
-            self.seed_policy == SeedPolicy::PerBoundaryEdge && self.prune == PruneConfig::EXACT;
         let outcome = match &owned {
             None => {
                 let views = || arenas.iter().flat_map(PartialArena::views);
-                traced_union_find(&trace, n, views, num_partial_clusters, &core, symmetric)
+                let candidates = border_candidates(&arenas);
+                let m = num_partial_clusters;
+                traced_union_find(&trace, n, views, m, &core, symmetric, candidates)
             }
             Some(partials) if self.merge_strategy == MergeStrategy::UnionFind => {
                 let views = || partials.iter().map(PartialCluster::view);
-                traced_union_find(&trace, n, views, num_partial_clusters, &core, symmetric)
+                let m = num_partial_clusters;
+                traced_union_find(&trace, n, views, m, &core, symmetric, [])
             }
             // paper-literal strategies stay the serial baseline arm
             Some(partials) => merge_partial_clusters(n, partials, self.merge_strategy, &core),
@@ -432,9 +438,9 @@ impl SparkDbscan {
     }
 }
 
-/// The union-find merge over the `m` partials `views()` yields, its
-/// owner fill and SEED scan traced as the `merge_extract` and
-/// `merge_union` phases.
+/// The union-find merge over the `m` partials `views()` yields and the
+/// border `candidates` of forward-only arenas, its owner fill and SEED
+/// scan traced as the `merge_extract` and `merge_union` phases.
 fn traced_union_find<'a, I: Iterator<Item = PartialView<'a>>>(
     trace: &TraceHandle,
     n: usize,
@@ -442,12 +448,13 @@ fn traced_union_find<'a, I: Iterator<Item = PartialView<'a>>>(
     m: usize,
     core: &[bool],
     symmetric: bool,
+    candidates: impl IntoIterator<Item = (u32, u32)>,
 ) -> MergeOutcome {
     trace.phase_start("merge_extract");
     let owner = fill_owner(n, views(), core);
     trace.phase_end("merge_extract");
     trace.phase_start("merge_union");
-    let outcome = union_seeds(views(), m, owner, symmetric);
+    let outcome = union_seeds(views(), m, owner, symmetric, candidates);
     trace.phase_end("merge_union");
     outcome
 }
@@ -461,6 +468,9 @@ struct SharedInfo {
     ranges: PartitionRanges,
     seed_policy: SeedPolicy,
     prune: PruneConfig,
+    /// Whether the executors ship forward-only arenas: derived from the
+    /// run's configuration, never set.
+    forward_only: bool,
 }
 
 /// Driver-side state grown by the streaming fold as each task finishes.

@@ -18,7 +18,11 @@
 //! [`PartialCluster`] layout contract the merge relies on. A task
 //! appends every partial it closes to one [`PartialArena`], the output
 //! the driver collects; the public entry points convert it once into
-//! owned partials.
+//! owned partials. When the driver's exact union-find merges the arenas
+//! in place, a task ships only the SEEDs above its range and, for each
+//! own point its query finds not core, the neighbours above its range
+//! (a forward-only [`PartialArena`]; see [`crate::partitioned::merge`],
+//! "Who records each edge").
 //! Neighborhoods are computed over the **full broadcast dataset**, so
 //! core status is globally exact even though expansion is local.
 //!
@@ -70,7 +74,11 @@ pub struct ExecutorStats {
     /// Own points found noise at the top level (may become borders of
     /// other partitions' clusters after the merge).
     pub local_noise: usize,
-    /// SEEDs placed across all partial clusters.
+    /// SEEDs the task's partial clusters hold. A task of the driver's
+    /// exact union-find path places only the SEEDs above its range (see
+    /// [`crate::partitioned::merge`], "Who records each edge"), so there
+    /// it counts about half of what the public entry points count for
+    /// the same partition.
     pub seeds_placed: usize,
     /// Kernel-level instrumentation of the task's queries (leaf blocks
     /// scanned, rows of those blocks, hits, early exits). Like every
@@ -188,6 +196,9 @@ struct Expansion<'a> {
     marks: &'a mut Marks,
     ranges: &'a PartitionRanges,
     policy: SeedPolicy,
+    /// SEEDs below it are dropped: the range's start for a forward-only
+    /// task, 0 otherwise.
+    floor: u32,
     epoch: u32,
     /// Stamp of the task's first cluster: own points marked at or above
     /// it are claimed.
@@ -199,13 +210,16 @@ struct Expansion<'a> {
 impl<'a> Expansion<'a> {
     /// Start the task for `partition`: bump the epoch, grow (never
     /// shrink) the arrays, and reset the marks when fewer stamps are
-    /// left than the task could take.
+    /// left than the task could take. A `forward_only` task drops the
+    /// SEEDs below its range.
     fn begin(
         marks: &'a mut Marks,
         ranges: &'a PartitionRanges,
         partition: usize,
         policy: SeedPolicy,
+        forward_only: bool,
     ) -> Self {
+        debug_assert!(!forward_only || policy == SeedPolicy::PerBoundaryEdge);
         let (start, end) = ranges.range(partition);
         let local_n = end - start;
         if marks.epoch == u32::MAX {
@@ -233,7 +247,8 @@ impl<'a> Expansion<'a> {
         }
         marks.queue.clear();
         let (epoch, first) = (marks.epoch, marks.stamp + 1);
-        Expansion { marks, ranges, policy, epoch, first, start, end }
+        let floor = if forward_only { start } else { 0 };
+        Expansion { marks, ranges, policy, floor, epoch, first, start, end }
     }
 
     /// Mark own point `q` visited; whether it was unvisited.
@@ -260,6 +275,17 @@ impl<'a> Expansion<'a> {
         arena.close(&self.marks.seeds);
     }
 
+    /// The last query found own point `s` not core. A forward-only
+    /// task lists `(s, q)` for each neighbour `q` above its range: the
+    /// owner of a core `q` dropped `s` as a SEED below its own range.
+    fn note_border<S: Neighbourhoods>(&self, source: &S, s: u32, arena: &mut PartialArena) {
+        let Some(pairs) = &mut arena.border_candidates else { return };
+        let (ids, masks) = source.hits();
+        let above =
+            masks.iter().flat_map(|h| h.rows()).map(|pos| ids[pos]).filter(|&q| q >= self.end);
+        pairs.extend(above.map(|q| (s, q)));
+    }
+
     /// Admit the last query's neighbourhood into the open cluster, in
     /// query order: neighbour `ids[pos + j]` for every set bit `j` of
     /// every chunk mask, decoded in place, its mark at
@@ -269,11 +295,12 @@ impl<'a> Expansion<'a> {
     /// left to do, so each own point enters the queue at most once per
     /// task. A foreign index meets Algorithm 3 at once and becomes a
     /// SEED or nothing — "each executor only computes the points that
-    /// belong to it".
+    /// belong to it"; a SEED below `floor` is dropped again.
     fn admit<S: Neighbourhoods>(&mut self, source: &S, members: &mut Vec<u32>) {
         let (ids, masks) = source.hits();
         let Marks { mark, stamp, seeded_partition_stamp, queue, seeds, .. } = &mut *self.marks;
         let (start, len, first, stamp) = (self.start, self.end - self.start, self.first, *stamp);
+        let floor = self.floor;
         let mark = &mut mark[..];
         let neighbours =
             masks.iter().flat_map(|h| h.rows()).map(|pos| (S::hit_slot(pos, ids[pos]), ids[pos]));
@@ -292,7 +319,11 @@ impl<'a> Expansion<'a> {
                             members.push(r);
                             queue.push(r);
                         } else {
+                            // pushed, then popped again if below the
+                            // floor: a branch would mispredict on about
+                            // half the SEEDs, which come in no index order
                             seeds.push(r);
+                            seeds.truncate(seeds.len() - (r < floor) as usize);
                         }
                     }
                 }
@@ -463,7 +494,7 @@ pub fn local_partial_clusters_scratch(
     scratch: &mut ExecutorScratch,
 ) -> LocalClustering {
     let mut listed = Listed { neighbors_of, buf: Vec::new(), ids: Vec::new(), masks: Vec::new() };
-    expand(&mut listed, params, ranges, partition, seed_policy, scratch).into()
+    expand(&mut listed, params, ranges, partition, seed_policy, false, scratch).into()
 }
 
 /// Algorithms 2+3 for one partition over a [`TreeNeighborSource`], the
@@ -479,7 +510,7 @@ pub fn local_partial_clusters_source(
     scratch: &mut ExecutorScratch,
     _kernel: KernelConfig,
 ) -> LocalClustering {
-    local_partial_arena(source, params, ranges, partition, seed_policy, scratch).into()
+    local_partial_arena(source, params, ranges, partition, seed_policy, false, scratch).into()
 }
 
 /// One task's output as the driver collects it: its partial clusters in
@@ -501,16 +532,20 @@ impl From<TaskPartials> for LocalClustering {
 /// [`local_partial_clusters_source`] with the partials left in the
 /// task's arena, as the driver takes them: admission reads each
 /// neighbourhood straight from the walk's chunk masks, so steady-state
-/// tasks allocate nothing but the arena and the core list.
+/// tasks allocate nothing but the arena and the core list. With
+/// `forward_only` (exact [`SeedPolicy::PerBoundaryEdge`] only) the
+/// arena is forward-only: SEEDs above the range, plus border
+/// candidates (see [`PartialArena`]).
 pub(crate) fn local_partial_arena(
     source: &mut TreeNeighborSource<'_>,
     params: DbscanParams,
     ranges: &PartitionRanges,
     partition: usize,
     seed_policy: SeedPolicy,
+    forward_only: bool,
     scratch: &mut ExecutorScratch,
 ) -> TaskPartials {
-    expand(source, params, ranges, partition, seed_policy, scratch)
+    expand(source, params, ranges, partition, seed_policy, forward_only, scratch)
 }
 
 /// The one Algorithm 2 loop: visit each own point in index order, open a
@@ -522,10 +557,16 @@ fn expand<S: Neighbourhoods>(
     ranges: &PartitionRanges,
     partition: usize,
     seed_policy: SeedPolicy,
+    forward_only: bool,
     scratch: &mut ExecutorScratch,
 ) -> TaskPartials {
-    let mut x = Expansion::begin(&mut scratch.marks, ranges, partition, seed_policy);
-    let mut arena = PartialArena::new(partition as u32, (x.start, x.end));
+    let mut x = Expansion::begin(&mut scratch.marks, ranges, partition, seed_policy, forward_only);
+    let (owner, range) = (partition as u32, (x.start, x.end));
+    let mut arena = if forward_only {
+        PartialArena::forward_only(owner, range)
+    } else {
+        PartialArena::new(owner, range)
+    };
     // the queue's read cursor: every cluster drains the queue, so the
     // next one starts where the last stopped
     let mut head = 0usize;
@@ -544,6 +585,7 @@ fn expand<S: Neighbourhoods>(
             // Algorithm 2 line 9: "mark p as noise" (it may later be
             // claimed as a border point by an expanding cluster)
             stats.local_noise += 1;
+            x.note_border(source, p, &mut arena);
             continue;
         }
 
@@ -563,13 +605,16 @@ fn expand<S: Neighbourhoods>(
             if found >= params.min_pts {
                 core_points.push(q);
                 x.admit(source, &mut arena.members);
+            } else {
+                x.note_border(source, q, &mut arena);
             }
         }
         x.close(&mut arena, &mut stats);
     }
 
     // the arena waits for the merge: hand its growth slack back first
-    // (on `d2-p128` the 128 arenas hold about 29 MB between them)
+    // (on `d2-p128` the 128 forward-only arenas hold about 14 MB between
+    // them, 28 MB with every SEED)
     arena.members.shrink_to_fit();
     TaskPartials { partials: arena, core_points, stats }
 }
@@ -577,7 +622,7 @@ fn expand<S: Neighbourhoods>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbscan_spatial::{BuildConfig, Dataset, KdTree, Metric, SpatialIndex};
+    use dbscan_spatial::{BruteForceIndex, BuildConfig, Dataset, KdTree, Metric, SpatialIndex};
     use std::collections::VecDeque;
     use std::sync::Arc;
 
@@ -1001,6 +1046,7 @@ mod tests {
                             &ranges,
                             part,
                             policy,
+                            false,
                             &mut reused,
                         );
                         let arena = &got.partials;
@@ -1020,6 +1066,78 @@ mod tests {
             }
         }
         assert!(partials > 0 && seeds_placed > 0, "{partials} partials, {seeds_placed} SEEDs");
+    }
+
+    #[test]
+    fn forward_only_arena_keeps_forward_seeds_and_lists_border_candidates() {
+        // a forward-only task against the full one on the same tree: the
+        // same regulars, core points and stats, the SEEDs above the range
+        // in placement order, and `(s, q)` for every non-core own point
+        // `s` and each neighbour `q` above the range (checked against
+        // brute force)
+        let ds = Arc::new(Dataset::from_rows(blob_rows()));
+        let cfg = BuildConfig::default().with_bucket_size(16);
+        let tree = BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg);
+        let brute = BruteForceIndex::new(ds.clone());
+        let mut reused = ExecutorScratch::new();
+        let (mut dropped, mut candidates) = (0, 0);
+        for (eps, min_pts) in [(1.1, 3), (2.5, 4), (0.95, 5)] {
+            let params = DbscanParams::new(eps, min_pts).unwrap();
+            for parts in [2, 3, 5] {
+                let ranges = PartitionRanges::new(ds.len(), parts);
+                for part in 0..parts {
+                    let tag = format!("eps={eps} {part}/{parts}");
+                    let (start, end) = ranges.range(part);
+                    let mut task = |forward_only| {
+                        let mut qscratch = QueryScratch::new();
+                        let mut source = TreeNeighborSource::new(
+                            &tree,
+                            &mut qscratch,
+                            params.eps,
+                            PruneConfig::EXACT,
+                        );
+                        let policy = SeedPolicy::PerBoundaryEdge;
+                        let scratch = &mut reused;
+                        local_partial_arena(
+                            &mut source,
+                            params,
+                            &ranges,
+                            part,
+                            policy,
+                            forward_only,
+                            scratch,
+                        )
+                    };
+                    let (full, fwd) = (task(false), task(true));
+                    assert_eq!(full.partials.border_candidates, None, "{tag}");
+                    assert_eq!(fwd.core_points, full.core_points, "{tag}");
+                    assert_eq!(fwd.partials.len(), full.partials.len(), "{tag}");
+                    let mut shipped = 0;
+                    for (f, w) in fwd.partials.views().zip(full.partials.views()) {
+                        assert_eq!(f.regulars, w.regulars, "{tag}");
+                        let forward: Vec<u32> =
+                            w.seeds.iter().copied().filter(|&s| s >= end).collect();
+                        assert_eq!(f.seeds, forward, "{tag}");
+                        shipped += forward.len();
+                        dropped += w.seeds.len() - forward.len();
+                    }
+                    let want_stats = ExecutorStats { seeds_placed: shipped, ..full.stats };
+                    assert_eq!(fwd.stats, want_stats, "{tag}");
+                    let mut want = Vec::new();
+                    for s in (start..end).filter(|s| !full.core_points.contains(s)) {
+                        let mut out = Vec::new();
+                        brute.range_into(ds.point(PointId(s)), eps, &mut out);
+                        want.extend(out.iter().filter(|q| q.0 >= end).map(|q| (s, q.0)));
+                    }
+                    want.sort_unstable();
+                    let mut got = fwd.partials.border_candidates().to_vec();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "{tag}");
+                    candidates += got.len();
+                }
+            }
+        }
+        assert!(dropped > 0 && candidates > 0, "{dropped} SEEDs dropped, {candidates} candidates");
     }
 
     /// Algorithms 2 and 3 transcribed directly, with SEEDs placed when

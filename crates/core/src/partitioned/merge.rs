@@ -50,24 +50,48 @@
 //! among the partials holding it. The paper strategies relabel over
 //! every member.
 //!
-//! **Forward-only unions.** When the caller knows the SEED edges are
-//! symmetric — every `(i, j)` has its reverse `(j, i)` — the scan
-//! unions only through SEEDs above the partial's own range
-//! (`s >= range.1`), which keeps every connection with half the union
-//! calls: partials `i` and `j` of an edge belong to different
-//! partitions, so exactly one of the two SEEDs lies above its partial's
-//! range, whatever the partials' order. Symmetry holds for exact
-//! queries under [`SeedPolicy::PerBoundaryEdge`]: take core `p` regular
-//! in partial `i`, core `s` regular in partial `j` and `dist(p, s) ≤ ε`.
-//! Every core point is queried once and admitted into the partial that
-//! claims it, and the distance is bitwise symmetric
-//! (`fl(a−b) = −fl(b−a)`, both sides summed in the same coordinate
-//! order), so `i` records `s` and `j` records `p`. Dropping whole
-//! partials (`min_partial_size`) removes both directions at once. It
-//! fails under [`SeedPolicy::OnePerPartition`] (one SEED per foreign
-//! partition) and under pruned queries (a capped query can see `p → s`
-//! but not `s → p`); callers derive the flag from the run's
-//! configuration and union every edge in those cases.
+//! **Who records each edge.** Under exact queries and
+//! [`SeedPolicy::PerBoundaryEdge`] every edge is recorded from both
+//! ends, so the merge needs only one of the two records:
+//!
+//! * *Core–core.* Take core `p` regular in partial `i`, core `s`
+//!   regular in partial `j` of another partition, and
+//!   `dist(p, s) ≤ ε`. Every core point is queried once and admitted
+//!   into the partial that claims it, and the distance is bitwise
+//!   symmetric (`fl(a−b) = −fl(b−a)`, both sides summed in the same
+//!   coordinate order), so `i` records `s` and `j` records `p`. The
+//!   partials lie in different partitions, so exactly one of the two
+//!   SEEDs lies above its partial's range, whatever the partials'
+//!   order: unioning only through SEEDs above the range
+//!   (`s >= range.1`) keeps every connection with half the unions.
+//! * *Core–non-core.* A non-core point `s` takes the smallest group key
+//!   among the partials holding it, so every partial with a core point
+//!   within `ε` of `s` must be found. The owner of each such core `q`
+//!   records `s` as a SEED, and `s`'s own task queries `s` exactly
+//!   once (every own point is queried once, claimed or not), so that
+//!   query sees every foreign core neighbour `q` of `s` as well.
+//!
+//! With `symmetric_seeds` the SEED scan unions forward only. The
+//! driver's union-find over per-task arenas goes one step further: its
+//! executors ship only the SEEDs above their range (forward-only
+//! arenas). A SEED `s` below partial `i`'s range adds nothing when `s`
+//! is core (its owner's task records the reverse edge as a forward
+//! SEED) and is replaced when `s` is not: `s`'s task lists `(s, q)` for
+//! each neighbour `q` above its range, and a pair whose `q` is an owned
+//! core point joins the border list as `(s, owner[q])`. That is the
+//! SEED the owner of `q` dropped, so labels, components and `merge_ops`
+//! are those of the full SEEDs. On `d2-p128` this halves the SEEDs
+//! shipped (about 3.5M of 7.0M are backward) for about 8.5k pairs.
+//!
+//! The symmetry fails under [`SeedPolicy::OnePerPartition`] (one SEED
+//! per foreign partition can see `p → s` without `s → p`) and under
+//! pruned queries (a capped query can stop before it reaches `p`).
+//! Dropping whole partials (`min_partial_size`) removes both
+//! directions of a core–core edge at once, so it keeps the symmetry.
+//! Callers derive the flag from the run's configuration and union every
+//! edge in the other cases. Forward-only arenas go only where the
+//! driver merges arenas in place; the small-partial filter and the
+//! paper strategies take owned partials, which need every SEED.
 //!
 //! [`SeedPolicy::PerBoundaryEdge`]: crate::SeedPolicy::PerBoundaryEdge
 //! [`SeedPolicy::OnePerPartition`]: crate::SeedPolicy::OnePerPartition
@@ -165,13 +189,14 @@ pub fn merge_union_find(
 ) -> MergeOutcome {
     let views = || partials.iter().map(PartialCluster::view);
     let owner = fill_owner(n, views(), core);
-    union_seeds(views(), partials.len(), owner, symmetric_seeds)
+    union_seeds(views(), partials.len(), owner, symmetric_seeds, [])
 }
 
 /// [`merge_union_find`] over the partials of `arenas`, read in place:
-/// arena by arena, each in its own order. It equals
-/// [`merge_union_find`] over the arenas converted with
-/// [`PartialArena::into_partials`] and concatenated.
+/// arena by arena, each in its own order, with the border candidates of
+/// forward-only arenas folded into the border list. Over arenas that
+/// hold every SEED it equals [`merge_union_find`] over the arenas
+/// converted with [`PartialArena::into_partials`] and concatenated.
 pub fn merge_union_find_arenas(
     n: usize,
     arenas: &[PartialArena],
@@ -181,20 +206,27 @@ pub fn merge_union_find_arenas(
     let views = || arenas.iter().flat_map(PartialArena::views);
     let owner = fill_owner(n, views(), core);
     let m = arenas.iter().map(PartialArena::len).sum();
-    union_seeds(views(), m, owner, symmetric_seeds)
+    union_seeds(views(), m, owner, symmetric_seeds, border_candidates(arenas))
+}
+
+/// The border candidates of every forward-only arena in `arenas`.
+pub(crate) fn border_candidates(arenas: &[PartialArena]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    arenas.iter().flat_map(|a| a.border_candidates().iter().copied())
 }
 
 /// Loops 2 and 3 of the union-find merge over the `m` partials of
 /// `partials` and their filled `owner` table: union each partial with
 /// the master of every core SEED as the scan meets it (only SEEDs above
-/// the partial's range when `symmetric_seeds`), list the other SEEDs,
-/// then relabel the regulars and that list, reusing the table for the
+/// the partial's range when `symmetric_seeds`), list the other SEEDs
+/// and the `candidates` `(s, q)` whose `q` is an owned core point, then
+/// relabel the regulars and that list, reusing the table for the
 /// labels. `merge_ops` counts the unions that join two components.
 pub(crate) fn union_seeds<'a>(
     partials: impl Iterator<Item = PartialView<'a>>,
     m: usize,
     mut owner: Vec<u32>,
     symmetric_seeds: bool,
+    candidates: impl IntoIterator<Item = (u32, u32)>,
 ) -> MergeOutcome {
     let mut dsu = DisjointSet::new(m);
     let mut merge_ops = 0usize;
@@ -218,6 +250,14 @@ pub(crate) fn union_seeds<'a>(
             if dsu.union(i, master) {
                 merge_ops += 1;
             }
+        }
+    }
+    // a candidate on core point `q` is the SEED on `s` that `q`'s owner
+    // dropped
+    for (s, q) in candidates {
+        let j = owner[q as usize];
+        if j & NOT_CORE == 0 {
+            border.push((s, j));
         }
     }
     // each regular takes its partial's key from the owner table; only

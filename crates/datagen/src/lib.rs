@@ -23,6 +23,7 @@ pub use catalog::{DatasetSpec, StandardDataset};
 pub use cluster_gen::{ClusterGenerator, GeneratorParams, GroundTruth};
 pub use io::{
     dataset_from_csv, dataset_to_csv, parse_csv_row, read_dataset_from_dfs, write_dataset_to_dfs,
+    CsvError,
 };
 pub use normal::NormalSampler;
 pub use skewed::{SkewedGenerator, SkewedParams};

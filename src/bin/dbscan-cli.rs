@@ -12,7 +12,7 @@
 //! no header. The output CSV has `index,label` rows where label is a
 //! cluster id or `noise`.
 
-use scalable_dbscan::datagen::{parse_csv_row, StandardDataset};
+use scalable_dbscan::datagen::{dataset_from_csv, StandardDataset};
 use scalable_dbscan::dbscan::{Label, MrDbscan};
 use scalable_dbscan::prelude::*;
 use std::sync::Arc;
@@ -115,24 +115,11 @@ fn main() {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(1);
             });
-            let mut width = None;
-            let rows: Vec<Vec<f64>> = text
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .map(|l| {
-                    let row = parse_csv_row(l).unwrap_or_else(|| {
-                        eprintln!("malformed CSV line: {l:?}");
-                        std::process::exit(1);
-                    });
-                    let w = *width.get_or_insert(row.len());
-                    if row.len() != w {
-                        eprintln!("CSV line {l:?} has {} columns, expected {w}", row.len());
-                        std::process::exit(1);
-                    }
-                    row
-                })
-                .collect();
-            if rows.is_empty() {
+            let data = dataset_from_csv(&text).unwrap_or_else(|e| {
+                eprintln!("{path}: {e}");
+                std::process::exit(1);
+            });
+            if data.is_empty() {
                 eprintln!("no points in {path}");
                 std::process::exit(1);
             }
@@ -144,7 +131,7 @@ fn main() {
                 eprintln!("{e}");
                 std::process::exit(1);
             });
-            (Arc::new(Dataset::from_rows(rows)), params)
+            (Arc::new(data), params)
         }
         (None, Some(ds)) => {
             let spec = ds.scaled_spec(o.scale_factor);

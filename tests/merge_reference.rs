@@ -13,8 +13,12 @@
 //! `PerBoundaryEdge` queries every core-SEED edge `(i, j)` has its
 //! reverse `(j, i)`. The premise is pinned on real partials, the fast
 //! path on symmetric random topologies, and an asymmetric topology shows
-//! why the full path stays for every other configuration.
+//! why the full path stays for every other configuration. The driver's
+//! exact runs go further and ship only forward SEEDs plus border
+//! candidates; they are checked against full-SEED runs of the same
+//! configuration, on random data and on hand-built 1-d fixtures.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -23,6 +27,7 @@ use scalable_dbscan::dbscan::{
     extract_seed_edges, filter_small_partials, local_partial_clusters, merge_partial_clusters,
     merge_union_find, merge_union_find_arenas, merge_with_edges, DbscanParams, Label,
     MergeStrategy, PartialArena, PartialCluster, PartitionRanges, SeedPolicy, SparkDbscan,
+    SparkDbscanResult,
 };
 use scalable_dbscan::engine::{ClusterConfig, Context};
 use scalable_dbscan::spatial::{BkdTree, Dataset, PruneConfig, QueryScratch};
@@ -494,4 +499,142 @@ fn arena_merge_matches_merge_over_converted_partials() {
         }
     }
     assert!(shared > 1000, "tasks must emit many partials per arena: {shared}");
+}
+
+/// `SparkDbscan::exact()` merges forward-only arenas: its executors
+/// ship only the SEEDs above their range and list border candidates for
+/// the rest. `min_partial_size(1)` filters nothing but takes the owned
+/// partials, which carry every SEED. Both must give the same result.
+fn assert_forward_only_run_matches_full_seeds(
+    ctx: &Context,
+    data: &Arc<Dataset>,
+    params: DbscanParams,
+    partitions: usize,
+    case: &str,
+) -> SparkDbscanResult {
+    let run = |exact: SparkDbscan| exact.partitions(partitions).run(ctx, Arc::clone(data));
+    let forward = run(SparkDbscan::new(params).exact());
+    let full = run(SparkDbscan::new(params).exact().min_partial_size(1));
+    assert_eq!(full.filtered_partials, 0, "{case}: a size-1 filter drops nothing");
+    assert_eq!(forward.clustering, full.clustering, "{case}: clustering");
+    let clusters = |r: &SparkDbscanResult| r.clustering.num_clusters();
+    assert_eq!(clusters(&forward), clusters(&full), "{case}: merged clusters");
+    assert_eq!(forward.merge_ops, full.merge_ops, "{case}: merge_ops");
+    assert_eq!(forward.num_partial_clusters, full.num_partial_clusters, "{case}: partials");
+    let seeds = |r: &SparkDbscanResult| -> usize {
+        r.executor_stats.iter().map(|(_, s)| s.seeds_placed).sum()
+    };
+    assert!(seeds(&forward) <= seeds(&full), "{case}: forward-only ships more SEEDs");
+    forward
+}
+
+/// Clumpy 1-d or 2-d rows on a coarse grid, so that equal points and
+/// points exactly `eps` apart are common, in random index order, with
+/// some rows NaN or ±inf in one coordinate.
+fn arb_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let cell = (0usize..3, 0u32..24, 0u32..24, 0usize..16);
+    (1usize..3, prop::collection::vec(cell, 1..90)).prop_map(|(dim, cells)| {
+        cells
+            .into_iter()
+            .map(|(clump, x, y, odd)| {
+                let mut row = vec![8.0 * clump as f64 + 0.25 * x as f64, 0.25 * y as f64];
+                row.truncate(dim);
+                let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                if let Some(&v) = hostile.get(odd) {
+                    row[odd % dim] = v;
+                }
+                row
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random data against the full-SEED path, with a duplicate of the
+    /// last point of every partition at the first index of the next, a
+    /// `min_pts` of 1 among the settings, and up to twice as many
+    /// partitions as points.
+    #[test]
+    fn forward_only_seeds_match_full_seeds(
+        rows in arb_rows(),
+        eps in 0.2f64..2.5,
+        min_pts in 1usize..7,
+        spread in 1usize..200,
+    ) {
+        let mut rows = rows;
+        let n = rows.len();
+        let partitions = 1 + spread % (2 * n);
+        let ranges = PartitionRanges::new(n, partitions);
+        for &cut in ranges.cut_points() {
+            let cut = cut as usize;
+            if 0 < cut && cut < n {
+                rows[cut] = rows[cut - 1].clone();
+            }
+        }
+        let data = Arc::new(Dataset::from_rows(rows));
+        let params = DbscanParams::new(eps, min_pts).unwrap();
+        let ctx = Context::new(ClusterConfig::local(2));
+        let case = format!("n={n} eps={eps} min_pts={min_pts} p={partitions}");
+        assert_forward_only_run_matches_full_seeds(&ctx, &data, params, partitions, &case);
+    }
+}
+
+/// Hand-built 1-d inputs at eps 1 (every coordinate a multiple of
+/// 0.125, so no distance rounds across eps) for each way a non-core
+/// point meets a foreign core point. Each row is `(case, coordinates,
+/// partitions, border point, the point whose label it must take)`.
+#[test]
+fn forward_only_border_points_take_the_full_seed_labels() {
+    let cases: [(&str, &[f64], usize, usize, usize); 5] = [
+        // point 0 is non-core (min_pts 4: itself and 3.0) and its only
+        // core neighbour, 3.0, lies in partition 1; only the candidate
+        // (0, 3) labels it
+        ("only core neighbour above", &[2.0, 50.0, 60.0, 3.0, 3.25, 3.5], 2, 0, 3),
+        // point 5 is non-core and its only core neighbour, 3.5, lies in
+        // partition 0, which ships point 5 as a forward SEED
+        ("only core neighbour below", &[3.0, 3.25, 3.5, 50.0, 60.0, 4.5], 2, 5, 2),
+        // point 4 (4.75) is local noise in partition 1 and touches the
+        // cores 4.0 (cluster X, partition 0) and 5.5 (cluster Y,
+        // partition 2); Y also holds 6.5, the first point of partition
+        // 0, so Y's group key is the smaller and point 4 takes Y's
+        // label, which only the candidate (4, 8) knows
+        (
+            "local noise between two foreign cores",
+            &[6.5, 3.0, 3.25, 4.0, 4.75, 3.5, 100.0, 200.0, 5.5, 5.875, 6.125, 300.0],
+            3,
+            4,
+            8,
+        ),
+        // the same, but 4.0 sits in partition 1 ahead of point 5
+        // (4.75), so X claims point 5 before its own query finds it
+        // non-core: the candidate comes from the claimed-border branch
+        (
+            "claimed border touching a foreign core above",
+            &[6.5, 3.0, 3.25, 3.5, 4.0, 4.75, 100.0, 200.0, 5.5, 5.875, 6.125, 300.0],
+            3,
+            5,
+            8,
+        ),
+        // a border point duplicated across the cut between partitions 0
+        // and 1, whose only core neighbour lies in partition 2
+        (
+            "duplicate border straddling a cut",
+            &[9.0, 2.0, 2.0, 30.0, 3.0, 3.25, 3.5, 40.0],
+            4,
+            1,
+            4,
+        ),
+    ];
+    let params = DbscanParams::new(1.0, 4).unwrap();
+    let ctx = Context::new(ClusterConfig::local(2));
+    for (case, coords, partitions, border, core_point) in cases {
+        let data = Arc::new(Dataset::from_rows(coords.iter().map(|&x| vec![x]).collect()));
+        let r = assert_forward_only_run_matches_full_seeds(&ctx, &data, params, partitions, case);
+        let c = &r.clustering;
+        assert!(!c.core[border] && c.core[core_point], "{case}: core flags");
+        assert!(c.labels[border].is_cluster(), "{case}: the border point is labelled");
+        assert_eq!(c.labels[border], c.labels[core_point], "{case}: border label");
+    }
 }
